@@ -207,7 +207,6 @@ def persistent_polynomials(a: AtomicSystem) -> list[PuiseuxPolynomial]:
     (a1, b1), (a2, b2) = norm.rows
     small = _small_rectangle(norm)
     norm_sys = norm.system()
-    norm_ops = build_operators(norm_sys)
     orig_sys = a.system()
     radius = 4 * (abs(a1) + abs(b1) + abs(a2) + abs(b2)) + 8
 
@@ -221,7 +220,7 @@ def persistent_polynomials(a: AtomicSystem) -> list[PuiseuxPolynomial]:
             cand = quotient_walk(norm, alpha_n, case_i)
         except ValueError:
             cand = None
-        if cand is None or not is_solution(cand, norm_sys, norm_ops):
+        if cand is None or not is_solution(cand, norm_sys):
             full = component_polynomial(norm_sys, alpha_n, radius)
             if full is None:
                 raise ValueError(f"no finite solution through initial exponent {alpha_n}")

@@ -4,17 +4,22 @@ Puiseux polynomials, solution checking, and the parameter-shift intertwiners.
 The j-th equation is x_j * P_j(theta) f = Q_j(theta) f.  P_j collects one
 factor <A_i, s> + c_i + l per row with A_{i,j} > 0 and l = 0..A_{i,j}-1;
 Q_j the same for rows with A_{i,j} < 0 and l = 0..|A_{i,j}|-1.  Operators
-stay factored; theta acts on x^alpha by the scalar alpha.
+stay factored; theta acts on x^alpha by the scalar alpha.  Growth, series
+checks and operator application evaluate the factors on one exponent class
+at a time, in integers (`_ClassFactors`); `eval_factors` is the reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-from .lattice import Vec2, dot
+from .lattice import QVec, Vec2, dot
 from .puiseux import PuiseuxPolynomial
 from .system import HornSystem
+
+Offset = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -69,41 +74,115 @@ def eval_factors(factors: tuple[AffineFactor, ...], alpha) -> Fraction:
     return out
 
 
-def apply_horn(j: int, f: PuiseuxPolynomial, s: HornSystem,
-               ops: HornOperatorPair | None = None) -> PuiseuxPolynomial:
+class _ClassFactors:
+    """The operator factor products on one exponent class anchor + Z^2, in
+    integers, addressed by integer offsets d from the anchor.
+
+    Row i takes the value n_i/q_i at the anchor, so its l-th factor at d is
+    (n_i + q_i*(<A_i, d> + l))/q_i.  The numerator of a side's product is a
+    plain integer product, which vanishes exactly when the product does; its
+    denominator, prod q_i^|A_ij| over the side's rows, is fixed per class.
+    """
+
+    def __init__(self, s: HornSystem, anchor):
+        self.anchor = anchor
+        xn, xd = anchor[0].numerator, anchor[0].denominator
+        yn, yd = anchor[1].numerator, anchor[1].denominator
+        # rows of P_j (pos[j]) and Q_j (neg[j]) for column j = 1, 2, as
+        # (n_i, q_i*a_i, q_i*b_i, q_i, |A_ij|); slot 0 is unused
+        self.pos: tuple[list, list, list] = ([], [], [])
+        self.neg: tuple[list, list, list] = ([], [], [])
+        self.p_den = [1, 1, 1]
+        self.q_den = [1, 1, 1]
+        for r, c in zip(s.rows, s.params):
+            cn, cd = c.numerator, c.denominator
+            n = (r.a * xn * yd + r.b * yn * xd) * cd + cn * xd * yd
+            q = xd * yd * cd
+            g = gcd(n, q)
+            n, q = n // g, q // g
+            for j, entry in ((1, r.a), (2, r.b)):
+                if entry > 0:
+                    self.pos[j].append((n, q * r.a, q * r.b, q, entry))
+                    self.p_den[j] *= q ** entry
+                elif entry < 0:
+                    self.neg[j].append((n, q * r.a, q * r.b, q, -entry))
+                    self.q_den[j] *= q ** -entry
+
+    def p_num(self, j: int, d: Offset) -> int:
+        """Numerator of P_j at offset d, over the denominator p_den[j]."""
+        return _product(self.pos[j], d)
+
+    def q_num(self, j: int, d: Offset) -> int:
+        """Numerator of Q_j at offset d, over the denominator q_den[j]."""
+        return _product(self.neg[j], d)
+
+    def p(self, j: int, d: Offset) -> Fraction:
+        return Fraction(self.p_num(j, d), self.p_den[j])
+
+    def q(self, j: int, d: Offset) -> Fraction:
+        return Fraction(self.q_num(j, d), self.q_den[j])
+
+    def exponent(self, d: Offset) -> QVec:
+        return (self.anchor[0] + d[0], self.anchor[1] + d[1])
+
+
+def _product(rows: list, d: Offset) -> int:
+    d1, d2 = d
+    out = 1
+    for n, qa, qb, q, e in rows:
+        v = n + qa * d1 + qb * d2
+        for _ in range(e):
+            if not v:
+                return 0
+            out *= v
+            v += q
+    return out
+
+
+def apply_horn(j: int, f: PuiseuxPolynomial, s: HornSystem) -> PuiseuxPolynomial:
     """Residual x_j P_j(theta) f - Q_j(theta) f, exactly.
 
     A zero residual for both j means f solves the system; nonzero terms
-    point at the offending support positions.
+    point at the offending support positions.  Each term is evaluated at its
+    integer offset on its exponent class mod Z^2, so f may mix classes.
     """
     if j not in (1, 2):
         raise ValueError("j must be 1 or 2")
-    ops = ops or build_operators(s)
-    e_j = (Fraction(1), Fraction(0)) if j == 1 else (Fraction(0), Fraction(1))
-    out: dict = {}
-    for alpha, c in f.terms.items():
-        pv = eval_factors(ops.p(j), alpha)
-        if pv != 0:
-            key = (alpha[0] + e_j[0], alpha[1] + e_j[1])
-            out[key] = out.get(key, Fraction(0)) + c * pv
-            if out[key] == 0:
-                del out[key]
-        qv = eval_factors(ops.q(j), alpha)
-        if qv != 0:
-            out[alpha] = out.get(alpha, Fraction(0)) - c * qv
-            if out[alpha] == 0:
-                del out[alpha]
+    s1, s2 = (1, 0) if j == 1 else (0, 1)
+    classes: dict = {}
+    out: dict = {}  # (class, offset) -> residual coefficient
+    for (x, y), c in f.terms.items():
+        xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+        cls = (xn % xd, xd, yn % yd, yd)
+        ev = classes.get(cls)
+        if ev is None:
+            ev = classes[cls] = _ClassFactors(s, (Fraction(cls[0], xd), Fraction(cls[2], yd)))
+        d1, d2 = xn // xd, yn // yd
+        pv = ev.p_num(j, (d1, d2))
+        if pv:
+            key = (cls, d1 + s1, d2 + s2)
+            v = out.get(key, 0) + c * Fraction(pv, ev.p_den[j])
+            if v:
+                out[key] = v
+            else:
+                out.pop(key, None)
+        qv = ev.q_num(j, (d1, d2))
+        if qv:
+            key = (cls, d1, d2)
+            v = out.get(key, 0) - c * Fraction(qv, ev.q_den[j])
+            if v:
+                out[key] = v
+            else:
+                out.pop(key, None)
     res = PuiseuxPolynomial.zero()
-    res.terms = out
+    res.terms = {classes[cls].exponent((d1, d2)): v for (cls, d1, d2), v in out.items()}
     return res
 
 
-def is_solution(f: PuiseuxPolynomial, s: HornSystem,
-                ops: HornOperatorPair | None = None) -> bool:
+def is_solution(f: PuiseuxPolynomial, s: HornSystem) -> bool:
     if f.is_zero():
         raise ValueError("zero polynomial is trivially a solution; rejected")
-    ops = ops or build_operators(s)
-    return apply_horn(1, f, s, ops).is_zero() and apply_horn(2, f, s, ops).is_zero()
+    return apply_horn(1, f, s).is_zero() and apply_horn(2, f, s).is_zero()
 
 
 def apply_intertwiner(j: int, f: PuiseuxPolynomial, s: HornSystem) -> PuiseuxPolynomial:

@@ -186,8 +186,10 @@ def parse_rational(text) -> Fraction:
     if isinstance(text, str):
         s = text.strip()
         if "/" in s:
-            num, den = s.split("/", 1)
-            return Fraction(int(num), int(den))
+            num, den = (int(x) for x in s.split("/", 1))
+            if den == 0:
+                raise ValueError(f"zero denominator: {text!r}")
+            return Fraction(num, den)
         return Fraction(int(s))
     raise ValueError(f"not a rational: {text!r}")
 

@@ -18,12 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import QVec, Vec2, cross, qvec
-from .operators import build_operators, is_solution
+from .operators import Offset, _ClassFactors, is_solution
 from .puiseux import PuiseuxPolynomial
 from .system import HornSystem
 from .counting import ConeQ
-
-Offset = tuple[int, int]
 
 
 class ResonantCollisionError(ValueError):
@@ -34,51 +32,6 @@ class ResonantCollisionError(ValueError):
     def __init__(self, point: QVec, message: str = ""):
         self.point = point
         super().__init__(message or f"resonant collision at offset {point}")
-
-
-class _ClassEvaluator:
-    """Exact evaluation of the operator factor products on one exponent
-    class, addressed by integer offsets from an anchor exponent."""
-
-    def __init__(self, s: HornSystem, anchor: QVec):
-        self.anchor = anchor
-        self.rows = s.rows
-        self.base = [
-            Fraction(r.a) * anchor[0] + Fraction(r.b) * anchor[1] + c
-            for r, c in zip(s.rows, s.params)
-        ]
-        # rows contributing to P_j (positive column entry) and Q_j (negative)
-        self.pos = {1: [], 2: []}
-        self.neg = {1: [], 2: []}
-        for i, r in enumerate(s.rows):
-            for j, entry in ((1, r.a), (2, r.b)):
-                if entry > 0:
-                    self.pos[j].append((i, entry))
-                elif entry < 0:
-                    self.neg[j].append((i, -entry))
-
-    def row_val(self, i: int, d: Offset) -> Fraction:
-        r = self.rows[i]
-        return self.base[i] + r.a * d[0] + r.b * d[1]
-
-    def _product(self, rows: list[tuple[int, int]], d: Offset) -> Fraction:
-        out = Fraction(1)
-        for i, e in rows:
-            v = self.row_val(i, d)
-            for ell in range(e):
-                out *= v + ell
-                if out == 0:
-                    return out
-        return out
-
-    def p(self, j: int, d: Offset) -> Fraction:
-        return self._product(self.pos[j], d)
-
-    def q(self, j: int, d: Offset) -> Fraction:
-        return self._product(self.neg[j], d)
-
-    def exponent(self, d: Offset) -> QVec:
-        return (self.anchor[0] + d[0], self.anchor[1] + d[1])
 
 
 _STEPS = ((1, (1, 0)), (2, (0, 1)))
@@ -100,8 +53,24 @@ def grow_component(s: HornSystem, alpha0: QVec, radius: int,
     vanish or two paths disagree.  If the component reaches the radius box
     boundary the result is flagged exceeded (and, with early_exit, returned
     immediately with a partial table).
+
+    Two paths never disagree.  With Phi(beta) = prod_i Gamma(<A_i, beta> + c_i),
+    the functional equation of Gamma gives, as rational functions of beta,
+
+        P_j(beta) / Q_j(beta + e_j) = Phi(beta + e_j) / Phi(beta),
+
+    since the factors <A_i, beta> + c_i + l, l = 0..|A_ij|-1, are the ratio
+    Gamma(<A_i, beta> + c_i + A_ij) / Gamma(<A_i, beta> + c_i) for A_ij > 0
+    and its reciprocal for A_ij < 0.  So the step ratios telescope: their
+    product around any closed lattice loop is identically 1, and two paths
+    to one point give the same value wherever every step along them is
+    defined.  The walk takes a step only where both factor products are
+    nonzero, so every step it takes is defined.  The disagreement check is
+    kept as a guard; every collision raised comes from the zero-denominator
+    check.
     """
-    ev = _ClassEvaluator(s, qvec(alpha0[0], alpha0[1]))
+    ev = _ClassFactors(s, qvec(alpha0[0], alpha0[1]))
+    p_num, q_num, p_den, q_den = ev.p_num, ev.q_num, ev.p_den, ev.q_den
     values: dict[Offset, Fraction] = {(0, 0): Fraction(1)}
     stack: list[Offset] = [(0, 0)]
     exceeded = False
@@ -111,12 +80,12 @@ def grow_component(s: HornSystem, alpha0: QVec, radius: int,
         u = values[d]
         for j, (s1, s2) in _STEPS:
             fwd = (d[0] + s1, d[1] + s2)
-            pv = ev.p(j, d)
-            if pv != 0:
-                qv = ev.q(j, fwd)
-                if qv == 0:
+            pv = p_num(j, d)
+            if pv:
+                qv = q_num(j, fwd)
+                if not qv:
                     raise ResonantCollisionError(ev.exponent(d))
-                v = u * pv / qv
+                v = u * Fraction(pv * q_den[j], qv * p_den[j])
                 if max(abs(fwd[0]), abs(fwd[1])) > radius:
                     exceeded = True
                     if early_exit:
@@ -128,12 +97,12 @@ def grow_component(s: HornSystem, alpha0: QVec, radius: int,
                     values[fwd] = v
                     stack.append(fwd)
             bwd = (d[0] - s1, d[1] - s2)
-            qv0 = ev.q(j, d)
-            if qv0 != 0:
-                pv0 = ev.p(j, bwd)
-                if pv0 == 0:
+            qv0 = q_num(j, d)
+            if qv0:
+                pv0 = p_num(j, bwd)
+                if not pv0:
                     raise ResonantCollisionError(ev.exponent(d))
-                v = u * qv0 / pv0
+                v = u * Fraction(qv0 * p_den[j], pv0 * q_den[j])
                 if max(abs(bwd[0]), abs(bwd[1])) > radius:
                     exceeded = True
                     if early_exit:
@@ -302,20 +271,23 @@ def series_from_submatrix(s: HornSystem, indices: tuple[int, int], branch: int,
 def verify_truncated(t: TruncatedSeries, s: HornSystem) -> bool:
     """Check every coefficient relation whose two endpoints both lie inside
     the window box, reading absent points as exact zeros."""
-    ev = _ClassEvaluator(s, qvec(t.alpha0[0], t.alpha0[1]))
+    ev = _ClassFactors(s, qvec(t.alpha0[0], t.alpha0[1]))
     w = t.window
-
-    def val(d: Offset) -> Fraction:
-        return t.coeffs.get(d, Fraction(0))
 
     for d1 in range(-w, w + 1):
         for d2 in range(-w, w + 1):
             d = (d1, d2)
+            u = t.coeffs.get(d, 0)
             for j, (s1, s2) in _STEPS:
                 nxt = (d1 + s1, d2 + s2)
                 if max(abs(nxt[0]), abs(nxt[1])) > w:
                     continue
-                if ev.p(j, d) * val(d) != ev.q(j, nxt) * val(nxt):
+                v = t.coeffs.get(nxt, 0)
+                # P_j(d) u(d) == Q_j(nxt) v(nxt), both sides over the
+                # common denominator p_den * q_den * den(u) * den(v)
+                lhs = ev.p_num(j, d) * ev.q_den[j] * u.numerator * v.denominator
+                rhs = ev.q_num(j, nxt) * ev.p_den[j] * v.numerator * u.denominator
+                if lhs != rhs:
                     return False
     return True
 
@@ -347,7 +319,6 @@ def harvest_polynomials(s: HornSystem, window: int) -> list[HarvestResult]:
     into the first finite result, so the finite outcomes are distinct
     solutions.
     """
-    ops = build_operators(s)
     results: list[HarvestResult] = []
     seen_polys: set[PuiseuxPolynomial] = set()
 
@@ -370,7 +341,7 @@ def harvest_polynomials(s: HornSystem, window: int) -> list[HarvestResult]:
             poly = PuiseuxPolynomial(
                 {(alpha0[0] + d[0], alpha0[1] + d[1]): v for d, v in grown.values.items()}
             ).normalized()
-            if not is_solution(poly, s, ops):
+            if not is_solution(poly, s):
                 results.append(HarvestResult(
                     "resonant_collision", sub.indices, branch, alpha0,
                     collision_point=alpha0,
@@ -398,8 +369,9 @@ def harvest_unique_polynomials(s: HornSystem, window: int) -> list[PuiseuxPolyno
 
 
 def default_window(s: HornSystem) -> int:
-    """4 * (holonomic rank + m * max |entry|); wide enough for every fixture."""
-    from .counting import holonomic_rank
+    """4 * (rank + m * max |entry|); wide enough for every fixture.  The rank
+    is the holonomic rank, or the atomic rank of a bare atomic pair."""
+    from .solver import system_rank
 
     max_entry = max(max(abs(r.a), abs(r.b)) for r in s.rows)
-    return 4 * (holonomic_rank(s) + s.m * max_entry)
+    return 4 * (system_rank(s) + s.m * max_entry)

@@ -13,10 +13,10 @@ from itertools import combinations
 from .atomic import enumerate_atomic, polynomial_exponents
 from .counting import holonomic_rank
 from .lattice import QVec, Vec2, cross, dot, qvec
-from .operators import build_operators, is_solution
+from .operators import is_solution
 from .polygon import Kind, build_polygon, classify
 from .puiseux import PuiseuxPolynomial
-from .series import component_polynomial, harvest_unique_polynomials
+from .series import ResonantCollisionError, component_polynomial, harvest_unique_polynomials
 from .system import HornSystem, check_nonconfluent
 
 
@@ -44,7 +44,6 @@ def persistent_solutions(s: HornSystem) -> list[PuiseuxPolynomial]:
         raise ValueError("persistent solutions require nonconfluency")
     max_entry = max(max(abs(r.a), abs(r.b)) for r in s.rows)
     radius = 4 * s.m * max_entry + 16
-    ops = build_operators(s)
     seeds: set[QVec] = set()
     for a in enumerate_atomic(s):
         if a.nu > 0:
@@ -53,11 +52,11 @@ def persistent_solutions(s: HornSystem) -> list[PuiseuxPolynomial]:
     for seed in sorted(seeds):
         try:
             poly = component_polynomial(s, seed, radius)
-        except ValueError:
+        except ResonantCollisionError:
             continue  # resonant degeneracy through this seed
         if poly is None:
             continue  # support escapes: not a polynomial at these parameters
-        if not is_solution(poly, s, ops):
+        if not is_solution(poly, s):
             continue
         normal = poly.normalized()
         found[frozenset(normal.terms.items())] = normal

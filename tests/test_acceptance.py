@@ -224,9 +224,9 @@ def test_criterion_08_series_oracle():
     assert verify_truncated(t, EX21)
 
     # order independence of the two recurrences on every explored point
-    from hornkit.series import _ClassEvaluator
+    from hornkit.operators import _ClassFactors
 
-    ev = _ClassEvaluator(EX21, t.alpha0)
+    ev = _ClassFactors(EX21, t.alpha0)
     for (d1, d2), v in t.coeffs.items():
         for j, step in ((1, (1, 0)), (2, (0, 1))):
             prev = (d1 - step[0], d2 - step[1])

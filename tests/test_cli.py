@@ -43,6 +43,12 @@ def test_malformed_input_exit_2(tmp_path):
     assert r.exit_code == 2
     assert "error" in json.loads(r.stderr)
 
+    zero_den = tmp_path / "zero_den.json"
+    zero_den.write_text(json.dumps({"matrix": [[1, 0], [-1, 0]], "parameters": ["1/0", 0]}))
+    r = run("analyze", str(zero_den))
+    assert r.exit_code == 2
+    assert "zero denominator" in json.loads(r.stderr)["error"]
+
 
 def test_confluent_exit_3(tmp_path):
     conf = tmp_path / "confluent.json"
@@ -65,6 +71,17 @@ def test_solve_atomic_example():
     assert all(s["verified"] for s in d["solutions"])
     binom = next(s for s in d["solutions"] if len(s["terms"]) == 2)
     assert [t["coefficient"] for t in binom["terms"]] == ["1", "-1/3"]
+
+
+def test_solve_atomic_default_window():
+    # neither --window nor HORNKIT_WINDOW: the window comes from the atomic rank
+    r = run("solve", ATOMIC, env={"HORNKIT_WINDOW": None})
+    assert r.exit_code == 0, r.output
+    d = json.loads(r.output)
+    assert d["window"] == 4 * (9 + 2 * 4)
+    assert d["rank"] == 9
+    assert len(d["solutions"]) == 8
+    assert all(s["verified"] for s in d["solutions"])
 
 
 def test_solve_triangle_simplex():

@@ -2,12 +2,15 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_nonconfluent_system
 from hornkit.operators import (
+    _ClassFactors,
     apply_horn,
     apply_intertwiner,
     build_operators,
+    eval_factors,
     is_solution,
 )
 from hornkit.puiseux import PuiseuxPolynomial
@@ -59,15 +62,75 @@ def test_apply_horn_monomial_action():
     ops = build_operators(s)
     alpha = (F(2, 3), F(-1, 2))
     f = PuiseuxPolynomial.monomial(alpha[0], alpha[1])
-    from hornkit.operators import eval_factors
-
     for j, e_j in ((1, (1, 0)), (2, (0, 1))):
-        res = apply_horn(j, f, s, ops)
+        res = apply_horn(j, f, s)
         want = PuiseuxPolynomial({
             (alpha[0] + e_j[0], alpha[1] + e_j[1]): eval_factors(ops.p(j), alpha),
             alpha: -eval_factors(ops.q(j), alpha),
         })
         assert res == want
+
+
+def reference_residual(j, f, s):
+    """x_j P_j(theta) f - Q_j(theta) f, term by term through eval_factors."""
+    ops = build_operators(s)
+    e_j = (1, 0) if j == 1 else (0, 1)
+    out = PuiseuxPolynomial.zero()
+    for alpha, c in f.terms.items():
+        out = out + PuiseuxPolynomial({
+            (alpha[0] + e_j[0], alpha[1] + e_j[1]): c * eval_factors(ops.p(j), alpha),
+            alpha: -c * eval_factors(ops.q(j), alpha),
+        })
+    return out
+
+
+_rationals = st.builds(F, st.integers(-40, 40), st.integers(1, 9))
+_offsets = st.tuples(st.integers(-20, 20), st.integers(-20, 20))
+
+
+@st.composite
+def _anchored_systems(draw):
+    """A system with entries in [-3, 3], a rational anchor, and parameters
+    that make some rows integer-valued at the anchor, so factors vanish."""
+    rows = draw(st.lists(
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda r: r != (0, 0)),
+        min_size=2, max_size=5))
+    anchor = (draw(_rationals), draw(_rationals))
+    params = []
+    for a, b in rows:
+        if draw(st.booleans()):
+            params.append(draw(st.integers(-6, 6)) - a * anchor[0] - b * anchor[1])
+        else:
+            params.append(draw(_rationals))
+    return HornSystem.make(rows, params), anchor
+
+
+@settings(max_examples=100, deadline=None)
+@given(_anchored_systems(), st.lists(_offsets, min_size=1, max_size=6))
+def test_class_factors_match_affine_factors(system_anchor, offsets):
+    s, anchor = system_anchor
+    ops = build_operators(s)
+    ev = _ClassFactors(s, anchor)
+    for d in offsets:
+        alpha = (anchor[0] + d[0], anchor[1] + d[1])
+        for j in (1, 2):
+            assert ev.p(j, d) == eval_factors(ops.p(j), alpha)
+            assert ev.q(j, d) == eval_factors(ops.q(j), alpha)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_anchored_systems(), st.lists(st.tuples(_offsets, _rationals), min_size=1, max_size=8),
+       st.tuples(_rationals, _rationals))
+def test_apply_horn_matches_reference(system_anchor, terms, other_anchor):
+    # terms alternate between the anchor's class and a second class
+    s, anchor = system_anchor
+    f = PuiseuxPolynomial({
+        ((anchor if k % 2 else other_anchor)[0] + d[0],
+         (anchor if k % 2 else other_anchor)[1] + d[1]): c
+        for k, (d, c) in enumerate(terms)
+    })
+    for j in (1, 2):
+        assert apply_horn(j, f, s) == reference_residual(j, f, s)
 
 
 def test_apply_horn_zero_residual_on_known_solution(triangle_sides):
@@ -79,13 +142,12 @@ def test_apply_horn_zero_residual_on_known_solution(triangle_sides):
 def test_apply_horn_linearity():
     rng = random.Random(17)
     s = random_nonconfluent_system(rng)
-    ops = build_operators(s)
     f = PuiseuxPolynomial({(F(1, 2), F(0)): 3, (F(3, 2), F(1)): -2})
     g = PuiseuxPolynomial({(F(1, 2), F(1)): 5, (F(5, 2), F(2)): 7})
     a, b = F(3, 4), F(-2, 7)
     for j in (1, 2):
-        lhs = apply_horn(j, f.scale(a) + g.scale(b), s, ops)
-        rhs = apply_horn(j, f, s, ops).scale(a) + apply_horn(j, g, s, ops).scale(b)
+        lhs = apply_horn(j, f.scale(a) + g.scale(b), s)
+        rhs = apply_horn(j, f, s).scale(a) + apply_horn(j, g, s).scale(b)
         assert lhs == rhs
 
 

@@ -11,6 +11,7 @@ from hornkit.puiseux import PuiseuxPolynomial
 from hornkit.series import (
     ResonantCollisionError,
     branch_base_points,
+    branch_initial_exponent,
     default_window,
     grow_component,
     harvest_polynomials,
@@ -65,9 +66,9 @@ def test_series_order_independence():
     """Regenerating each coefficient along either coordinate path agrees."""
     s = ex21_system()
     t = series_from_submatrix(s, (1, 2), 0, 8)
-    from hornkit.series import _ClassEvaluator
+    from hornkit.operators import _ClassFactors
 
-    ev = _ClassEvaluator(s, t.alpha0)
+    ev = _ClassFactors(s, t.alpha0)
     for (d1, d2), v in t.coeffs.items():
         for j, step in ((1, (1, 0)), (2, (0, 1))):
             prev = (d1 - step[0], d2 - step[1])
@@ -83,6 +84,14 @@ def test_verify_truncated_detects_fault():
     t = series_from_submatrix(s, (1, 2), 0, 5)
     assert verify_truncated(t, s)
     t.coeffs[(2, 1)] = t.coeffs[(2, 1)] + 1
+    assert not verify_truncated(t, s)
+
+    # generic parameters: the factor products have nontrivial denominators
+    s = random_nonconfluent_system(random.Random(2), max_m=4)
+    t = series_from_submatrix(s, submatrices(s)[0].indices, 0, 3)
+    assert verify_truncated(t, s)
+    d = max(t.coeffs)
+    t.coeffs[d] = t.coeffs[d] * 2
     assert not verify_truncated(t, s)
 
 
@@ -199,6 +208,39 @@ def test_resonant_collision_reported():
     s = HornSystem.make([[1, 0], [-1, 0], [0, 1], [0, -1]], [0, -2, 0, 0])
     with pytest.raises(ResonantCollisionError):
         grow_component(s, (F(-3), F(0)), 5)
+
+
+def test_resonant_collisions_are_zero_denominators():
+    """At resonant parameters every collision the walk meets is a vanishing
+    denominator against a live numerator, never two paths disagreeing."""
+    from hornkit.operators import build_operators, eval_factors
+
+    def zero_denominator_at(s, beta):
+        ops = build_operators(s)
+        for j, (s1, s2) in ((1, (1, 0)), (2, (0, 1))):
+            fwd = (beta[0] + s1, beta[1] + s2)
+            bwd = (beta[0] - s1, beta[1] - s2)
+            if eval_factors(ops.p(j), beta) != 0 and eval_factors(ops.q(j), fwd) == 0:
+                return True
+            if eval_factors(ops.q(j), beta) != 0 and eval_factors(ops.p(j), bwd) == 0:
+                return True
+        return False
+
+    rng = random.Random(29)
+    collisions = 0
+    for _ in range(60):
+        rows = random_nonconfluent_system(rng, max_m=5).rows
+        s = HornSystem.make(rows, [F(rng.randint(-12, 12), 2) for _ in rows])
+        for sub in submatrices(s):
+            for k0 in branch_base_points(sub):
+                alpha0 = branch_initial_exponent(sub, k0)
+                for early_exit in (True, False):
+                    try:
+                        grow_component(s, alpha0, 8, early_exit=early_exit)
+                    except ResonantCollisionError as exc:
+                        collisions += 1
+                        assert zero_denominator_at(s, exc.point), (s, alpha0, exc.point)
+    assert collisions > 0
 
 
 def test_default_window_formula(zonotope):
