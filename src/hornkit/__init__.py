@@ -6,10 +6,12 @@ reducibility decision."""
 from .lattice import Vec2, ccw_sort, index_nu, opposite_open_quadrants, primitive
 from .puiseux import PuiseuxPolynomial, parse_rational
 from .system import (
+    AtomicSystem,
     HornSystem,
     ResonanceReport,
     check_nonconfluent,
     detect_resonance,
+    enumerate_atomic,
     normalize_rows,
 )
 from .operators import (
@@ -41,10 +43,8 @@ from .counting import (
     persistent_dim,
 )
 from .atomic import (
-    AtomicSystem,
     FrameChange,
     atomic_rank,
-    enumerate_atomic,
     normalize_frame,
     persistent_monomials,
     persistent_polynomials,
@@ -55,7 +55,6 @@ from .series import (
     ResonantCollisionError,
     TruncatedSeries,
     harvest_polynomials,
-    harvest_unique_polynomials,
     series_from_submatrix,
     support_cone,
     verify_truncated,

@@ -1,6 +1,7 @@
-"""Atomic subsystems: nondegenerate 2x2 row pairs, their rank, the full
-exponent lattice of their polynomial solutions, and the persistent solutions
-themselves (monomials plus essentially polynomial completions).
+"""Atomic subsystems (nondegenerate 2x2 row pairs, `system.AtomicSystem`):
+their rank, the full exponent lattice of their polynomial solutions, and the
+persistent solutions themselves (monomials plus essentially polynomial
+completions).
 """
 
 from __future__ import annotations
@@ -8,41 +9,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import QVec, Vec2, cross, index_nu, opposite_open_quadrants
+from .lattice import QVec, Vec2, inverse_times, opposite_open_quadrants
 from .operators import build_operators, eval_factors, is_solution
 from .puiseux import PuiseuxPolynomial
 from .series import component_polynomial
-from .system import HornSystem
-
-
-@dataclass(frozen=True)
-class AtomicSystem:
-    indices: tuple[int, int]
-    rows: tuple[Vec2, Vec2]
-    params: tuple[Fraction, Fraction]
-
-    def __post_init__(self):
-        if cross(self.rows[0], self.rows[1]) == 0:
-            raise ValueError("atomic system requires a nondegenerate row pair")
-
-    @property
-    def det(self) -> int:
-        return cross(self.rows[0], self.rows[1])
-
-    @property
-    def nu(self) -> int:
-        return index_nu(self.rows[0], self.rows[1])
-
-    def system(self) -> HornSystem:
-        return HornSystem(self.rows, self.params, name=f"atomic{self.indices}")
-
-    def inverse_times(self, v) -> QVec:
-        (a1, b1), (a2, b2) = self.rows
-        det = Fraction(self.det)
-        return (
-            (b2 * Fraction(v[0]) - b1 * Fraction(v[1])) / det,
-            (-a2 * Fraction(v[0]) + a1 * Fraction(v[1])) / det,
-        )
+from .system import AtomicSystem
 
 
 @dataclass(frozen=True)
@@ -80,20 +51,6 @@ class FrameChange:
 
     def is_identity(self) -> bool:
         return not (self.flip1 or self.flip2 or self.swap)
-
-
-def make_atomic(s: HornSystem, i: int, j: int) -> AtomicSystem:
-    return AtomicSystem((i, j), (s.rows[i], s.rows[j]), (s.params[i], s.params[j]))
-
-
-def enumerate_atomic(s: HornSystem) -> list[AtomicSystem]:
-    """One atomic system per unordered nondegenerate row pair, index order."""
-    out = []
-    for i in range(s.m):
-        for j in range(i + 1, s.m):
-            if cross(s.rows[i], s.rows[j]) != 0:
-                out.append(make_atomic(s, i, j))
-    return out
 
 
 def atomic_rank(a: AtomicSystem) -> int:
@@ -136,7 +93,7 @@ def _small_rectangle(a_norm: AtomicSystem) -> set[tuple[int, int]]:
 
 
 def _exponent_for(norm: AtomicSystem, fc: FrameChange, uv: tuple[int, int]) -> QVec:
-    w = norm.inverse_times((uv[0] + norm.params[0], uv[1] + norm.params[1]))
+    w = inverse_times(norm.rows, (uv[0] + norm.params[0], uv[1] + norm.params[1]))
     return fc.pull_back((-w[0], -w[1]))
 
 
@@ -214,7 +171,7 @@ def persistent_polynomials(a: AtomicSystem) -> list[PuiseuxPolynomial]:
     for uv in sorted(set(_rectangle(norm)) - small):
         u, v = uv
         case_i = 2 if v >= min(-a2, -b2) else 1
-        w = norm.inverse_times((u + norm.params[0], v + norm.params[1]))
+        w = inverse_times(norm.rows, (u + norm.params[0], v + norm.params[1]))
         alpha_n = (-w[0], -w[1])
         try:
             cand = quotient_walk(norm, alpha_n, case_i)

@@ -25,25 +25,17 @@ from .render import polygon_svg, supports_svg
 from .series import (
     ResonantCollisionError,
     branch_base_points,
+    branch_initial_exponent,
     default_window,
-    harvest_polynomials,
     series_from_submatrix,
-    submatrices,
 )
 from .solver import (
     check_constructive,
-    persistent_solutions,
     suggest_polynomial_parameters,
+    system_rank,
     validate_persistence,
 )
-from .system import HornSystem, check_nonconfluent, detect_resonance
-
-
-class CliError(Exception):
-    def __init__(self, code: int, message: str):
-        self.code = code
-        self.message = message
-        super().__init__(message)
+from .system import HornSystem, check_nonconfluent, detect_resonance, enumerate_atomic
 
 
 def _fail(code: int, message: str):
@@ -61,13 +53,19 @@ def _load_system(path: str) -> HornSystem:
         _fail(2, f"cannot parse system file {path}: {exc}")
 
 
+def _check_window(window: int | None, source: str = "--window") -> int | None:
+    if window is not None and window < 0:
+        _fail(2, f"{source} must be nonnegative, got {window}")
+    return window
+
+
 def _resolve_window(s: HornSystem, window: int | None) -> int:
     if window is not None:
         return window
     env = os.environ.get("HORNKIT_WINDOW")
     if env:
         try:
-            return int(env)
+            return _check_window(int(env), "HORNKIT_WINDOW")
         except ValueError:
             _fail(2, f"HORNKIT_WINDOW is not an integer: {env!r}")
     return default_window(s)
@@ -87,6 +85,13 @@ def _require_nonconfluent(s: HornSystem, allow: bool):
         _fail(3, "system is confluent; pass --allow-confluent to proceed")
 
 
+def _polygon(s: HornSystem):
+    try:
+        return build_polygon(s)
+    except ValueError as exc:  # rows that do not span rank 2
+        _fail(3, str(exc))
+
+
 def _solution_json(p: PuiseuxPolynomial, persistent: bool) -> dict:
     return {"terms": p.to_json(), "persistent": persistent, "verified": True}
 
@@ -96,9 +101,13 @@ def main():
     """Exact analysis of bivariate nonconfluent Horn hypergeometric systems."""
 
 
+def _window_option(default=None, **kwargs):
+    return click.option("--window", type=int, default=default,
+                        callback=lambda _ctx, _param, w: _check_window(w), **kwargs)
+
+
 _input_arg = click.argument("input_path", metavar="INPUT.json")
-_window_opt = click.option("--window", type=int, default=None,
-                           help="lattice window radius (default: rank-based)")
+_window_opt = _window_option(help="lattice window radius (default: rank-based)")
 _out_opt = click.option("--out", type=click.Path(), default=None,
                         help="write output to a file instead of stdout")
 
@@ -119,34 +128,24 @@ def analyze(input_path, window, out, allow_confluent):
                "resonance": _resonance_json(res)}, out)
         return
     w = _resolve_window(s, window)
-    p = build_polygon(s)
-    cls = classify(p)
-    res = detect_resonance(s)
-    persistent = persistent_solutions(s)
-    harvest = harvest_polynomials(s, w)
-    finite = [r.polynomial for r in harvest if r.outcome == "finite"]
-    from .solver import independent_dimension
-
-    merged = list({q.normalized() for q in persistent} | {q.normalized() for q in finite})
-    rank = holonomic_rank(s)
-    independent = independent_dimension(merged)
-    report = {
+    p = _polygon(s)
+    report = check_constructive(s, w)
+    _emit({
         "name": s.name,
         "nonconfluent": True,
-        "rank": rank,
+        "rank": report.rank,
         "persistent_dim": persistent_dim(s),
         "fully_supported_count": fully_supported_count(s),
         "S_per_vertex": [convergent_count_S(s, i) for i in range(vertex_count(p))],
         "polygon": _polygon_json(p),
-        "classification": _classification_json(cls),
-        "resonance": _resonance_json(res),
-        "persistent_solutions": [_solution_json(q, True) for q in persistent],
-        "harvested_polynomial_count": len(finite),
-        "independent_polynomial_count": independent,
-        "rank_attained": independent == rank,
+        "classification": _classification_json(classify(p)),
+        "resonance": _resonance_json(detect_resonance(s)),
+        "persistent_solutions": [_solution_json(q, True) for q in report.persistent],
+        "harvested_polynomial_count": sum(r.outcome == "finite" for r in report.harvest),
+        "independent_polynomial_count": report.independent_count,
+        "rank_attained": report.rank_attained,
         "window": w,
-    }
-    _emit(report, out)
+    }, out)
 
 
 def _polygon_json(p) -> dict:
@@ -203,7 +202,7 @@ def classify_cmd(input_path, out):
     """Polygon construction and shape classification."""
     s = _load_system(input_path)
     _require_nonconfluent(s, False)
-    p = build_polygon(s)
+    p = _polygon(s)
     cls = classify(p)
     _emit({
         "name": s.name,
@@ -220,32 +219,26 @@ def classify_cmd(input_path, out):
 def solve(input_path, window, out):
     """Persistent and harvested Puiseux polynomial solutions."""
     s = _load_system(input_path)
-    if not check_nonconfluent(s) and s.m != 2:
-        _fail(3, "solve requires a nonconfluent system or a bare atomic pair")
+    try:
+        system_rank(s)
+    except ValueError:
+        _fail(3, "solve requires a nonconfluent system or a nondegenerate atomic pair")
     w = _resolve_window(s, window)
-    persistent = persistent_solutions(s)
-    harvest = harvest_polynomials(s, w)
-    seen = {q.normalized() for q in persistent}
-    solutions = [_solution_json(q, True) for q in persistent]
-    for r in harvest:
-        if r.outcome == "finite" and r.polynomial.normalized() not in seen:
-            seen.add(r.polynomial.normalized())
-            solutions.append(_solution_json(r.polynomial, False))
-    collisions = [
-        {"subsystem": list(r.subsystem), "branch": r.branch,
-         "point": [format_rational(r.collision_point[0]),
-                   format_rational(r.collision_point[1])]}
-        for r in harvest if r.outcome == "resonant_collision"
-    ]
     report = check_constructive(s, w)
+    npersistent = len(report.persistent)
     _emit({
         "name": s.name,
         "rank": report.rank,
-        "solutions": solutions,
+        "solutions": [_solution_json(q, k < npersistent) for k, q in enumerate(report.solutions)],
         "independent_polynomial_count": report.independent_count,
         "rank_attained": report.rank_attained,
-        "exceeds_window_count": sum(1 for r in harvest if r.outcome == "exceeds_window"),
-        "resonant_collisions": collisions,
+        "exceeds_window_count": sum(r.outcome == "exceeds_window" for r in report.harvest),
+        "resonant_collisions": [
+            {"subsystem": list(r.subsystem), "branch": r.branch,
+             "point": [format_rational(r.collision_point[0]),
+                       format_rational(r.collision_point[1])]}
+            for r in report.harvest if r.outcome == "resonant_collision"
+        ],
         "window": w,
     }, out)
 
@@ -255,7 +248,7 @@ def solve(input_path, window, out):
 @click.option("--submatrix", default=None, metavar="I,J",
               help="row index pair (0-based) selecting the atomic subsystem")
 @click.option("--branch", type=int, default=0, show_default=True)
-@click.option("--window", type=int, default=8, show_default=True)
+@_window_option(default=8, show_default=True)
 @_out_opt
 def series(input_path, submatrix, branch, window, out):
     """Truncated fully supported series tables (or a branch listing)."""
@@ -263,10 +256,8 @@ def series(input_path, submatrix, branch, window, out):
     _require_nonconfluent(s, False)
     if submatrix is None:
         listing = []
-        for sub in submatrices(s):
+        for sub in enumerate_atomic(s):
             for br, k0 in enumerate(branch_base_points(sub)):
-                from .series import branch_initial_exponent
-
                 a0 = branch_initial_exponent(sub, k0)
                 listing.append({
                     "subsystem": list(sub.indices), "branch": br,
@@ -337,7 +328,7 @@ def verify(input_path, solution_path, out):
 @main.command("suggest-params")
 @_input_arg
 @click.option("--bound", type=int, default=5, show_default=True)
-@click.option("--window", type=int, default=16, show_default=True)
+@_window_option(default=16, show_default=True)
 @_out_opt
 def suggest_params(input_path, bound, window, out):
     """Search for parameters giving a full Puiseux polynomial basis."""
@@ -365,18 +356,9 @@ def render(input_path, what, window, out):
     s = _load_system(input_path)
     _require_nonconfluent(s, False)
     if what == "polygon":
-        svg = polygon_svg(build_polygon(s))
+        svg = polygon_svg(_polygon(s))
     else:
-        w = _resolve_window(s, window)
-        persistent = persistent_solutions(s)
-        harvest = harvest_polynomials(s, w)
-        polys = list(persistent)
-        seen = {q.normalized() for q in persistent}
-        for r in harvest:
-            if r.outcome == "finite" and r.polynomial.normalized() not in seen:
-                seen.add(r.polynomial.normalized())
-                polys.append(r.polynomial)
-        svg = supports_svg(polys)
+        svg = supports_svg(check_constructive(s, _resolve_window(s, window)).solutions)
     with open(out, "w") as fh:
         fh.write(svg)
 

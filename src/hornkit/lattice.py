@@ -52,6 +52,16 @@ def cross(u: Vec2, v: Vec2) -> int:
     return u.a * v.b - u.b * v.a
 
 
+def inverse_times(m: tuple[Vec2, Vec2], v) -> QVec:
+    """M^{-1} v for the 2x2 matrix M with rows m, exact; v may be integer or
+    rational.  Raises ValueError when M is singular."""
+    (a1, b1), (a2, b2) = m
+    det = cross(m[0], m[1])
+    if det == 0:
+        raise ValueError("singular matrix")
+    return (Fraction(b2 * v[0] - b1 * v[1]) / det, Fraction(-a2 * v[0] + a1 * v[1]) / det)
+
+
 def rot90(v: Vec2) -> Vec2:
     """Rotate by +90 degrees: outer normal -> ccw edge direction."""
     return Vec2(-v.b, v.a)
@@ -84,21 +94,6 @@ def index_nu(u: Vec2, v: Vec2) -> int:
     return min(abs(u.a * v.b), abs(u.b * v.a))
 
 
-def _half(v: Vec2) -> int:
-    """0 for angle in [0, pi), 1 for [pi, 2*pi), measured from the +x1 axis."""
-    if v.b > 0 or (v.b == 0 and v.a > 0):
-        return 0
-    return 1
-
-
-def angle_less(u: Vec2, v: Vec2) -> bool:
-    """Strict angular order about the +x1 axis, exact."""
-    hu, hv = _half(u), _half(v)
-    if hu != hv:
-        return hu < hv
-    return cross(u, v) > 0
-
-
 def same_ray(u: Vec2, v: Vec2) -> bool:
     return cross(u, v) == 0 and u.a * v.a + u.b * v.b > 0
 
@@ -115,16 +110,8 @@ def ccw_sort(vs: Sequence[Vec2]) -> list[int]:
         for j in range(i + 1, len(vs)):
             if same_ray(vs[i], vs[j]):
                 raise ValueError(f"duplicate direction: {vs[i]} and {vs[j]}")
-    order = list(range(len(vs)))
-    # insertion sort with the exact comparator; n is tiny everywhere we care
-    for i in range(1, len(order)):
-        k = order[i]
-        j = i - 1
-        while j >= 0 and angle_less(vs[k], vs[order[j]]):
-            order[j + 1] = order[j]
-            j -= 1
-        order[j + 1] = k
-    return order
+    x1 = Vec2(1, 0)
+    return sorted(range(len(vs)), key=lambda i: RelAngle(vs[i], x1))
 
 
 class RelAngle:

@@ -178,7 +178,10 @@ def _frac_str(q: Fraction) -> str:
 
 
 def parse_rational(text) -> Fraction:
-    """Parse 'p/q' or bare integers (str or int); decimal forms are rejected."""
+    """Parse 'p/q' or bare integers (str or int); decimal forms and booleans
+    are rejected."""
+    if isinstance(text, bool):
+        raise ValueError(f"not a rational: {text!r}")
     if isinstance(text, int):
         return Fraction(text)
     if isinstance(text, Fraction):

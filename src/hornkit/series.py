@@ -17,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import QVec, Vec2, cross, qvec
+from .lattice import QVec, inverse_times, qvec
 from .operators import Offset, _ClassFactors, is_solution
 from .puiseux import PuiseuxPolynomial
-from .system import HornSystem
+from .system import AtomicSystem, HornSystem, enumerate_atomic
 from .counting import ConeQ
 
 
@@ -131,42 +131,11 @@ def component_polynomial(s: HornSystem, alpha0: QVec, radius: int) -> PuiseuxPol
 # -- atomic subsystems and branch bookkeeping --------------------------------
 
 
-@dataclass(frozen=True)
-class Submatrix:
-    """A nondegenerate 2x2 row selection of the parent system."""
-
-    indices: tuple[int, int]
-    rows: tuple[Vec2, Vec2]
-    params: tuple[Fraction, Fraction]
-
-    @property
-    def det(self) -> int:
-        return cross(self.rows[0], self.rows[1])
-
-    def inverse_times(self, v: QVec) -> QVec:
-        """A_I^{-1} v, exact."""
-        (a1, b1), (a2, b2) = self.rows
-        det = Fraction(self.det)
-        return ((b2 * v[0] - b1 * v[1]) / det, (-a2 * v[0] + a1 * v[1]) / det)
-
-
-def submatrices(s: HornSystem) -> list[Submatrix]:
-    """All nondegenerate unordered row pairs, in index order."""
-    out = []
-    for i in range(s.m):
-        for j in range(i + 1, s.m):
-            if cross(s.rows[i], s.rows[j]) != 0:
-                out.append(
-                    Submatrix((i, j), (s.rows[i], s.rows[j]), (s.params[i], s.params[j]))
-                )
-    return out
-
-
 class _Quotient:
     """Canonical reduction of Z^2 modulo the column lattice of A_I, through
     the column Hermite form."""
 
-    def __init__(self, sub: Submatrix):
+    def __init__(self, sub: AtomicSystem):
         (a1, b1), (a2, b2) = sub.rows
         c1, c2 = [a1, a2], [b1, b2]  # columns of A_I
         while c2[0] != 0:
@@ -194,7 +163,7 @@ class _Quotient:
         return [(r1, r2) for r1 in range(self.c1[0]) for r2 in range(self.c2[1])]
 
 
-def branch_base_points(sub: Submatrix) -> list[Offset]:
+def branch_base_points(sub: AtomicSystem) -> list[Offset]:
     """One base point k0 in N^2 per residue class of Z^2 modulo A_I Z^2:
     the class point closest to the origin (smallest max-coordinate, ties by
     k1 then k2), the corner of the branch's distinguished pole family.
@@ -215,19 +184,18 @@ def branch_base_points(sub: Submatrix) -> list[Offset]:
     return out
 
 
-def branch_initial_exponent(sub: Submatrix, k0: Offset) -> QVec:
+def branch_initial_exponent(sub: AtomicSystem, k0: Offset) -> QVec:
     """alpha0 = -A_I^{-1}(k0 + c_I)."""
-    v = (k0[0] + sub.params[0], k0[1] + sub.params[1])
-    w = sub.inverse_times(v)
+    w = inverse_times(sub.rows, (k0[0] + sub.params[0], k0[1] + sub.params[1]))
     return (-w[0], -w[1])
 
 
 def support_cone(s: HornSystem, indices: tuple[int, int]) -> ConeQ:
     """Exponent-space cone of a branch's support: spanned by -A_I^{-1}e_1 and
     -A_I^{-1}e_2."""
-    sub = next(x for x in submatrices(s) if x.indices == tuple(indices))
-    g1 = sub.inverse_times((Fraction(1), Fraction(0)))
-    g2 = sub.inverse_times((Fraction(0), Fraction(1)))
+    sub = next(x for x in enumerate_atomic(s) if x.indices == tuple(indices))
+    g1 = inverse_times(sub.rows, (1, 0))
+    g2 = inverse_times(sub.rows, (0, 1))
     return ConeQ((-g1[0], -g1[1]), (-g2[0], -g2[1]))
 
 
@@ -257,7 +225,7 @@ def series_from_submatrix(s: HornSystem, indices: tuple[int, int], branch: int,
     exponent lattice, normalized to 1 at the branch's initial exponent; only
     ratios of factor products are ever computed.
     """
-    sub = next((x for x in submatrices(s) if x.indices == tuple(indices)), None)
+    sub = next((x for x in enumerate_atomic(s) if x.indices == tuple(indices)), None)
     if sub is None:
         raise ValueError(f"rows {indices} are degenerate or out of range")
     bases = branch_base_points(sub)
@@ -322,7 +290,7 @@ def harvest_polynomials(s: HornSystem, window: int) -> list[HarvestResult]:
     results: list[HarvestResult] = []
     seen_polys: set[PuiseuxPolynomial] = set()
 
-    for sub in submatrices(s):
+    for sub in enumerate_atomic(s):
         for branch, k0 in enumerate(branch_base_points(sub)):
             alpha0 = branch_initial_exponent(sub, k0)
             try:
@@ -354,18 +322,6 @@ def harvest_polynomials(s: HornSystem, window: int) -> list[HarvestResult]:
                 "finite", sub.indices, branch, alpha0, polynomial=poly,
             ))
     return results
-
-
-def harvest_unique_polynomials(s: HornSystem, window: int) -> list[PuiseuxPolynomial]:
-    """All distinct finitely supported solutions found by the harvest."""
-    out = []
-    seen = set()
-    for r in harvest_polynomials(s, window):
-        if r.outcome == "finite" and r.polynomial not in seen:
-            seen.add(r.polynomial)
-            out.append(r.polynomial)
-    out.sort(key=lambda p: sorted(p.terms.items()))
-    return out
 
 
 def default_window(s: HornSystem) -> int:

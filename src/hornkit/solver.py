@@ -10,14 +10,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .atomic import enumerate_atomic, polynomial_exponents
+from .atomic import atomic_rank, polynomial_exponents
 from .counting import holonomic_rank
-from .lattice import QVec, Vec2, cross, dot, qvec
+from .lattice import QVec, Vec2, cross, dot, inverse_times
 from .operators import is_solution
 from .polygon import Kind, build_polygon, classify
 from .puiseux import PuiseuxPolynomial
-from .series import ResonantCollisionError, component_polynomial, harvest_unique_polynomials
-from .system import HornSystem, check_nonconfluent
+from .series import HarvestResult, ResonantCollisionError, component_polynomial, harvest_polynomials
+from .system import HornSystem, check_nonconfluent, enumerate_atomic
 
 
 def system_rank(s: HornSystem) -> int:
@@ -25,10 +25,8 @@ def system_rank(s: HornSystem) -> int:
     |det M| + nu(M) for a bare atomic (two-row) system."""
     if check_nonconfluent(s):
         return holonomic_rank(s)
-    if s.m == 2 and cross(s.rows[0], s.rows[1]) != 0:
-        from .atomic import atomic_rank, make_atomic
-
-        return atomic_rank(make_atomic(s, 0, 1))
+    if s.m == 2 and (pairs := enumerate_atomic(s)):
+        return atomic_rank(pairs[0])
     raise ValueError("rank formula requires nonconfluency or an atomic system")
 
 
@@ -140,14 +138,6 @@ class ClosedFormSolution:
     factors: tuple[tuple[PuiseuxPolynomial, Fraction], ...]
 
 
-def _inverse_times(m: tuple[Vec2, Vec2], v: QVec) -> QVec:
-    (a1, b1), (a2, b2) = m
-    det = Fraction(cross(m[0], m[1]))
-    if det == 0:
-        raise ValueError("singular matrix")
-    return ((b2 * v[0] - b1 * v[1]) / det, (-a2 * v[0] + a1 * v[1]) / det)
-
-
 def simplicial_closed_form(m_rows, alpha_tilde) -> ClosedFormSolution:
     """Generating solution of the simplicial system with rows M_1, M_2 and
     -M_1-M_2: x^(-M^{-1} a) * (1 + x^(-M^{-1}e_1) + x^(-M^{-1}e_2))^(-|a~|).
@@ -156,10 +146,10 @@ def simplicial_closed_form(m_rows, alpha_tilde) -> ClosedFormSolution:
     at = [Fraction(x) for x in alpha_tilde]
     if len(at) != 3:
         raise ValueError("simplicial form takes three parameters")
-    pre = _inverse_times(m, qvec(at[0], at[1]))
+    pre = inverse_times(m, at[:2])
     prefactor = (-pre[0], -pre[1])
-    g1 = _inverse_times(m, qvec(1, 0))
-    g2 = _inverse_times(m, qvec(0, 1))
+    g1 = inverse_times(m, (1, 0))
+    g2 = inverse_times(m, (0, 1))
     inner = PuiseuxPolynomial(
         {
             (Fraction(0), Fraction(0)): Fraction(1),
@@ -179,11 +169,11 @@ def parallelepipedal_closed_form(m_rows, alpha, beta) -> ClosedFormSolution:
     m = (Vec2(*m_rows[0]), Vec2(*m_rows[1]))
     al = [Fraction(x) for x in alpha]
     be = [Fraction(x) for x in beta]
-    pre = _inverse_times(m, qvec(al[0], al[1]))
+    pre = inverse_times(m, al)
     prefactor = (-pre[0], -pre[1])
     factors = []
     for j in (0, 1):
-        g = _inverse_times(m, qvec(1, 0) if j == 0 else qvec(0, 1))
+        g = inverse_times(m, (1, 0) if j == 0 else (0, 1))
         inner = PuiseuxPolynomial(
             {(Fraction(0), Fraction(0)): Fraction(1), (-g[0], -g[1]): Fraction(1)}
         )
@@ -222,9 +212,14 @@ def expand_closed_form(cf: ClosedFormSolution) -> PuiseuxPolynomial:
 
 @dataclass
 class ConstructiveReport:
+    """Every Puiseux polynomial solution found for one system, against its
+    rank.  `solutions` holds the persistent solutions first, then each finite
+    harvest polynomial not among them, in harvest order."""
+
     rank: int
-    persistent_count: int
-    harvested_count: int
+    persistent: list[PuiseuxPolynomial]
+    harvest: list[HarvestResult]
+    solutions: list[PuiseuxPolynomial]
     independent_count: int
     rank_attained: bool
 
@@ -265,26 +260,20 @@ def independent_dimension(polys: list[PuiseuxPolynomial]) -> int:
 
 
 def check_constructive(s: HornSystem, window: int) -> ConstructiveReport:
-    """Count independent Puiseux polynomial solutions (persistent plus
-    harvested) against the holonomic rank."""
+    """Find the persistent and the harvested Puiseux polynomial solutions
+    once and count the independent ones against the rank (`system_rank`)."""
     rank = system_rank(s)
     persistent = persistent_solutions(s)
-    harvested = harvest_unique_polynomials(s, window)
-    seen = set()
-    merged: list[PuiseuxPolynomial] = []
-    for p in persistent + harvested:
-        n = p.normalized()
-        if n not in seen:
-            seen.add(n)
-            merged.append(n)
-    independent = independent_dimension(merged)
-    return ConstructiveReport(
-        rank=rank,
-        persistent_count=len(persistent),
-        harvested_count=len(harvested),
-        independent_count=independent,
-        rank_attained=independent == rank,
-    )
+    harvest = harvest_polynomials(s, window)
+    solutions = list(persistent)
+    seen = set(persistent)
+    for r in harvest:
+        if r.outcome == "finite" and r.polynomial not in seen:
+            seen.add(r.polynomial)
+            solutions.append(r.polynomial)
+    independent = independent_dimension(solutions)
+    return ConstructiveReport(rank, persistent, harvest, solutions, independent,
+                              independent == rank)
 
 
 def suggest_polynomial_parameters(s: HornSystem, search_bound: int = 6,

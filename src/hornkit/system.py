@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .lattice import Vec2, cross, primitive
+from .lattice import Vec2, cross, index_nu, primitive
 from .puiseux import parse_rational
 
 
@@ -56,7 +56,50 @@ class HornSystem:
 
     @staticmethod
     def from_json(data: dict) -> "HornSystem":
-        return HornSystem.make(data["matrix"], data["parameters"], data.get("name", ""))
+        """Parse the wire format.  Rows must be nonzero pairs of JSON integers
+        and parameters rationals; anything else raises ValueError, KeyError
+        or TypeError rather than being coerced."""
+        matrix, params = data["matrix"], data["parameters"]
+        if not isinstance(matrix, list) or not isinstance(params, list):
+            raise ValueError("matrix and parameters must be JSON lists")
+        for row in matrix:
+            if not (isinstance(row, list) and len(row) == 2
+                    and all(type(x) is int for x in row)):
+                raise ValueError(f"matrix row {row!r} is not a pair of integers")
+            if row == [0, 0]:
+                raise ValueError("matrix has a zero row")
+        return HornSystem.make(matrix, params, data.get("name", ""))
+
+
+@dataclass(frozen=True)
+class AtomicSystem:
+    """A nondegenerate 2x2 row selection (rows `indices`) of a parent system."""
+
+    indices: tuple[int, int]
+    rows: tuple[Vec2, Vec2]
+    params: tuple[Fraction, Fraction]
+
+    def __post_init__(self):
+        if self.det == 0:
+            raise ValueError("atomic system requires a nondegenerate row pair")
+
+    @property
+    def det(self) -> int:
+        return cross(self.rows[0], self.rows[1])
+
+    @property
+    def nu(self) -> int:
+        return index_nu(self.rows[0], self.rows[1])
+
+    def system(self) -> HornSystem:
+        return HornSystem(self.rows, self.params, name=f"atomic{self.indices}")
+
+
+def enumerate_atomic(s: HornSystem) -> list[AtomicSystem]:
+    """One atomic system per unordered nondegenerate row pair, index order."""
+    return [AtomicSystem((i, j), (s.rows[i], s.rows[j]), (s.params[i], s.params[j]))
+            for i in range(s.m) for j in range(i + 1, s.m)
+            if cross(s.rows[i], s.rows[j]) != 0]
 
 
 def check_nonconfluent(s: HornSystem) -> bool:
@@ -158,7 +201,7 @@ def is_generic(s: HornSystem) -> bool:
     no collision among atomic initial exponents of distinct subsystems."""
     if detect_resonance(s).is_resonant:
         return False
-    from .atomic import enumerate_atomic, polynomial_exponents
+    from .atomic import polynomial_exponents
 
     seen = {}
     for a in enumerate_atomic(s):

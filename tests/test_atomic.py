@@ -7,8 +7,6 @@ from conftest import load_expected
 from hornkit.atomic import (
     atomic_rank,
     quotient_walk,
-    enumerate_atomic,
-    make_atomic,
     normalize_frame,
     persistent_monomials,
     persistent_polynomials,
@@ -16,12 +14,13 @@ from hornkit.atomic import (
 )
 from hornkit.operators import is_solution
 from hornkit.puiseux import PuiseuxPolynomial
-from hornkit.system import HornSystem
+from hornkit.lattice import inverse_times
+from hornkit.system import AtomicSystem, HornSystem, enumerate_atomic
 
 
 def atomic(rows, params=(0, 0)):
     s = HornSystem.make(rows, params)
-    return make_atomic(s, 0, 1)
+    return AtomicSystem((0, 1), s.rows, s.params)
 
 
 def test_enumerate_atomic_counts(zonotope):
@@ -80,7 +79,7 @@ def test_polynomial_exponents_literal_rectangle_oracle():
             rect = [(u, v) for u in range(abs(a1)) for v in range(abs(b2))]
         literal = set()
         for u, v in rect:
-            w = a.inverse_times((u + a.params[0], v + a.params[1]))
+            w = inverse_times(a.rows, (u + a.params[0], v + a.params[1]))
             literal.add((-w[0], -w[1]))
         assert polynomial_exponents(a) == literal
         assert len(literal) == a.nu
@@ -108,7 +107,7 @@ def test_normalize_frame_requires_opposite_quadrants():
 
 
 def test_persistent_monomials_reference_values(atomic_32_43):
-    a = make_atomic(atomic_32_43, 0, 1)
+    a = enumerate_atomic(atomic_32_43)[0]
     mons = persistent_monomials(a)
     got = {tuple(map(int, next(iter(m.terms)))) for m in mons}
     assert got == {(0, 0), (-2, 3), (-4, 6), (-3, 4), (-5, 7), (-7, 10)}
@@ -119,7 +118,7 @@ def test_persistent_monomials_reference_values(atomic_32_43):
 
 def test_persistent_polynomials_reference_values(atomic_32_43):
     exp = load_expected("atomic_32_43")
-    a = make_atomic(atomic_32_43, 0, 1)
+    a = enumerate_atomic(atomic_32_43)[0]
     pols = persistent_polynomials(a)
     assert len(pols) == 2
     first = next(p for p in pols if (F(-6), F(9)) in p.terms)
@@ -142,7 +141,7 @@ def test_displayed_second_binomial_is_a_solution(atomic_32_43):
 
 
 def test_quotient_walk_matches_solution_backbone(atomic_32_43):
-    a = make_atomic(atomic_32_43, 0, 1)
+    a = enumerate_atomic(atomic_32_43)[0]
     walk = quotient_walk(a, (F(-6), F(9)), 2)
     assert walk.terms == {(F(-6), F(9)): 1, (F(-6), F(8)): -3}
     walk2 = quotient_walk(a, (F(-9), F(13)), 2)

@@ -1,7 +1,11 @@
 import json
+import sys
+from collections import Counter
 from pathlib import Path
 
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES
 from hornkit.cli import main
@@ -49,12 +53,79 @@ def test_malformed_input_exit_2(tmp_path):
     assert r.exit_code == 2
     assert "zero denominator" in json.loads(r.stderr)["error"]
 
+    # no coercion: floats and booleans are not integers, rows are pairs,
+    # a zero row has no direction
+    square = [[1, 0], [-1, 0], [0, 1], [0, -1]]
+    for matrix, params in (([[1.5, 0]] + square[1:], [0] * 4),
+                           ([[True, 0]] + square[1:], [0] * 4),
+                           ([[1, 0, 5]] + square[1:], [0] * 4),
+                           (square + [[0, 0]], [0] * 5),
+                           (square, [True, 0, 0, 0])):
+        bad.write_text(json.dumps({"matrix": matrix, "parameters": params}))
+        for cmd in ("analyze", "rank"):
+            r = run(cmd, str(bad))
+            assert r.exit_code == 2, (matrix, params, r.output)
+            assert "error" in json.loads(r.stderr)
+
 
 def test_confluent_exit_3(tmp_path):
     conf = tmp_path / "confluent.json"
     conf.write_text(json.dumps({"matrix": [[3, 2], [-4, -3]], "parameters": [0, 0]}))
     r = run("analyze", str(conf))
     assert r.exit_code == 3
+
+    # nonconfluent, but the rows do not span rank 2: no polygon
+    flat = tmp_path / "flat.json"
+    flat.write_text(json.dumps({"matrix": [[1, 0], [-1, 0]], "parameters": ["1/2", "1/3"]}))
+    for args in (["analyze"], ["classify"],
+                 ["render", "--what", "polygon", "--out", str(tmp_path / "p.svg")]):
+        r = run(*args, str(flat))
+        assert r.exit_code == 3, (args, r.output)
+        assert "rank 2" in json.loads(r.stderr)["error"]
+
+    # two parallel rows: confluent and no atomic rank, so solve has no rank
+    par = tmp_path / "parallel.json"
+    par.write_text(json.dumps({"matrix": [[1, 0], [2, 0]], "parameters": ["1/2", "1/3"]}))
+    for args in ([], ["--window", "8"]):
+        r = run("solve", str(par), *args)
+        assert r.exit_code == 3, r.output
+        assert "error" in json.loads(r.stderr)
+
+
+def test_negative_window_exit_2(tmp_path):
+    for args, env in ((["analyze", SIMPLEX, "--window", "-3"], None),
+                      (["solve", SIMPLEX], {"HORNKIT_WINDOW": "-3"}),
+                      (["series", EX21, "--submatrix", "1,2", "--window", "-1"], None),
+                      (["render", SIMPLEX, "--what", "supports", "--window", "-3",
+                        "--out", str(tmp_path / "s.svg")], None)):
+        r = run(*args, env=env)
+        assert r.exit_code == 2, (args, r.output)
+        assert "nonnegative" in json.loads(r.stderr)["error"]
+
+
+def test_one_solution_pass_per_command(monkeypatch, tmp_path):
+    # persistent solutions and the harvest are computed once per command,
+    # wherever a module refers to them
+    from hornkit.series import harvest_polynomials
+    from hornkit.solver import persistent_solutions
+
+    calls = Counter()
+    for fn in (persistent_solutions, harvest_polynomials):
+        def counted(*args, _fn=fn, **kwargs):
+            calls[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("hornkit"):
+                for attr, value in list(vars(mod).items()):
+                    if value is fn:
+                        monkeypatch.setattr(mod, attr, counted)
+    for args in (["solve"], ["analyze"],
+                 ["render", "--what", "supports", "--out", str(tmp_path / "s.svg")]):
+        calls.clear()
+        r = run(*args, SIMPLEX, "--window", "12")
+        assert r.exit_code == 0, (args, r.output)
+        assert calls == {"persistent_solutions": 1, "harvest_polynomials": 1}, args
 
 
 def test_solve_atomic_example():
@@ -201,3 +272,48 @@ def test_round_trip_fixture_files():
         from hornkit.system import HornSystem
 
         assert HornSystem.from_json(data).to_json() == data
+
+
+_small = st.integers(-3, 3)
+_junk = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.booleans(),
+                  st.none(), st.text(max_size=3), st.sampled_from(["1/2", "-3", "1/0", "x/y"]))
+
+
+@st.composite
+def _system_files(draw):
+    """JSON system objects: well-formed, degenerate (zero sums, rank-1 rows,
+    zero rows) or malformed (wrong types, wrong row lengths, missing keys)."""
+    kind = draw(st.sampled_from(["closed", "rank1", "junk"]))
+    if kind == "closed":
+        rows = draw(st.lists(st.lists(_small, min_size=2, max_size=2), min_size=1, max_size=4))
+        rows.append([-sum(r[0] for r in rows), -sum(r[1] for r in rows)])
+    elif kind == "rank1":
+        d = draw(st.lists(_small, min_size=2, max_size=2))
+        ks = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3))
+        rows = [[k * d[0], k * d[1]] for k in ks + [-sum(ks)]]
+    else:
+        rows = draw(st.one_of(_junk, st.lists(
+            st.one_of(_junk, st.lists(st.one_of(_small, _junk), max_size=3)), max_size=4)))
+    n = len(rows) if isinstance(rows, list) else 2
+    params = draw(st.one_of(
+        st.lists(st.one_of(st.integers(-4, 4), st.sampled_from(["1/2", "-1/3"])),
+                 min_size=n, max_size=n),
+        st.lists(st.one_of(_small, _junk), max_size=5),
+        _junk))
+    data = {"matrix": rows, "parameters": params}
+    for key in draw(st.lists(st.sampled_from(["matrix", "parameters"]), max_size=1)):
+        del data[key]
+    return data
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_system_files())
+def test_rank_classify_never_exit_1(tmp_path, data):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(data))
+    for cmd in ("rank", "classify"):
+        r = run(cmd, str(path))
+        assert r.exit_code in (0, 2, 3), (cmd, data, r.exception)
+        if r.exit_code:
+            assert "error" in json.loads(r.stderr), (cmd, data)

@@ -213,7 +213,8 @@ def test_intertwiner_injective_without_persistent_solutions():
     # when no pair index is positive there are no persistent solutions and
     # the intertwiners annihilate no truncated-series leading monomial
     from hornkit.counting import persistent_dim
-    from hornkit.series import branch_base_points, branch_initial_exponent, submatrices
+    from hornkit.series import branch_base_points, branch_initial_exponent
+    from hornkit.system import enumerate_atomic
 
     rng = random.Random(23)
     found = 0
@@ -224,7 +225,7 @@ def test_intertwiner_injective_without_persistent_solutions():
         found += 1
         for j in range(1, s.m + 1):
             row, c = s.rows[j - 1], s.params[j - 1]
-            for sub in submatrices(s):
+            for sub in enumerate_atomic(s):
                 for k0 in branch_base_points(sub):
                     a0 = branch_initial_exponent(sub, k0)
                     scalar = row.a * a0[0] + row.b * a0[1] + c - 1

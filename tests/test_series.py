@@ -15,13 +15,11 @@ from hornkit.series import (
     default_window,
     grow_component,
     harvest_polynomials,
-    harvest_unique_polynomials,
     series_from_submatrix,
-    submatrices,
     support_cone,
     verify_truncated,
 )
-from hornkit.system import HornSystem
+from hornkit.system import HornSystem, enumerate_atomic
 
 
 def ex21_system():
@@ -88,7 +86,7 @@ def test_verify_truncated_detects_fault():
 
     # generic parameters: the factor products have nontrivial denominators
     s = random_nonconfluent_system(random.Random(2), max_m=4)
-    t = series_from_submatrix(s, submatrices(s)[0].indices, 0, 3)
+    t = series_from_submatrix(s, enumerate_atomic(s)[0].indices, 0, 3)
     assert verify_truncated(t, s)
     d = max(t.coeffs)
     t.coeffs[d] = t.coeffs[d] * 2
@@ -130,7 +128,7 @@ def test_support_cone():
 
 def test_series_support_in_cone():
     s = ex21_system()
-    for sub in submatrices(s):
+    for sub in enumerate_atomic(s):
         cone = support_cone(s, sub.indices)
         for branch in range(len(branch_base_points(sub))):
             t = series_from_submatrix(s, sub.indices, branch, 5)
@@ -142,7 +140,7 @@ def test_branch_count_matches_fully_supported_count():
     rng = random.Random(53)
     for _ in range(20):
         s = random_nonconfluent_system(rng, max_m=6)
-        n_branches = sum(len(branch_base_points(sub)) for sub in submatrices(s))
+        n_branches = sum(len(branch_base_points(sub)) for sub in enumerate_atomic(s))
         assert n_branches == fully_supported_count(s)
         results = harvest_polynomials(s, 6)
         assert len(results) >= 1
@@ -179,7 +177,7 @@ def test_harvest_triangle_simplex(triangle_simplex):
 def test_harvest_quadrilateral_under_rank(quadrilateral):
     from hornkit.counting import holonomic_rank
 
-    finite = harvest_unique_polynomials(quadrilateral, 12)
+    finite = [r for r in harvest_polynomials(quadrilateral, 12) if r.outcome == "finite"]
     assert len(finite) < holonomic_rank(quadrilateral)
 
 
@@ -231,7 +229,7 @@ def test_resonant_collisions_are_zero_denominators():
     for _ in range(60):
         rows = random_nonconfluent_system(rng, max_m=5).rows
         s = HornSystem.make(rows, [F(rng.randint(-12, 12), 2) for _ in rows])
-        for sub in submatrices(s):
+        for sub in enumerate_atomic(s):
             for k0 in branch_base_points(sub):
                 alpha0 = branch_initial_exponent(sub, k0)
                 for early_exit in (True, False):
