@@ -1,18 +1,17 @@
 """Atomic subsystems (nondegenerate 2x2 row pairs, `system.AtomicSystem`):
 their rank, the full exponent lattice of their polynomial solutions, and the
-persistent solutions themselves (monomials plus essentially polynomial
-completions).
+persistent solutions themselves: monomials, and essentially polynomial
+solutions grown as finite components (`series.component_polynomial`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .lattice import QVec, Vec2, inverse_times, opposite_open_quadrants
-from .operators import build_operators, eval_factors, is_solution
+from .operators import is_solution
 from .puiseux import PuiseuxPolynomial
-from .series import component_polynomial
+from .series import component_polynomial, default_window
 from .system import AtomicSystem
 
 
@@ -21,8 +20,8 @@ class FrameChange:
     """Monomial change of variables normalizing an atomic system: optional
     inversions x_j -> 1/x_j followed by an optional swap x_1 <-> x_2.
 
-    A normalized-frame solution pulls back termwise: exponents through
-    pull_back, coefficients unchanged.
+    A normalized-frame exponent maps back to the original frame through
+    pull_back.
     """
 
     flip1: bool
@@ -116,83 +115,27 @@ def persistent_monomials(a: AtomicSystem) -> list[PuiseuxPolynomial]:
     return [PuiseuxPolynomial.monomial(e[0], e[1]) for e in expts]
 
 
-def quotient_walk(a: AtomicSystem, alpha: QVec, case_i: int) -> PuiseuxPolynomial:
-    """One-directional quotient walk from alpha: terms at alpha - j*e_i with
-    coefficients Q_i(alpha)...Q_i(alpha-(j-1)e_i) /
-    (P_i(alpha-e_i)...P_i(alpha-j e_i)), stopping at the first vanishing Q_i.
-
-    The walk length is capped at ||b2|-|a2|| + 1; a vanishing P denominator
-    before the stop raises.
-    """
-    ops = build_operators(a.system())
-    (_a1, _b1), (a2, b2) = a.rows
-    cap = abs(abs(b2) - abs(a2)) + 1
-    e_i = (Fraction(1), Fraction(0)) if case_i == 1 else (Fraction(0), Fraction(1))
-
-    terms = {alpha: Fraction(1)}
-    coeff = Fraction(1)
-    pt = alpha
-    for _ in range(cap + 1):
-        if eval_factors(ops.q(case_i), pt) == 0:
-            return PuiseuxPolynomial(terms)
-        nxt = (pt[0] - e_i[0], pt[1] - e_i[1])
-        den = eval_factors(ops.p(case_i), nxt)
-        if den == 0:
-            raise ValueError(
-                f"resonant collision: P_{case_i} vanishes at {nxt} before the stopping index"
-            )
-        coeff = coeff * eval_factors(ops.q(case_i), pt) / den
-        terms[nxt] = coeff
-        pt = nxt
-    raise ValueError("walk exceeded its cap without reaching a vanishing factor")
-
-
 def persistent_polynomials(a: AtomicSystem) -> list[PuiseuxPolynomial]:
     """Essentially polynomial solutions, one per initial exponent over the
     boundary strips of the index rectangle.
 
-    Everything is computed in the normalized frame and pulled back termwise.
-    The quotient walk supplies the backbone; when its truncation is not
-    annihilated by the other operator (deeper strip positions couple back
-    into the transverse direction), the full finite component through the
-    initial exponent replaces it.  Every returned object is verified to be
-    an exact solution of the original atomic system.
+    Each is the finite component through its initial exponent, grown in the
+    system's own frame at `default_window`.  A component that escapes the
+    window raises; every returned object is verified to be an exact solution
+    of the atomic system.
     """
     if a.nu == 0:
         return []
     norm, fc = normalize_frame(a)
-    (a1, b1), (a2, b2) = norm.rows
-    small = _small_rectangle(norm)
-    norm_sys = norm.system()
-    orig_sys = a.system()
-    radius = 4 * (abs(a1) + abs(b1) + abs(a2) + abs(b2)) + 8
-
-    out: list[tuple[QVec, PuiseuxPolynomial]] = []
-    for uv in sorted(set(_rectangle(norm)) - small):
-        u, v = uv
-        case_i = 2 if v >= min(-a2, -b2) else 1
-        w = inverse_times(norm.rows, (u + norm.params[0], v + norm.params[1]))
-        alpha_n = (-w[0], -w[1])
-        try:
-            cand = quotient_walk(norm, alpha_n, case_i)
-        except ValueError:
-            cand = None
-        if cand is None or not is_solution(cand, norm_sys):
-            full = component_polynomial(norm_sys, alpha_n, radius)
-            if full is None:
-                raise ValueError(f"no finite solution through initial exponent {alpha_n}")
-            if cand is not None:
-                for e, cf in cand.terms.items():
-                    if full.terms.get(e) != cf:
-                        raise AssertionError(
-                            "completion disagrees with the quotient walk on its backbone"
-                        )
-            cand = full
-        pulled = PuiseuxPolynomial({fc.pull_back(e): c for e, c in cand.terms.items()})
-        if not is_solution(pulled, orig_sys):
-            raise AssertionError("pulled-back candidate fails the original operators")
-        alpha = fc.pull_back(alpha_n)
-        out.append((alpha, pulled))
-
-    out.sort(key=lambda t: t[0])
-    return [p for _, p in out]
+    strips = set(_rectangle(norm)) - _small_rectangle(norm)
+    s = a.system()
+    radius = default_window(s)
+    out = []
+    for alpha in sorted(_exponent_for(norm, fc, uv) for uv in strips):
+        poly = component_polynomial(s, alpha, radius)
+        if poly is None:
+            raise ValueError(f"no finite solution through initial exponent {alpha}")
+        if not is_solution(poly, s):
+            raise AssertionError("strip component fails the atomic operators")
+        out.append(poly)
+    return out

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .lattice import RelAngle, Vec2, cross, index_nu
 from .polygon import OreSatoPolygon, build_polygon
-from .system import HornSystem, check_nonconfluent, normalize_rows
+from .system import HornSystem, check_nonconfluent
 
 
 @dataclass(frozen=True)
@@ -79,14 +79,19 @@ def component_ref(p: OreSatoPolygon, i: int) -> ComponentRef:
 def holonomic_rank(s: HornSystem) -> int:
     """(sum of positive first-column entries) * (sum of positive second-column
     entries) minus the indices of linearly dependent row pairs in opposite
-    open quadrants.  Evaluated on the Gauss-normalized rows; the value agrees
-    with the raw-matrix evaluation."""
+    open quadrants.
+
+    Evaluated on the rows as given, which equals the value on the
+    Gauss-normalized rows (`system.normalize_rows`): normalization replaces
+    a row g*d (d primitive) by g copies of d, which keeps both sums of
+    positive column entries, and index_nu(g*d, h*e) = g*h * index_nu(d, e)
+    is the sum over the g*h pairs of copies (positive scaling keeps the
+    quadrants; two copies of one d have index 0).  `persistent_dim` follows
+    the same way.
+    """
     if not check_nonconfluent(s):
         raise ValueError("rank formula requires nonconfluency")
-    return _rank_on_rows(normalize_rows(s).rows)
-
-
-def _rank_on_rows(rows: tuple[Vec2, ...]) -> int:
+    rows = s.rows
     pos1 = sum(r.a for r in rows if r.a > 0)
     pos2 = sum(r.b for r in rows if r.b > 0)
     correction = 0
@@ -97,18 +102,13 @@ def _rank_on_rows(rows: tuple[Vec2, ...]) -> int:
     return pos1 * pos2 - correction
 
 
-def holonomic_rank_raw(s: HornSystem) -> int:
-    """The same formula on the rows as given, without normalization."""
-    if not check_nonconfluent(s):
-        raise ValueError("rank formula requires nonconfluency")
-    return _rank_on_rows(s.rows)
-
-
 def persistent_dim(s: HornSystem) -> int:
-    """Sum of pair indices over linearly independent row pairs."""
+    """Sum of pair indices over linearly independent row pairs, on the rows
+    as given (see `holonomic_rank` for why this equals the normalized
+    value)."""
     if not check_nonconfluent(s):
         raise ValueError("persistent dimension requires nonconfluency")
-    rows = normalize_rows(s).rows
+    rows = s.rows
     total = 0
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
@@ -175,10 +175,12 @@ def convergent_count_S(s: HornSystem, i: int) -> int:
 
 def convergent_dim_by_cone(s: HornSystem, comp: ComponentRef) -> int:
     """Sum |det| over row pairs whose spanned cone contains the component's
-    recession cone; the independent oracle for convergent_count_S."""
+    recession cone; the independent oracle for convergent_count_S.  On the
+    rows as given: |det(g*d, h*e)| = g*h * |det(d, e)|, the sum over the g*h
+    pairs of Gauss-normalized copies, and the spanned cone is unchanged."""
     if not check_nonconfluent(s):
         raise ValueError("count requires nonconfluency")
-    rows = normalize_rows(s).rows
+    rows = s.rows
     total = 0
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):

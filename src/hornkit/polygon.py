@@ -9,8 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .lattice import Vec2, ccw_sort, dot, rot90
-from .system import HornSystem, check_nonconfluent, normalize_rows
+from .lattice import Vec2, ccw_sort, dot, primitive, rot90
+from .system import HornSystem, check_nonconfluent
 
 
 @dataclass(frozen=True)
@@ -27,9 +27,6 @@ class Edge:
 class OreSatoPolygon:
     edges: tuple[Edge, ...]          # ccw by outer normal angle from the +x1 axis
     vertices: tuple[Vec2, ...]       # accumulated from (0,0), one per edge start
-
-    def edge_count(self) -> int:
-        return len(self.edges)
 
 
 class Kind(Enum):
@@ -57,8 +54,9 @@ class Classification:
 
 
 def build_polygon(s: HornSystem) -> OreSatoPolygon:
-    """Normalize rows to primitive, group equal normals into multiplicities,
-    and lay the sides out counterclockwise starting from (0,0).
+    """Group rows by primitive direction, each row g*d adding its gcd g to
+    the multiplicity of d, and lay the sides out counterclockwise starting
+    from (0,0).
 
     Each outer normal (a, b) is traversed along (-b, a), which keeps the
     normal pointing outward for a ccw boundary walk.
@@ -67,10 +65,10 @@ def build_polygon(s: HornSystem) -> OreSatoPolygon:
         raise ValueError("polygon requires nonconfluency")
     if not s.rank2():
         raise ValueError("rows must span rank 2")
-    norm = normalize_rows(s)
     mult: dict[Vec2, int] = {}
-    for r in norm.rows:
-        mult[r] = mult.get(r, 0) + 1
+    for r in s.rows:
+        d, g = primitive(r)
+        mult[d] = mult.get(d, 0) + g
     normals = list(mult)
     order = ccw_sort(normals)
     edges = []

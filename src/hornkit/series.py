@@ -5,11 +5,13 @@ obey, for j = 1, 2 and every beta in the class,
 
     P_j(beta) * u(beta) = Q_j(beta + e_j) * u(beta + e_j).
 
-Two consumers share this machinery: windowed fully supported series tables
-(the residue series of the Mellin-Barnes representation, generated through
-coefficient ratios, never through Gamma values) and growth of the support
-component through a seed exponent, which either closes off into a finitely
-supported solution or escapes the window.
+The relations drive windowed fully supported series tables (the residue
+series of the Mellin-Barnes representation, generated through coefficient
+ratios, never through Gamma values) and `component_polynomial`, the one
+grower of Puiseux polynomial solutions: the support component through a seed
+exponent either closes off into a finitely supported solution or escapes the
+window.  Atomic strip solutions and the full system's persistent solutions
+grow at `default_window`, the harvest at the window it is given.
 """
 
 from __future__ import annotations
@@ -122,10 +124,9 @@ def component_polynomial(s: HornSystem, alpha0: QVec, radius: int) -> PuiseuxPol
     res = grow_component(s, alpha0, radius, early_exit=True)
     if res.exceeded:
         return None
-    poly = PuiseuxPolynomial(
+    return PuiseuxPolynomial(
         {(alpha0[0] + d[0], alpha0[1] + d[1]): v for d, v in res.values.items()}
     )
-    return poly
 
 
 # -- atomic subsystems and branch bookkeeping --------------------------------
@@ -294,21 +295,19 @@ def harvest_polynomials(s: HornSystem, window: int) -> list[HarvestResult]:
         for branch, k0 in enumerate(branch_base_points(sub)):
             alpha0 = branch_initial_exponent(sub, k0)
             try:
-                grown = grow_component(s, alpha0, window, early_exit=True)
+                poly = component_polynomial(s, alpha0, window)
             except ResonantCollisionError as exc:
                 results.append(HarvestResult(
                     "resonant_collision", sub.indices, branch, alpha0,
                     collision_point=exc.point,
                 ))
                 continue
-            if grown.exceeded:
+            if poly is None:
                 results.append(HarvestResult(
                     "exceeds_window", sub.indices, branch, alpha0,
                 ))
                 continue
-            poly = PuiseuxPolynomial(
-                {(alpha0[0] + d[0], alpha0[1] + d[1]): v for d, v in grown.values.items()}
-            ).normalized()
+            poly = poly.normalized()
             if not is_solution(poly, s):
                 results.append(HarvestResult(
                     "resonant_collision", sub.indices, branch, alpha0,
@@ -325,8 +324,9 @@ def harvest_polynomials(s: HornSystem, window: int) -> list[HarvestResult]:
 
 
 def default_window(s: HornSystem) -> int:
-    """4 * (rank + m * max |entry|); wide enough for every fixture.  The rank
-    is the holonomic rank, or the atomic rank of a bare atomic pair."""
+    """The one growth radius: 4 * (rank + m * max |entry|), wide enough for
+    every fixture.  The rank is the holonomic rank, or the atomic rank of a
+    bare atomic pair; raises ValueError where neither is defined."""
     from .solver import system_rank
 
     max_entry = max(max(abs(r.a), abs(r.b)) for r in s.rows)

@@ -16,7 +16,8 @@ from .lattice import QVec, Vec2, cross, dot, inverse_times
 from .operators import is_solution
 from .polygon import Kind, build_polygon, classify
 from .puiseux import PuiseuxPolynomial
-from .series import HarvestResult, ResonantCollisionError, component_polynomial, harvest_polynomials
+from .series import (HarvestResult, ResonantCollisionError, component_polynomial,
+                     default_window, harvest_polynomials)
 from .system import HornSystem, check_nonconfluent, enumerate_atomic
 
 
@@ -36,12 +37,11 @@ def persistent_solutions(s: HornSystem) -> list[PuiseuxPolynomial]:
     operator, deduplicated and sorted.
 
     Coefficients are recomputed against the full system: an atomic pair
-    pins the support, the remaining rows reshape the coefficients.
+    pins the support, the remaining rows reshape the coefficients.  Growth
+    runs at `default_window`, which raises ValueError on systems without a
+    rank formula.
     """
-    if not check_nonconfluent(s) and s.m != 2:
-        raise ValueError("persistent solutions require nonconfluency")
-    max_entry = max(max(abs(r.a), abs(r.b)) for r in s.rows)
-    radius = 4 * s.m * max_entry + 16
+    radius = default_window(s)
     seeds: set[QVec] = set()
     for a in enumerate_atomic(s):
         if a.nu > 0:

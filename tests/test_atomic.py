@@ -6,13 +6,12 @@ import pytest
 from conftest import load_expected
 from hornkit.atomic import (
     atomic_rank,
-    quotient_walk,
     normalize_frame,
     persistent_monomials,
     persistent_polynomials,
     polynomial_exponents,
 )
-from hornkit.operators import is_solution
+from hornkit.operators import build_operators, eval_factors, is_solution
 from hornkit.puiseux import PuiseuxPolynomial
 from hornkit.lattice import inverse_times
 from hornkit.system import AtomicSystem, HornSystem, enumerate_atomic
@@ -21,6 +20,60 @@ from hornkit.system import AtomicSystem, HornSystem, enumerate_atomic
 def atomic(rows, params=(0, 0)):
     s = HornSystem.make(rows, params)
     return AtomicSystem((0, 1), s.rows, s.params)
+
+
+def quotient_walk(a: AtomicSystem, alpha, case_i: int) -> PuiseuxPolynomial:
+    """The paper's one-directional quotient walk from alpha, for an atomic
+    system in its normalized frame: terms at alpha - j*e_i with coefficients
+    Q_i(alpha)...Q_i(alpha-(j-1)e_i) / (P_i(alpha-e_i)...P_i(alpha-j e_i)),
+    stopping at the first vanishing Q_i.
+
+    The walk length is capped at ||b2|-|a2|| + 1; a vanishing P denominator
+    before the stop, or a walk past the cap, raises ValueError.
+    """
+    ops = build_operators(a.system())
+    (_a1, _b1), (a2, b2) = a.rows
+    cap = abs(abs(b2) - abs(a2)) + 1
+    e_i = (1, 0) if case_i == 1 else (0, 1)
+    terms = {alpha: F(1)}
+    coeff = F(1)
+    pt = alpha
+    for _ in range(cap + 1):
+        q = eval_factors(ops.q(case_i), pt)
+        if q == 0:
+            return PuiseuxPolynomial(terms)
+        nxt = (pt[0] - e_i[0], pt[1] - e_i[1])
+        den = eval_factors(ops.p(case_i), nxt)
+        if den == 0:
+            raise ValueError(f"P_{case_i} vanishes at {nxt} before the stopping index")
+        coeff = coeff * q / den
+        terms[nxt] = coeff
+        pt = nxt
+    raise ValueError("walk exceeded its cap without reaching a vanishing factor")
+
+
+def strip_walks(a: AtomicSystem):
+    """(initial exponent, walk terms or None where the walk raises) per
+    boundary-strip position of the index rectangle, sorted by initial
+    exponent.  The walk runs in the normalized frame; its terms are pulled
+    back to the original one."""
+    norm, fc = normalize_frame(a)
+    (a1, b1), (a2, b2) = norm.rows
+    out = []
+    for u in range(b1):
+        for v in range(-a2):
+            if u < min(a1, b1) and v < min(-a2, -b2):
+                continue  # monomial sub-rectangle
+            w = inverse_times(norm.rows, (u + norm.params[0], v + norm.params[1]))
+            alpha_n = (-w[0], -w[1])
+            try:
+                walk = quotient_walk(norm, alpha_n, 2 if v >= min(-a2, -b2) else 1)
+                terms = {fc.pull_back(e): c for e, c in walk.terms.items()}
+            except ValueError:
+                terms = None
+            out.append((fc.pull_back(alpha_n), terms))
+    out.sort(key=lambda t: t[0])
+    return out
 
 
 def test_enumerate_atomic_counts(zonotope):
@@ -141,11 +194,16 @@ def test_displayed_second_binomial_is_a_solution(atomic_32_43):
 
 
 def test_quotient_walk_matches_solution_backbone(atomic_32_43):
+    # the walk runs down the x2 direction, so the backbone is the column of
+    # the returned solution through its initial exponent
     a = enumerate_atomic(atomic_32_43)[0]
-    walk = quotient_walk(a, (F(-6), F(9)), 2)
-    assert walk.terms == {(F(-6), F(9)): 1, (F(-6), F(8)): -3}
-    walk2 = quotient_walk(a, (F(-9), F(13)), 2)
-    assert walk2.terms == {(F(-9), F(13)): 1, (F(-9), F(12)): -1}
+    pols = persistent_polynomials(a)
+    for alpha, want in (((F(-6), F(9)), {(F(-6), F(9)): 1, (F(-6), F(8)): -3}),
+                        ((F(-9), F(13)), {(F(-9), F(13)): 1, (F(-9), F(12)): -1})):
+        pol = next(p for p in pols if p.terms.get(alpha) == 1)
+        backbone = {e: c for e, c in pol.terms.items() if e[0] == alpha[0]}
+        assert backbone == want
+        assert quotient_walk(a, alpha, 2).terms == backbone
 
 
 def test_monomial_only_regime():
@@ -160,7 +218,7 @@ def test_monomial_only_regime():
 
 def test_counts_partition_exponent_classes():
     rng = random.Random(47)
-    count = 0
+    count = walks = 0
     while count < 50:
         rows = [[rng.randint(-4, 4), rng.randint(-4, 4)] for _ in range(2)]
         try:
@@ -176,6 +234,16 @@ def test_counts_partition_exponent_classes():
         sys_a = a.system()
         for f in mons + pols:
             assert is_solution(f, sys_a)
+        # the quotient walk, where it does not raise, is the backbone of the
+        # solution through the same initial exponent
+        strips = strip_walks(a)
+        assert len(strips) == len(pols)
+        for (alpha, walk), pol in zip(strips, pols):
+            assert pol.terms[alpha] == 1
+            if walk is not None:
+                walks += 1
+                assert {e: pol.terms.get(e) for e in walk} == walk
+    assert walks > 0
 
 
 def test_frame_change_coherence():

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -10,7 +11,6 @@ from hornkit.counting import (
     convergent_dim_by_cone,
     fully_supported_count,
     holonomic_rank,
-    holonomic_rank_raw,
     persistent_dim,
 )
 from hornkit.polygon import build_polygon, vertex_count
@@ -33,10 +33,23 @@ def test_rank_rejects_confluent():
 
 
 def test_rank_raw_agrees_on_fixtures(zonotope, triangle_sides):
-    for s in (zonotope, triangle_sides):
-        assert holonomic_rank_raw(s) == holonomic_rank(s)
     simp = HornSystem.make([[-2, 0], [0, -2], [2, 2]], [0, 0, F(1, 3)])
-    assert holonomic_rank_raw(simp) == holonomic_rank(simp) == 4
+    for s in (zonotope, triangle_sides, simp):
+        n = normalize_rows(s)
+        assert holonomic_rank(n) == holonomic_rank(s)
+        assert persistent_dim(n) == persistent_dim(s)
+    assert holonomic_rank(simp) == 4
+
+
+def test_large_gcd_rows_answer_fast():
+    # normalization would split each +-3000*e1 row into 3000 rows and pair
+    # them all; the counts and the polygon work on the rows as given
+    s = HornSystem.make([[3000, 0], [-3000, 0], [0, 1], [0, -1]], [0] * 4)
+    start = time.perf_counter()
+    assert holonomic_rank(s) == 3000
+    assert persistent_dim(s) == 0
+    assert sorted(e.length for e in build_polygon(s).edges) == [1, 1, 3000, 3000]
+    assert time.perf_counter() - start < 1.0
 
 
 def test_persistent_dim_fixtures(zonotope, triangle_sides, triangle_simplex):

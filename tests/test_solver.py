@@ -52,6 +52,15 @@ def test_persistent_count_matches_dimension_random():
         assert len(persistent_solutions(s)) == persistent_dim(s)
 
 
+def test_persistent_solutions_need_a_rank_formula():
+    # the growth radius is default_window, which needs system_rank: a
+    # confluent system is refused unless it is a nondegenerate atomic pair
+    for rows in ([[1, 0], [0, 1], [1, 1]], [[1, 0], [2, 0]]):
+        with pytest.raises(ValueError):
+            persistent_solutions(HornSystem.make(rows, [F(1, 3)] * len(rows)))
+    assert len(persistent_solutions(HornSystem.make([[3, 2], [-4, -3]], [0, 0]))) == 8
+
+
 def test_persistent_solutions_pass_validation(zonotope, triangle_sides):
     for s in (zonotope, triangle_sides):
         for f in persistent_solutions(s):
