@@ -82,6 +82,8 @@ class _ClassFactors:
     (n_i + q_i*(<A_i, d> + l))/q_i.  The numerator of a side's product is a
     plain integer product, which vanishes exactly when the product does; its
     denominator, prod q_i^|A_ij| over the side's rows, is fixed per class.
+    With gcd(n_i, q_i) = 1, a factor vanishes only where q_i = 1: `p_int` and
+    `q_int` keep those rows of each side, as (n_i, a_i, b_i, |A_ij|).
     """
 
     def __init__(self, s: HornSystem, anchor):
@@ -107,6 +109,10 @@ class _ClassFactors:
                 elif entry < 0:
                     self.neg[j].append((n, q * r.a, q * r.b, q, -entry))
                     self.q_den[j] *= q ** -entry
+        self.p_int = tuple([(n, a, b, e) for n, a, b, q, e in rows if q == 1]
+                           for rows in self.pos)
+        self.q_int = tuple([(n, a, b, e) for n, a, b, q, e in rows if q == 1]
+                           for rows in self.neg)
 
     def p_num(self, j: int, d: Offset) -> int:
         """Numerator of P_j at offset d, over the denominator p_den[j]."""

@@ -7,17 +7,21 @@ obey, for j = 1, 2 and every beta in the class,
 
 The relations drive windowed fully supported series tables (the residue
 series of the Mellin-Barnes representation, generated through coefficient
-ratios, never through Gamma values) and `component_polynomial`, the one
-grower of Puiseux polynomial solutions: the support component through a seed
-exponent either closes off into a finitely supported solution or escapes the
-window.  Atomic strip solutions and the full system's persistent solutions
-grow at `default_window`, the harvest at the window it is given.
+ratios, never through Gamma values) and `component_polynomial`, the
+grower of Puiseux polynomial solutions.  Growth walks the support first and
+fills coefficients second.  The walk decides, from integer zero tests alone,
+whether the support component through a seed exponent closes off into a
+finite support, escapes the window or meets a resonant collision; only a
+support that closes, or a series table, gets coefficients.  Atomic strip
+solutions and the full system's persistent solutions grow at
+`default_window`, the harvest at the window it is given.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .lattice import QVec, inverse_times, qvec
 from .operators import Offset, _ClassFactors, is_solution
@@ -38,10 +42,13 @@ class ResonantCollisionError(ValueError):
 
 _STEPS = ((1, (1, 0)), (2, (0, 1)))
 
+# A walked relation (a, b, j, forward): b = a + e_j if forward, else a - e_j.
+_Edge = tuple[Offset, Offset, int, bool]
+
 
 @dataclass
 class GrowResult:
-    values: dict[Offset, Fraction]
+    values: dict[Offset, Fraction]  # empty after an early exit at the window
     exceeded: bool
 
 
@@ -49,15 +56,24 @@ def grow_component(s: HornSystem, alpha0: QVec, radius: int,
                    early_exit: bool = True) -> GrowResult:
     """Grow the coupled component through alpha0, assigning it coefficient 1.
 
-    Follows every forced relation in all four lattice directions.  Stops a
-    direction where the relevant numerator factor vanishes (support cut).
-    Raises ResonantCollisionError when a relation forces the component to
-    vanish or two paths disagree.  If the component reaches the radius box
-    boundary the result is flagged exceeded (and, with early_exit, returned
-    immediately with a partial table).
+    Growth walks the support, then fills its coefficients.  The walk follows
+    every forced relation in all four lattice directions, depth first.  It
+    cuts a direction where the relevant numerator factor vanishes, raises
+    ResonantCollisionError where a live relation meets a vanishing
+    denominator, and flags the result exceeded where the component reaches
+    the radius box boundary.  With early_exit, an exceeded walk returns at
+    once with no coefficients; otherwise the fill covers every walked point
+    inside the box.
 
-    Two paths never disagree.  With Phi(beta) = prod_i Gamma(<A_i, beta> + c_i),
-    the functional equation of Gamma gives, as rational functions of beta,
+    A factor product vanishes only through a row whose value on the class
+    alpha0 + Z^2 is an integer, so the walk tests those rows alone, in small
+    integers (`_ClassFactors.p_int`/`q_int`), and builds no coefficient.
+
+    The fill assigns each point its value along the walk's spanning tree,
+    one big-rational product per point, and compares the two ends of every
+    other live relation once.  Two paths never disagree.  With
+    Phi(beta) = prod_i Gamma(<A_i, beta> + c_i), the functional equation of
+    Gamma gives, as rational functions of beta,
 
         P_j(beta) / Q_j(beta + e_j) = Phi(beta + e_j) / Phi(beta),
 
@@ -67,60 +83,95 @@ def grow_component(s: HornSystem, alpha0: QVec, radius: int,
     product around any closed lattice loop is identically 1, and two paths
     to one point give the same value wherever every step along them is
     defined.  The walk takes a step only where both factor products are
-    nonzero, so every step it takes is defined.  The disagreement check is
-    kept as a guard; every collision raised comes from the zero-denominator
-    check.
+    nonzero, so every step it takes is defined.  The comparison is kept as
+    a guard; every collision raised comes from the walk's zero-denominator
+    test.
     """
     ev = _ClassFactors(s, qvec(alpha0[0], alpha0[1]))
-    p_num, q_num, p_den, q_den = ev.p_num, ev.q_num, ev.p_den, ev.q_den
-    values: dict[Offset, Fraction] = {(0, 0): Fraction(1)}
+    edges, exceeded = _walk_support(ev, radius, early_exit)
+    if exceeded and early_exit:
+        return GrowResult({}, True)
+    return GrowResult(_fill(ev, edges), exceeded)
+
+
+def _walk_support(ev: _ClassFactors, radius: int, early_exit: bool) -> tuple[list[_Edge], bool]:
+    """Depth-first support walk from offset 0 with integer zero tests only.
+
+    Returns the live relations in the order the fill needs them: each
+    point's discovering relation when the point is found, and every other
+    live relation once, from its lower end, when that end is popped.  Both
+    ends are found by then.  `found[b]` is +j or -j for the step that found
+    b (0 for the origin): a popped a whose finder was a backward j-step came
+    from a + e_j, so that forward relation is the tree's own.
+    """
+    p_int, q_int = ev.p_int, ev.q_int
+    found: dict[Offset, int] = {(0, 0): 0}
+    edges: list[_Edge] = []
     stack: list[Offset] = [(0, 0)]
     exceeded = False
 
     while stack:
         d = stack.pop()
-        u = values[d]
         for j, (s1, s2) in _STEPS:
             fwd = (d[0] + s1, d[1] + s2)
-            pv = p_num(j, d)
-            if pv:
-                qv = q_num(j, fwd)
-                if not qv:
+            if not _vanishes(p_int[j], d):
+                if _vanishes(q_int[j], fwd):
                     raise ResonantCollisionError(ev.exponent(d))
-                v = u * Fraction(pv * q_den[j], qv * p_den[j])
                 if max(abs(fwd[0]), abs(fwd[1])) > radius:
                     exceeded = True
                     if early_exit:
-                        return GrowResult(values, True)
-                elif fwd in values:
-                    if values[fwd] != v:
-                        raise ResonantCollisionError(ev.exponent(fwd))
-                else:
-                    values[fwd] = v
+                        return edges, True
+                elif fwd not in found:
+                    found[fwd] = j
+                    edges.append((d, fwd, j, True))
                     stack.append(fwd)
+                elif found[d] != -j:
+                    edges.append((d, fwd, j, True))
             bwd = (d[0] - s1, d[1] - s2)
-            qv0 = q_num(j, d)
-            if qv0:
-                pv0 = p_num(j, bwd)
-                if not pv0:
+            if not _vanishes(q_int[j], d):
+                if _vanishes(p_int[j], bwd):
                     raise ResonantCollisionError(ev.exponent(d))
-                v = u * Fraction(qv0 * p_den[j], pv0 * q_den[j])
                 if max(abs(bwd[0]), abs(bwd[1])) > radius:
                     exceeded = True
                     if early_exit:
-                        return GrowResult(values, True)
-                elif bwd in values:
-                    if values[bwd] != v:
-                        raise ResonantCollisionError(ev.exponent(bwd))
-                else:
-                    values[bwd] = v
+                        return edges, True
+                elif bwd not in found:
+                    found[bwd] = -j
+                    edges.append((d, bwd, j, False))
                     stack.append(bwd)
 
-    return GrowResult(values, exceeded)
+    return edges, exceeded
+
+
+def _vanishes(rows: list, d: Offset) -> bool:
+    """Whether a factor (v + l), v = n + <A_i, d>, l < |A_ij|, of an
+    integer-valued row vanishes at offset d."""
+    d1, d2 = d
+    for n, a, b, e in rows:
+        if -e < n + a * d1 + b * d2 <= 0:
+            return True
+    return False
+
+
+def _fill(ev: _ClassFactors, edges: list[_Edge]) -> dict[Offset, Fraction]:
+    """Coefficients over a walked support, 1 at offset 0, in walk order."""
+    p_num, q_num, p_den, q_den = ev.p_num, ev.q_num, ev.p_den, ev.q_den
+    values: dict[Offset, Fraction] = {(0, 0): Fraction(1)}
+    for a, b, j, forward in edges:
+        if forward:
+            v = values[a] * Fraction(p_num(j, a) * q_den[j], q_num(j, b) * p_den[j])
+        else:
+            v = values[a] * Fraction(q_num(j, a) * p_den[j], p_num(j, b) * q_den[j])
+        if b not in values:
+            values[b] = v
+        elif values[b] != v:
+            raise ResonantCollisionError(ev.exponent(b))
+    return values
 
 
 def component_polynomial(s: HornSystem, alpha0: QVec, radius: int) -> PuiseuxPolynomial | None:
-    """The finite solution through alpha0, or None if it leaves the radius box."""
+    """The finite solution through alpha0, or None if it leaves the radius
+    box; an escape is decided by the support walk, before any coefficient."""
     res = grow_component(s, alpha0, radius, early_exit=True)
     if res.exceeded:
         return None
@@ -133,8 +184,9 @@ def component_polynomial(s: HornSystem, alpha0: QVec, radius: int) -> PuiseuxPol
 
 
 class _Quotient:
-    """Canonical reduction of Z^2 modulo the column lattice of A_I, through
-    the column Hermite form."""
+    """Z^2 modulo the column lattice of A_I, through the column Hermite form:
+    the lattice has the basis c1 and c2 = (0, c2[1]), and the classes are
+    represented by (r1, r2) with 0 <= r1 < c1[0] and 0 <= r2 < c2[1]."""
 
     def __init__(self, sub: AtomicSystem):
         (a1, b1), (a2, b2) = sub.rows
@@ -154,34 +206,33 @@ class _Quotient:
             raise AssertionError("column reduction lost the determinant")
         self.c1, self.c2 = c1, c2
 
-    def reduce(self, k: Offset) -> Offset:
-        t = k[0] // self.c1[0]
-        k = (k[0] - t * self.c1[0], k[1] - t * self.c1[1])
-        u = k[1] // self.c2[1]
-        return (k[0], k[1] - u * self.c2[1])
-
-    def reps(self) -> list[Offset]:
-        return [(r1, r2) for r1 in range(self.c1[0]) for r2 in range(self.c2[1])]
-
 
 def branch_base_points(sub: AtomicSystem) -> list[Offset]:
     """One base point k0 in N^2 per residue class of Z^2 modulo A_I Z^2:
     the class point closest to the origin (smallest max-coordinate, ties by
     k1 then k2), the corner of the branch's distinguished pole family.
-    There are exactly |det A_I| branches."""
+    There are exactly |det A_I| branches, listed by class (r1, r2).
+
+    The class of (r1, r2) is {(r1 + t*c1[0], r2 + t*c1[1] + u*c2[1])}, so
+    its points in N^2 have t >= 0, and for each t the least is the one with
+    k2 = (r2 + t*c1[1]) mod c2[1].  Past t, no point beats the best found
+    once k1 reaches its max-coordinate, nor once k2 has run through its
+    period c2[1] / gcd(c1[1], c2[1]) in t.
+    """
     quo = _Quotient(sub)
+    (step1, shift), mod = quo.c1, quo.c2[1]
+    period = mod // gcd(shift, mod)
     out = []
-    for rep in quo.reps():
-        base = None
-        t = 0
-        while base is None:
-            shell = [(k1, t) for k1 in range(t)] + [(t, k2) for k2 in range(t + 1)]
-            for k in sorted(shell):
-                if quo.reduce(k) == rep:
-                    base = k
+    for r1 in range(step1):
+        for r2 in range(mod):
+            best = (r1 if r1 > r2 else r2, r1, r2)
+            for t in range(1, period):
+                k1 = r1 + t * step1
+                if k1 >= best[0]:
                     break
-            t += 1
-        out.append(base)
+                k2 = (r2 + t * shift) % mod
+                best = min(best, (k1 if k1 > k2 else k2, k1, k2))
+            out.append(best[1:])
     return out
 
 
@@ -277,23 +328,31 @@ class HarvestResult:
 def harvest_polynomials(s: HornSystem, window: int) -> list[HarvestResult]:
     """Run one exploration per (row pair, residue class) start point.
 
-    From each branch base exponent the support component is grown along the
-    coefficient relations; a direction is cut where its numerator factor
+    From each branch base exponent the support component is walked along
+    the coefficient relations; a direction is cut where its numerator factor
     vanishes.  If the frontier dies out inside the window, the outcome is
     finite and carries the assembled (verified) polynomial; paths touching
-    the window boundary report exceeds_window; a vanishing denominator
-    against a live numerator reports the offending point.
+    the window boundary report exceeds_window, decided before any
+    coefficient is computed; a vanishing denominator against a live
+    numerator reports the offending point.
 
-    Explorations landing on an already harvested polynomial are collapsed
-    into the first finite result, so the finite outcomes are distinct
-    solutions.
+    The finite outcomes are distinct solutions.  A start inside a harvested
+    support S is not explored when S fits its window box: the walk from it
+    would find S again, with no cut, collision or escape that the walk of S
+    did not meet.  When S does not fit, that walk leaves the box, so a
+    harvested polynomial is never found twice.
     """
     results: list[HarvestResult] = []
-    seen_polys: set[PuiseuxPolynomial] = set()
+    covered: dict[QVec, PuiseuxPolynomial] = {}  # exponent -> harvested polynomial
 
     for sub in enumerate_atomic(s):
         for branch, k0 in enumerate(branch_base_points(sub)):
             alpha0 = branch_initial_exponent(sub, k0)
+            done = covered.get(alpha0)
+            if done is not None and all(
+                    max(abs(x - alpha0[0]), abs(y - alpha0[1])) <= window
+                    for x, y in done.terms):
+                continue
             try:
                 poly = component_polynomial(s, alpha0, window)
             except ResonantCollisionError as exc:
@@ -314,9 +373,7 @@ def harvest_polynomials(s: HornSystem, window: int) -> list[HarvestResult]:
                     collision_point=alpha0,
                 ))
                 continue
-            if poly in seen_polys:
-                continue
-            seen_polys.add(poly)
+            covered.update(dict.fromkeys(poly.terms, poly))
             results.append(HarvestResult(
                 "finite", sub.indices, branch, alpha0, polynomial=poly,
             ))

@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -187,6 +188,20 @@ def test_series_listing_and_table():
     assert d["initial_exponent"] == ["-1/3", "-1/5"]
     coeffs = {tuple(c["offset"]): c["value"] for c in d["coefficients"]}
     assert coeffs[(0, 0)] == "1"
+
+
+def test_series_listing_large_determinant(tmp_path):
+    # four row pairs of |det| 3000: each class's base point in closed form
+    path = tmp_path / "g3000.json"
+    path.write_text(json.dumps({"matrix": [[3000, 0], [-3000, 0], [0, 1], [0, -1]],
+                                "parameters": [0, 0, 0, 0]}))
+    start = time.perf_counter()
+    r = run("series", str(path))
+    assert time.perf_counter() - start < 5.0
+    assert r.exit_code == 0, r.output
+    branches = json.loads(r.output)["branches"]
+    assert len(branches) == 4 * 3000
+    assert {tuple(b["base_point"]) for b in branches} == {(k, 0) for k in range(3000)}
 
 
 def test_verify_command(tmp_path):

@@ -1,15 +1,19 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from conftest import load_expected, load_system, random_nonconfluent_system
 from hornkit.counting import fully_supported_count
-from hornkit.operators import is_solution
+from hornkit.lattice import qvec
+from hornkit.operators import _ClassFactors, is_solution
 from hornkit.puiseux import PuiseuxPolynomial
 from hornkit.series import (
+    HarvestResult,
     ResonantCollisionError,
+    _Quotient,
     branch_base_points,
     branch_initial_exponent,
     default_window,
@@ -64,8 +68,6 @@ def test_series_order_independence():
     """Regenerating each coefficient along either coordinate path agrees."""
     s = ex21_system()
     t = series_from_submatrix(s, (1, 2), 0, 8)
-    from hornkit.operators import _ClassFactors
-
     ev = _ClassFactors(s, t.alpha0)
     for (d1, d2), v in t.coeffs.items():
         for j, step in ((1, (1, 0)), (2, (0, 1))):
@@ -245,3 +247,167 @@ def test_default_window_formula(zonotope):
     from hornkit.counting import holonomic_rank
 
     assert default_window(zonotope) == 4 * (holonomic_rank(zonotope) + 8 * 3)
+
+
+# -- the coefficient walk and the shell scan, kept as oracles ------------------
+
+
+def coefficient_walk(s, alpha0, radius, early_exit=True):
+    """The grower before the support walk: it carries coefficients along the
+    depth-first walk, compares both ends of every live relation, and returns
+    (values, exceeded); with early_exit it stops at the first step past the
+    radius box."""
+    ev = _ClassFactors(s, qvec(alpha0[0], alpha0[1]))
+    values = {(0, 0): F(1)}
+    stack = [(0, 0)]
+    exceeded = False
+    while stack:
+        d = stack.pop()
+        u = values[d]
+        for j, (s1, s2) in ((1, (1, 0)), (2, (0, 1))):
+            fwd = (d[0] + s1, d[1] + s2)
+            pv = ev.p_num(j, d)
+            if pv:
+                qv = ev.q_num(j, fwd)
+                if not qv:
+                    raise ResonantCollisionError(ev.exponent(d))
+                v = u * F(pv * ev.q_den[j], qv * ev.p_den[j])
+                if max(abs(fwd[0]), abs(fwd[1])) > radius:
+                    exceeded = True
+                    if early_exit:
+                        return values, True
+                elif fwd in values:
+                    if values[fwd] != v:
+                        raise ResonantCollisionError(ev.exponent(fwd))
+                else:
+                    values[fwd] = v
+                    stack.append(fwd)
+            bwd = (d[0] - s1, d[1] - s2)
+            qv0 = ev.q_num(j, d)
+            if qv0:
+                pv0 = ev.p_num(j, bwd)
+                if not pv0:
+                    raise ResonantCollisionError(ev.exponent(d))
+                v = u * F(qv0 * ev.p_den[j], pv0 * ev.q_den[j])
+                if max(abs(bwd[0]), abs(bwd[1])) > radius:
+                    exceeded = True
+                    if early_exit:
+                        return values, True
+                elif bwd in values:
+                    if values[bwd] != v:
+                        raise ResonantCollisionError(ev.exponent(bwd))
+                else:
+                    values[bwd] = v
+                    stack.append(bwd)
+    return values, exceeded
+
+
+def shell_scan_base_points(sub):
+    """Scan shells max(k1, k2) = t outward, point by point, for each class."""
+    quo = _Quotient(sub)
+    (c10, c11), (_, c22) = quo.c1, quo.c2
+
+    def reduce(k):
+        t = k[0] // c10
+        k2 = k[1] - t * c11
+        return (k[0] - t * c10, k2 - (k2 // c22) * c22)
+
+    out = []
+    for rep in ((r1, r2) for r1 in range(c10) for r2 in range(c22)):
+        t = 0
+        while True:
+            shell = [(k1, t) for k1 in range(t)] + [(t, k2) for k2 in range(t + 1)]
+            base = next((k for k in sorted(shell) if reduce(k) == rep), None)
+            if base is not None:
+                out.append(base)
+                break
+            t += 1
+    return out
+
+
+def oracle_outcome(s, alpha0, window, grow=coefficient_walk):
+    """(outcome, collision point, normalized polynomial) of one start."""
+    try:
+        values, exceeded = grow(s, alpha0, window)
+    except ResonantCollisionError as exc:
+        return "resonant_collision", exc.point, None
+    if exceeded:
+        return "exceeds_window", None, None
+    poly = PuiseuxPolynomial({(alpha0[0] + d[0], alpha0[1] + d[1]): v
+                              for d, v in values.items()}).normalized()
+    if not is_solution(poly, s):
+        return "resonant_collision", alpha0, None
+    return "finite", None, poly
+
+
+def oracle_harvest(s, window):
+    """Every start through the coefficient walk; finite duplicates dropped."""
+    out, seen = [], set()
+    for sub in enumerate_atomic(s):
+        for branch, k0 in enumerate(shell_scan_base_points(sub)):
+            alpha0 = branch_initial_exponent(sub, k0)
+            outcome, point, poly = oracle_outcome(s, alpha0, window)
+            if poly is not None:
+                if poly in seen:
+                    continue
+                seen.add(poly)
+            out.append(HarvestResult(outcome, sub.indices, branch, alpha0, poly, point))
+    return out
+
+
+def grower_outcome(s, alpha0, window):
+    def grow(s, alpha0, window):
+        res = grow_component(s, alpha0, window)
+        return res.values, res.exceeded
+    return oracle_outcome(s, alpha0, window, grow)
+
+
+def agreement_inputs():
+    rng = random.Random(61)
+    for _ in range(80):
+        rows = random_nonconfluent_system(rng, max_m=5).rows
+        params = [F(rng.randint(-8, 8), rng.choice((1, 2, 3))) for _ in rows]
+        yield HornSystem.make(rows, params), 10
+    for name in ("zonotope", "triangle_sides", "triangle_simplex"):
+        base = load_system(name)
+        for k in (1, 2):
+            s = HornSystem.make([(k * r.a, k * r.b) for r in base.rows], base.params)
+            yield s, default_window(s)
+
+
+def test_harvest_agrees_with_coefficient_walk():
+    """The support walk decides every start as the coefficient walk did, and
+    the harvest, with covered starts skipped, lists the same results."""
+    outcomes = Counter()
+    for s, window in agreement_inputs():
+        for sub in enumerate_atomic(s):
+            for k0 in branch_base_points(sub):
+                alpha0 = branch_initial_exponent(sub, k0)
+                want = oracle_outcome(s, alpha0, window)
+                assert grower_outcome(s, alpha0, window) == want, (s, alpha0)
+                outcomes[want[0]] += 1
+        assert harvest_polynomials(s, window) == oracle_harvest(s, window), s
+    assert min(outcomes.values()) >= 20, outcomes
+
+
+def test_tables_agree_with_coefficient_walk():
+    """Series tables fill the whole box, in the coefficient walk's order."""
+    for name in ("example21", "quadrilateral", "triangle_sides"):
+        s = load_system(name)
+        for sub in enumerate_atomic(s):
+            for branch, k0 in enumerate(branch_base_points(sub)):
+                t = series_from_submatrix(s, sub.indices, branch, 8)
+                values, _ = coefficient_walk(s, t.alpha0, 8, early_exit=False)
+                assert list(t.coeffs.items()) == list(values.items())
+
+
+def test_branch_base_points_match_shell_scan():
+    rng = random.Random(67)
+    pairs = 0
+    while pairs < 300:
+        (a1, b1), (a2, b2) = rows = [(rng.randint(-7, 7), rng.randint(-7, 7)) for _ in range(2)]
+        if a1 * b2 == a2 * b1:
+            continue
+        sub = enumerate_atomic(HornSystem.make(rows, [0, 0]))[0]
+        assert branch_base_points(sub) == shell_scan_base_points(sub), rows
+        pairs += 1

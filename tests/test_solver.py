@@ -1,4 +1,6 @@
 import random
+import time
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from conftest import load_expected, random_nonconfluent_system
 from hornkit.operators import is_solution
 from hornkit.puiseux import PuiseuxPolynomial
+from hornkit.series import default_window
 from hornkit.solver import (
     check_constructive,
     expand_closed_form,
@@ -220,3 +223,16 @@ def test_reference_parameter_vectors_verify(zonotope, triangle_sides):
     # the reference parameter choices themselves pass the constructive check
     assert check_constructive(zonotope, window=20).rank_attained
     assert check_constructive(triangle_sides, window=20).rank_attained
+
+
+def test_constructive_escapes_are_cheap():
+    # 7 rows at window 232: 119 of 121 starts escape, each decided by the
+    # support walk before any coefficient is built
+    s = random_nonconfluent_system(random.Random(6))
+    window = default_window(s)
+    assert (s.m, window) == (7, 232)
+    start = time.perf_counter()
+    report = check_constructive(s, window)
+    assert time.perf_counter() - start < 10.0
+    outcomes = Counter(r.outcome for r in report.harvest)
+    assert outcomes["exceeds_window"] == 119
