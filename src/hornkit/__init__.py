@@ -43,9 +43,7 @@ from .counting import (
     persistent_dim,
 )
 from .atomic import (
-    FrameChange,
     atomic_rank,
-    normalize_frame,
     persistent_monomials,
     persistent_polynomials,
     polynomial_exponents,

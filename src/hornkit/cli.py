@@ -8,7 +8,6 @@ Errors are written as JSON objects on stderr.
 from __future__ import annotations
 
 import json
-import os
 import sys
 
 import click
@@ -30,6 +29,8 @@ from .series import (
     series_from_submatrix,
 )
 from .solver import (
+    SUGGEST_BOUND,
+    SUGGEST_WINDOW,
     check_constructive,
     suggest_polynomial_parameters,
     system_rank,
@@ -53,22 +54,14 @@ def _load_system(path: str) -> HornSystem:
         _fail(2, f"cannot parse system file {path}: {exc}")
 
 
-def _check_window(window: int | None, source: str = "--window") -> int | None:
+def _check_window(window: int | None) -> int | None:
     if window is not None and window < 0:
-        _fail(2, f"{source} must be nonnegative, got {window}")
+        _fail(2, f"--window must be nonnegative, got {window}")
     return window
 
 
 def _resolve_window(s: HornSystem, window: int | None) -> int:
-    if window is not None:
-        return window
-    env = os.environ.get("HORNKIT_WINDOW")
-    if env:
-        try:
-            return _check_window(int(env), "HORNKIT_WINDOW")
-        except ValueError:
-            _fail(2, f"HORNKIT_WINDOW is not an integer: {env!r}")
-    return default_window(s)
+    return default_window(s) if window is None else window
 
 
 def _emit(payload, out: str | None):
@@ -302,6 +295,8 @@ def verify(input_path, solution_path, out):
             data = json.load(fh)
         terms = data["terms"] if isinstance(data, dict) else data
         f = PuiseuxPolynomial.from_json(terms)
+        if f.is_zero():
+            raise ValueError("the zero polynomial is no candidate solution")
     except (OSError, ValueError, KeyError, TypeError) as exc:
         _fail(2, f"cannot parse solution file {solution_path}: {exc}")
     from .operators import apply_horn
@@ -327,8 +322,8 @@ def verify(input_path, solution_path, out):
 
 @main.command("suggest-params")
 @_input_arg
-@click.option("--bound", type=int, default=5, show_default=True)
-@_window_option(default=16, show_default=True)
+@click.option("--bound", type=int, default=SUGGEST_BOUND, show_default=True)
+@_window_option(default=SUGGEST_WINDOW, show_default=True)
 @_out_opt
 def suggest_params(input_path, bound, window, out):
     """Search for parameters giving a full Puiseux polynomial basis."""

@@ -242,10 +242,19 @@ def branch_initial_exponent(sub: AtomicSystem, k0: Offset) -> QVec:
     return (-w[0], -w[1])
 
 
+def _atomic_pair(s: HornSystem, indices: tuple[int, int]) -> AtomicSystem:
+    """The nondegenerate row pair `indices` of s; ValueError if it is
+    degenerate or out of range."""
+    for x in enumerate_atomic(s):
+        if x.indices == tuple(indices):
+            return x
+    raise ValueError(f"rows {tuple(indices)} are degenerate or out of range")
+
+
 def support_cone(s: HornSystem, indices: tuple[int, int]) -> ConeQ:
     """Exponent-space cone of a branch's support: spanned by -A_I^{-1}e_1 and
     -A_I^{-1}e_2."""
-    sub = next(x for x in enumerate_atomic(s) if x.indices == tuple(indices))
+    sub = _atomic_pair(s, indices)
     g1 = inverse_times(sub.rows, (1, 0))
     g2 = inverse_times(sub.rows, (0, 1))
     return ConeQ((-g1[0], -g1[1]), (-g2[0], -g2[1]))
@@ -277,9 +286,7 @@ def series_from_submatrix(s: HornSystem, indices: tuple[int, int], branch: int,
     exponent lattice, normalized to 1 at the branch's initial exponent; only
     ratios of factor products are ever computed.
     """
-    sub = next((x for x in enumerate_atomic(s) if x.indices == tuple(indices)), None)
-    if sub is None:
-        raise ValueError(f"rows {indices} are degenerate or out of range")
+    sub = _atomic_pair(s, indices)
     bases = branch_base_points(sub)
     if not 0 <= branch < len(bases):
         raise ValueError(f"branch {branch} out of range 0..{len(bases) - 1}")

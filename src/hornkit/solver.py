@@ -44,8 +44,7 @@ def persistent_solutions(s: HornSystem) -> list[PuiseuxPolynomial]:
     radius = default_window(s)
     seeds: set[QVec] = set()
     for a in enumerate_atomic(s):
-        if a.nu > 0:
-            seeds |= polynomial_exponents(a)
+        seeds |= polynomial_exponents(a)
     found: dict = {}
     for seed in sorted(seeds):
         try:
@@ -276,8 +275,13 @@ def check_constructive(s: HornSystem, window: int) -> ConstructiveReport:
                               independent == rank)
 
 
-def suggest_polynomial_parameters(s: HornSystem, search_bound: int = 6,
-                                  window: int = 24) -> tuple[Fraction, ...] | None:
+# Defaults of `suggest_polynomial_parameters`, shared with `hornkit suggest-params`.
+SUGGEST_BOUND = 5
+SUGGEST_WINDOW = 16
+
+
+def suggest_polynomial_parameters(s: HornSystem, search_bound: int = SUGGEST_BOUND,
+                                  window: int = SUGGEST_WINDOW) -> tuple[Fraction, ...] | None:
     """Deterministic bounded search for a parameter vector giving a full
     Puiseux polynomial basis, verified by check_constructive.
 
@@ -286,8 +290,9 @@ def suggest_polynomial_parameters(s: HornSystem, search_bound: int = 6,
     with three lines, every triangle sum an integer); per-line depths, the
     leading offsets between lines, and the stagger between rows sharing a
     line are swept up to the bound.  Every candidate is accepted only when
-    the harvested polynomial count reaches the holonomic rank exactly, so a
-    returned vector is trustworthy regardless of the heuristics here.
+    the independent polynomial count reaches the holonomic rank exactly.
+    That proves a Puiseux polynomial basis only if the rank at the returned
+    parameters is the generic rank, which is not certified here.
     """
     pol = build_polygon(s)
     cls = classify(pol)

@@ -18,8 +18,8 @@ ATOMIC = str(FIXTURES / "atomic_32_43.json")
 EX21 = str(FIXTURES / "example21.json")
 
 
-def run(*args, env=None):
-    return CliRunner().invoke(main, list(args), env=env or {})
+def run(*args):
+    return CliRunner().invoke(main, list(args))
 
 
 def test_analyze_zonotope():
@@ -68,6 +68,15 @@ def test_malformed_input_exit_2(tmp_path):
             assert r.exit_code == 2, (matrix, params, r.output)
             assert "error" in json.loads(r.stderr)
 
+    # the zero polynomial, as an empty term list or a zero coefficient, is
+    # no candidate solution
+    sol = tmp_path / "sol.json"
+    for terms in ([], [{"exponent": ["0", "0"], "coefficient": "0"}]):
+        sol.write_text(json.dumps({"terms": terms}))
+        r = run("verify", SIMPLEX, "--solution", str(sol))
+        assert r.exit_code == 2, (terms, r.output)
+        assert "zero polynomial" in json.loads(r.stderr)["error"]
+
 
 def test_confluent_exit_3(tmp_path):
     conf = tmp_path / "confluent.json"
@@ -94,12 +103,12 @@ def test_confluent_exit_3(tmp_path):
 
 
 def test_negative_window_exit_2(tmp_path):
-    for args, env in ((["analyze", SIMPLEX, "--window", "-3"], None),
-                      (["solve", SIMPLEX], {"HORNKIT_WINDOW": "-3"}),
-                      (["series", EX21, "--submatrix", "1,2", "--window", "-1"], None),
-                      (["render", SIMPLEX, "--what", "supports", "--window", "-3",
-                        "--out", str(tmp_path / "s.svg")], None)):
-        r = run(*args, env=env)
+    for args in (["analyze", SIMPLEX, "--window", "-3"],
+                 ["solve", SIMPLEX, "--window", "-3"],
+                 ["series", EX21, "--submatrix", "1,2", "--window", "-1"],
+                 ["render", SIMPLEX, "--what", "supports", "--window", "-3",
+                  "--out", str(tmp_path / "s.svg")]):
+        r = run(*args)
         assert r.exit_code == 2, (args, r.output)
         assert "nonnegative" in json.loads(r.stderr)["error"]
 
@@ -146,8 +155,8 @@ def test_solve_atomic_example():
 
 
 def test_solve_atomic_default_window():
-    # neither --window nor HORNKIT_WINDOW: the window comes from the atomic rank
-    r = run("solve", ATOMIC, env={"HORNKIT_WINDOW": None})
+    # no --window: the window comes from the atomic rank
+    r = run("solve", ATOMIC)
     assert r.exit_code == 0, r.output
     d = json.loads(r.output)
     assert d["window"] == 4 * (9 + 2 * 4)
@@ -260,12 +269,6 @@ def test_render_unknown_what(tmp_path):
 def test_suggest_params_cli():
     r = run("suggest-params", str(FIXTURES / "quadrilateral.json"))
     assert r.exit_code == 3
-
-
-def test_window_env_override():
-    r = run("solve", SIMPLEX, env={"HORNKIT_WINDOW": "10"})
-    d = json.loads(r.output)
-    assert d["window"] == 10
 
 
 def test_every_fixture_analyzes_quickly():

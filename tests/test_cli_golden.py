@@ -43,7 +43,7 @@ def digest(case: str, workdir: Path) -> dict:
     if cmd.startswith("render"):
         args += ["--out", str(svg)]
     svg.unlink(missing_ok=True)
-    r = CliRunner().invoke(main, args, env={"HORNKIT_WINDOW": None})
+    r = CliRunner().invoke(main, args)
     out = {"exit_code": r.exit_code, "stdout": _sha(r.stdout_bytes),
            "stderr": _sha(r.stderr_bytes)}
     if cmd.startswith("render"):

@@ -127,6 +127,14 @@ def test_support_cone():
     cone = support_cone(at, (0, 1))
     assert cone.contains((F(-3), F(4))) and cone.contains((F(-2), F(3)))
 
+    # a parallel pair and a pair past the last row are no atomic pairs
+    sq = HornSystem.make([[1, 0], [-1, 0], [0, 1], [0, -1]], [0, "1/2", "1/3", "1/5"])
+    for indices in ((0, 1), (0, 4)):
+        for call in (lambda: support_cone(sq, indices),
+                     lambda: series_from_submatrix(sq, indices, 0, 3)):
+            with pytest.raises(ValueError, match="degenerate or out of range"):
+                call()
+
 
 def test_series_support_in_cone():
     s = ex21_system()
