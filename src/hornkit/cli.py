@@ -271,7 +271,7 @@ def series(input_path, submatrix, branch, window, out):
         _fail(2, str(exc))
     _emit({
         "name": s.name,
-        "subsystem": [i, j],
+        "subsystem": list(t.indices),
         "branch": branch,
         "initial_exponent": [format_rational(t.alpha0[0]), format_rational(t.alpha0[1])],
         "window": window,

@@ -174,7 +174,36 @@ class PuiseuxPolynomial:
 
 def _frac_str(q: Fraction) -> str:
     q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    num = _int_str(q.numerator)
+    return num if q.denominator == 1 else f"{num}/{_int_str(q.denominator)}"
+
+
+def _int_str(n: int) -> str:
+    """The decimal digits of n, at any size.  str() refuses integers past the
+    interpreter's digit limit (`sys.get_int_max_str_digits`); past it, the
+    two halves of n in base 10**k are converted apart."""
+    try:
+        return str(n)
+    except ValueError:
+        k = n.bit_length() * 3 // 20  # about half the decimal digits
+        hi, lo = divmod(abs(n), 10 ** k)
+        return ("-" if n < 0 else "") + _int_str(hi) + _int_str(lo).zfill(k)
+
+
+def _parse_int(text: str) -> int:
+    """int(text), also for a signed digit string past the interpreter's digit
+    limit, which is read in two halves."""
+    try:
+        return int(text)
+    except ValueError:
+        s = text.strip()
+        sign = s[:1] if s[:1] in ("+", "-") else ""
+        digits = s[len(sign):]
+        if not (digits.isascii() and digits.isdigit()):
+            raise
+        k = len(digits) // 2
+        v = _parse_int(digits[:-k]) * 10 ** k + _parse_int(digits[-k:])
+        return -v if sign == "-" else v
 
 
 def parse_rational(text) -> Fraction:
@@ -189,11 +218,11 @@ def parse_rational(text) -> Fraction:
     if isinstance(text, str):
         s = text.strip()
         if "/" in s:
-            num, den = (int(x) for x in s.split("/", 1))
+            num, den = (_parse_int(x) for x in s.split("/", 1))
             if den == 0:
                 raise ValueError(f"zero denominator: {text!r}")
             return Fraction(num, den)
-        return Fraction(int(s))
+        return Fraction(_parse_int(s))
     raise ValueError(f"not a rational: {text!r}")
 
 

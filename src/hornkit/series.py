@@ -15,6 +15,15 @@ finite support, escapes the window or meets a resonant collision; only a
 support that closes, or a series table, gets coefficients.  Atomic strip
 solutions and the full system's persistent solutions grow at
 `default_window`, the harvest at the window it is given.
+
+Before a walk that may stop at the window, an escape certificate
+(`_escape_certified`) tries to prove the escape.  Let R be the offsets d
+where every integer-valued row has n_i + <A_i, d> <= 0.  If the start lies
+in R, a step from R is live exactly when it stays in R, no collision test
+can fire, and the walk's outcome does not depend on its order.  A monotone
+staircase in R from the start to a recession direction w of R then proves
+the escape: its translates by multiples of w leave every box.  Starts the
+certificate does not prove are walked.
 """
 
 from __future__ import annotations
@@ -86,8 +95,13 @@ def grow_component(s: HornSystem, alpha0: QVec, radius: int,
     nonzero, so every step it takes is defined.  The comparison is kept as
     a guard; every collision raised comes from the walk's zero-denominator
     test.
+
+    With early_exit, `_escape_certified` first tries to prove the escape
+    from the integer-valued rows alone; a proved escape skips the walk.
     """
     ev = _ClassFactors(s, qvec(alpha0[0], alpha0[1]))
+    if early_exit and _escape_certified(ev, radius):
+        return GrowResult({}, True)
     edges, exceeded = _walk_support(ev, radius, early_exit)
     if exceeded and early_exit:
         return GrowResult({}, True)
@@ -151,6 +165,75 @@ def _vanishes(rows: list, d: Offset) -> bool:
         if -e < n + a * d1 + b * d2 <= 0:
             return True
     return False
+
+
+def _escape_certified(ev: _ClassFactors, radius: int) -> bool:
+    """Whether the support walk from offset 0 provably leaves the radius box.
+
+    Write v_i(d) = n_i + <A_i, d> for the integer-valued rows (n_i, a_i, b_i)
+    of `p_int`/`q_int`, and R = {d : v_i(d) <= 0 for every such row}.
+
+    Lemma.  Let every n_i <= 0, so that offset 0 lies in R.  From a point d
+    of R, (i) a step to a neighbour is live exactly when the neighbour lies
+    in R, on both the forward and the backward test; (ii) no collision test
+    fires; (iii) so the walk covers the 4-connected component of 0 among
+    the lattice points of R within the box, whatever its order, and exceeds
+    exactly when that component leaves the box.  Proof: the forward j-step
+    is cut where a row with A_ij > 0 has -A_ij < v_i(d) <= 0, which, as
+    v_i(d) <= 0, says v_i(d + e_j) = v_i(d) + A_ij > 0; rows with A_ij <= 0
+    do not grow along e_j.  So the step is cut exactly when d + e_j leaves
+    R.  Its collision test asks a row with A_ij < 0 for
+    -|A_ij| < v_i(d + e_j) <= 0, but v_i(d + e_j) = v_i(d) - |A_ij| <= -|A_ij|.
+    The backward step is the same argument with P_j and Q_j exchanged.
+
+    Certificate.  A lattice vector w != 0 with <A_i, w> <= 0 for every row
+    keeps R: d in R implies d + w in R.  If a monotone staircase from 0 to w
+    lies in R, its translates by multiples of w chain into an unbounded path
+    in R, which leaves the box through live steps.  The staircase
+    (`_staircase_in`) is checked point by point, and reaching a point
+    outside the box proves the escape at once.  The candidates are the
+    rows' primitive boundary directions +-(-b_i, a_i) that satisfy every
+    row, and their sum: a nonzero recession cone of R has its edges on
+    those lines, so when none qualifies, R is bounded and nothing is
+    proved.  False means unproved; the walk decides.
+    """
+    rows: set[tuple[int, int, int]] = set()
+    for side in (ev.p_int[1], ev.p_int[2], ev.q_int[1], ev.q_int[2]):
+        for n, a, b, _ in side:
+            if n > 0:
+                return False
+            rows.add((n, a, b))
+    if not rows:
+        return True  # no factor can vanish: R is the plane
+    dirs: list[Offset] = []
+    for _, a, b in rows:
+        g = gcd(a, b)
+        for w in ((-b // g, a // g), (b // g, -a // g)):
+            if w not in dirs and all(ra * w[0] + rb * w[1] <= 0 for _, ra, rb in rows):
+                dirs.append(w)
+    total = (sum(w[0] for w in dirs), sum(w[1] for w in dirs))
+    if total != (0, 0):
+        dirs.append(total)
+    return any(_staircase_in(rows, w, radius) for w in dirs)
+
+
+def _staircase_in(rows: set, w: Offset, radius: int) -> bool:
+    """Whether a monotone staircase from 0 to w stays in R up to w or up to
+    its first point outside the radius box.  Each step goes along the axis
+    that keeps the point nearer the line through w, or along the other axis
+    where that point leaves R."""
+    (w1, w2), x, y = w, 0, 0
+    s1, s2 = (1 if w1 > 0 else -1), (1 if w2 > 0 else -1)
+    while (x, y) != w:
+        steps = ([(x + s1, y)] if x != w1 else []) + ([(x, y + s2)] if y != w2 else [])
+        steps.sort(key=lambda p: abs(p[0] * w2 - p[1] * w1))
+        inside = [p for p in steps if all(n + a * p[0] + b * p[1] <= 0 for n, a, b in rows)]
+        if not inside:
+            return False
+        x, y = inside[0]
+        if max(abs(x), abs(y)) > radius:
+            return True
+    return True
 
 
 def _fill(ev: _ClassFactors, edges: list[_Edge]) -> dict[Offset, Fraction]:
@@ -243,10 +326,11 @@ def branch_initial_exponent(sub: AtomicSystem, k0: Offset) -> QVec:
 
 
 def _atomic_pair(s: HornSystem, indices: tuple[int, int]) -> AtomicSystem:
-    """The nondegenerate row pair `indices` of s; ValueError if it is
-    degenerate or out of range."""
+    """The nondegenerate row pair `indices` of s, in either order; ValueError
+    if it is degenerate or out of range."""
+    want = tuple(sorted(indices))
     for x in enumerate_atomic(s):
-        if x.indices == tuple(indices):
+        if x.indices == want:
             return x
     raise ValueError(f"rows {tuple(indices)} are degenerate or out of range")
 
@@ -292,7 +376,7 @@ def series_from_submatrix(s: HornSystem, indices: tuple[int, int], branch: int,
         raise ValueError(f"branch {branch} out of range 0..{len(bases) - 1}")
     alpha0 = branch_initial_exponent(sub, bases[branch])
     res = grow_component(s, alpha0, window, early_exit=False)
-    return TruncatedSeries(tuple(indices), branch, alpha0, res.values, window)
+    return TruncatedSeries(sub.indices, branch, alpha0, res.values, window)
 
 
 def verify_truncated(t: TruncatedSeries, s: HornSystem) -> bool:

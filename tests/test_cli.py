@@ -16,6 +16,7 @@ TRI = str(FIXTURES / "triangle_sides.json")
 SIMPLEX = str(FIXTURES / "triangle_simplex.json")
 ATOMIC = str(FIXTURES / "atomic_32_43.json")
 EX21 = str(FIXTURES / "example21.json")
+QUAD = str(FIXTURES / "quadrilateral.json")
 
 
 def run(*args):
@@ -197,6 +198,31 @@ def test_series_listing_and_table():
     assert d["initial_exponent"] == ["-1/3", "-1/5"]
     coeffs = {tuple(c["offset"]): c["value"] for c in d["coefficients"]}
     assert coeffs[(0, 0)] == "1"
+    # the pair in either order prints the same table; a repeated row is no pair
+    assert run("series", EX21, "--submatrix", "2,1", "--window", "3").output == r.output
+    r = run("series", EX21, "--submatrix", "1,1")
+    assert r.exit_code == 2 and "degenerate" in json.loads(r.stderr)["error"]
+
+
+def test_series_table_past_the_digit_limit():
+    # at window 60 the quadrilateral's coefficients pass 4,300 digits, the
+    # default limit of int/str conversion
+    from hornkit.puiseux import parse_rational
+    from hornkit.series import TruncatedSeries, verify_truncated
+    from hornkit.system import HornSystem
+
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    r = run("series", QUAD, "--submatrix", "0,1", "--branch", "0", "--window", "60")
+    assert r.exit_code == 0, r.output[-300:]
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    d = json.loads(r.output)
+    assert max(len(c["value"]) for c in d["coefficients"]) > 4300
+    t = TruncatedSeries(tuple(d["subsystem"]), d["branch"],
+                        tuple(parse_rational(x) for x in d["initial_exponent"]),
+                        {tuple(c["offset"]): parse_rational(c["value"])
+                         for c in d["coefficients"]}, d["window"])
+    with open(QUAD) as fh:
+        assert verify_truncated(t, HornSystem.from_json(json.load(fh)))
 
 
 def test_series_listing_large_determinant(tmp_path):
@@ -227,6 +253,16 @@ def test_verify_command(tmp_path):
     d = json.loads(r.output)
     assert d["is_solution"] is True
     assert d["is_persistent"] is False
+
+    # the same solution scaled by a 5,000-digit integer
+    big = tmp_path / "big.json"
+    terms = json.loads(sol.read_text())["terms"]
+    for term in terms:
+        term["coefficient"] += "0" * 5000
+    big.write_text(json.dumps({"terms": terms}))
+    r = run("verify", SIMPLEX, "--solution", str(big))
+    assert r.exit_code == 0, r.output
+    assert json.loads(r.output)["is_solution"] is True
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"terms": [{"exponent": ["1", "0"], "coefficient": "1"}]}))

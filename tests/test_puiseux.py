@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -49,3 +50,19 @@ def test_parse_rational():
         parse_rational("1.5")
     assert format_rational(F(4, 2)) == "2"
     assert format_rational(F(-1, 3)) == "-1/3"
+
+
+def test_rationals_past_the_digit_limit():
+    # 5,000 digits pass the default int/str conversion limit of 4,300; the
+    # zeros inside the numerator check that each half keeps its width
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    num = 3 * 10 ** 4999 + 7
+    for q in (F(num, 2 ** 16000), F(-num), F(1, 7 ** 6000)):
+        text = format_rational(q)
+        assert parse_rational(text) == q
+    assert format_rational(F(-num)) == "-3" + "0" * 4998 + "7"
+    assert parse_rational("+3" + "0" * 4998 + "7/1") == num
+    for bad in ("1" * 5000 + "x", "+-" + "1" * 5000, "1" * 5000 + "/0"):
+        with pytest.raises(ValueError):
+            parse_rational(bad)
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit

@@ -14,6 +14,8 @@ from hornkit.series import (
     HarvestResult,
     ResonantCollisionError,
     _Quotient,
+    _escape_certified,
+    _walk_support,
     branch_base_points,
     branch_initial_exponent,
     default_window,
@@ -127,9 +129,14 @@ def test_support_cone():
     cone = support_cone(at, (0, 1))
     assert cone.contains((F(-3), F(4))) and cone.contains((F(-2), F(3)))
 
-    # a parallel pair and a pair past the last row are no atomic pairs
+    # a pair may be given in either order
+    assert support_cone(at, (1, 0)) == cone
+    assert series_from_submatrix(at, (1, 0), 0, 3) == series_from_submatrix(at, (0, 1), 0, 3)
+
+    # a parallel pair, a repeated row and a pair past the last row are no
+    # atomic pairs
     sq = HornSystem.make([[1, 0], [-1, 0], [0, 1], [0, -1]], [0, "1/2", "1/3", "1/5"])
-    for indices in ((0, 1), (0, 4)):
+    for indices in ((0, 1), (1, 0), (2, 2), (0, 4)):
         for call in (lambda: support_cone(sq, indices),
                      lambda: series_from_submatrix(sq, indices, 0, 3)):
             with pytest.raises(ValueError, match="degenerate or out of range"):
@@ -249,6 +256,77 @@ def test_resonant_collisions_are_zero_denominators():
                         collisions += 1
                         assert zero_denominator_at(s, exc.point), (s, alpha0, exc.point)
     assert collisions > 0
+
+
+def test_escape_certificate_sound():
+    """Every start the certificate proves escaping is one the support walk
+    reports exceeded, at resonant parameters where walks close off and
+    collide."""
+    rng = random.Random(83)
+    certified = 0
+    for i in range(200):
+        rows = random_nonconfluent_system(rng, max_m=5).rows
+        den = (1, 2, 3)[i % 3]
+        s = HornSystem.make(rows, [F(rng.randint(-8, 8), den) for _ in rows])
+        for sub in enumerate_atomic(s):
+            for k0 in branch_base_points(sub):
+                ev = _ClassFactors(s, branch_initial_exponent(sub, k0))
+                for window in (6, 20):
+                    if _escape_certified(ev, window):
+                        certified += 1
+                        assert _walk_support(ev, window, True)[1], (s, ev.anchor, window)
+    assert certified > 2000, certified
+
+
+def test_escape_certificate_covers_quadrilateral(quadrilateral, monkeypatch):
+    """At the default window no escaping start of the quadrilateral reaches
+    the support walk: the certificate decides them all."""
+    import hornkit.series as series
+
+    walked = []
+
+    def counted(ev, radius, early_exit):
+        walked.append(ev.anchor)
+        return _walk_support(ev, radius, early_exit)
+
+    monkeypatch.setattr(series, "_walk_support", counted)
+    results = harvest_polynomials(quadrilateral, default_window(quadrilateral))
+    escapes = [r.initial_exponent for r in results if r.outcome == "exceeds_window"]
+    assert escapes and walked
+    assert not set(escapes) & set(walked)
+
+
+def test_escape_certificate_negative_cases():
+    # the box -2 <= d1, d2 <= 1 with every row <= 0 at offset 0: R is
+    # bounded, so nothing is certified, not even at a radius the walk leaves
+    box = HornSystem.make([[1, 0], [-1, 0], [0, 1], [0, -1]], [0, -3, 0, -3])
+    ev = _ClassFactors(box, (F(-1), F(-1)))
+    assert not _walk_support(ev, 5, True)[1]
+    assert _walk_support(ev, 1, True)[1]
+    for radius in (0, 1, 5):
+        assert not _escape_certified(ev, radius)
+    # row (1, 0) takes the value 1 > 0 at offset 0, and the backward 1-step
+    # collides; the staircase to (-1, 0) alone would lie in R
+    quad = HornSystem.make([[1, 0], [0, 1]], [0, 0])
+    ev = _ClassFactors(quad, (F(1), F(0)))
+    with pytest.raises(ResonantCollisionError):
+        _walk_support(ev, 5, True)
+    for radius in (0, 1, 5, 50):
+        assert not _escape_certified(ev, radius)
+
+
+def test_escape_certificate_thin_cone():
+    """Rows (3,2), (-4,-3) keep R inside the wedge between (-2,3) and
+    (-3,4): no axis ray stays in it, but the staircase to (-2,3) does."""
+    s = HornSystem.make([[3, 2], [-4, -3]], ["1/3", "1/5"])
+    (sub,) = enumerate_atomic(s)
+    for e in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        assert any(r.a * e[0] + r.b * e[1] > 0 for r in s.rows)
+    for k0, escapes in (((0, 0), False), ((1, 1), False), ((2, 2), True), ((5, 3), True)):
+        ev = _ClassFactors(s, branch_initial_exponent(sub, k0))
+        assert sorted(n for n, *_ in ev.p_int[1] + ev.q_int[1]) == sorted((-k0[0], -k0[1]))
+        assert _walk_support(ev, 30, True)[1] is escapes
+        assert _escape_certified(ev, 30) is escapes
 
 
 def test_default_window_formula(zonotope):
