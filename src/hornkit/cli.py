@@ -19,7 +19,7 @@ from .counting import (
     persistent_dim,
 )
 from .polygon import Kind, build_polygon, classify, vertex_count
-from .puiseux import PuiseuxPolynomial, format_rational
+from .puiseux import PuiseuxPolynomial, _parse_int, format_rational
 from .render import polygon_svg, supports_svg
 from .series import (
     ResonantCollisionError,
@@ -48,7 +48,7 @@ def _fail(code: int, message: str):
 def _load_system(path: str) -> HornSystem:
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_int=_parse_int)
         return HornSystem.from_json(data)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         _fail(2, f"cannot parse system file {path}: {exc}")
@@ -292,7 +292,7 @@ def verify(input_path, solution_path, out):
     s = _load_system(input_path)
     try:
         with open(solution_path) as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_int=_parse_int)
         terms = data["terms"] if isinstance(data, dict) else data
         f = PuiseuxPolynomial.from_json(terms)
         if f.is_zero():

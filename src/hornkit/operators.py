@@ -7,6 +7,8 @@ Q_j the same for rows with A_{i,j} < 0 and l = 0..|A_{i,j}|-1.  Operators
 stay factored; theta acts on x^alpha by the scalar alpha.  Growth, series
 checks and operator application evaluate the factors on one exponent class
 at a time, in integers (`_ClassFactors`); `eval_factors` is the reference.
+Residuals are computed class by class (`_class_residual`), which lets the
+harvest verify a support on the evaluator it grew it with.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ from .puiseux import PuiseuxPolynomial
 from .system import HornSystem
 
 Offset = tuple[int, int]
+# An exponent class mod Z^2, (r1, q1, r2, q2) for the class of
+# (r1/q1, r2/q2), with 0 <= r_i < q_i and gcd(r_i, q_i) = 1.
+ClassKey = tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -114,6 +119,23 @@ class _ClassFactors:
         self.q_int = tuple([(n, a, b, e) for n, a, b, q, e in rows if q == 1]
                            for rows in self.neg)
 
+    def shifted(self, k: Offset) -> "_ClassFactors":
+        """The same class anchored at anchor + k.  Row i's value at the new
+        anchor is (n_i + q_i*<A_i, k>)/q_i, still in lowest terms, so only
+        the n_i move; q_i and the denominators stay."""
+        k1, k2 = k
+        out = object.__new__(_ClassFactors)
+        out.anchor = (self.anchor[0] + k1, self.anchor[1] + k2)
+        out.pos, out.neg = (
+            tuple([(n + qa * k1 + qb * k2, qa, qb, q, e) for n, qa, qb, q, e in rows]
+                  for rows in side)
+            for side in (self.pos, self.neg))
+        out.p_int, out.q_int = (
+            tuple([(n + a * k1 + b * k2, a, b, e) for n, a, b, e in rows] for rows in side)
+            for side in (self.p_int, self.q_int))
+        out.p_den, out.q_den = self.p_den, self.q_den
+        return out
+
     def p_num(self, j: int, d: Offset) -> int:
         """Numerator of P_j at offset d, over the denominator p_den[j]."""
         return _product(self.pos[j], d)
@@ -145,50 +167,73 @@ def _product(rows: list, d: Offset) -> int:
     return out
 
 
-def apply_horn(j: int, f: PuiseuxPolynomial, s: HornSystem) -> PuiseuxPolynomial:
-    """Residual x_j P_j(theta) f - Q_j(theta) f, exactly.
+def _class_exponent(key: ClassKey, d: Offset) -> QVec:
+    """The exponent (r1/q1 + d1, r2/q2 + d2) of offset d on the class key."""
+    r1, q1, r2, q2 = key
+    return (Fraction(r1 + d[0] * q1, q1), Fraction(r2 + d[1] * q2, q2))
 
-    A zero residual for both j means f solves the system; nonzero terms
-    point at the offending support positions.  Each term is evaluated at its
-    integer offset on its exponent class mod Z^2, so f may mix classes.
-    """
-    if j not in (1, 2):
-        raise ValueError("j must be 1 or 2")
-    s1, s2 = (1, 0) if j == 1 else (0, 1)
+
+def _by_class(f: PuiseuxPolynomial, s: HornSystem) -> list[tuple[_ClassFactors, dict]]:
+    """f's terms split by exponent class mod Z^2: per class, its evaluator,
+    anchored at the class point in [0, 1)^2, and its terms by offset."""
     classes: dict = {}
-    out: dict = {}  # (class, offset) -> residual coefficient
     for (x, y), c in f.terms.items():
         xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
         cls = (xn % xd, xd, yn % yd, yd)
-        ev = classes.get(cls)
-        if ev is None:
-            ev = classes[cls] = _ClassFactors(s, (Fraction(cls[0], xd), Fraction(cls[2], yd)))
-        d1, d2 = xn // xd, yn // yd
+        part = classes.get(cls)
+        if part is None:
+            part = classes[cls] = (_ClassFactors(s, _class_exponent(cls, (0, 0))), {})
+        part[1][(xn // xd, yn // yd)] = c
+    return list(classes.values())
+
+
+def _class_residual(ev: _ClassFactors, j: int, terms: dict) -> dict[Offset, Fraction]:
+    """The nonzero terms of x_j P_j(theta) f - Q_j(theta) f, by offset, for
+    f = sum of terms[d] * x^(anchor + d) on the class of ev."""
+    s1, s2 = (1, 0) if j == 1 else (0, 1)
+    p_den, q_den = ev.p_den[j], ev.q_den[j]
+    out: dict[Offset, Fraction] = {}
+    for (d1, d2), c in terms.items():
         pv = ev.p_num(j, (d1, d2))
         if pv:
-            key = (cls, d1 + s1, d2 + s2)
-            v = out.get(key, 0) + c * Fraction(pv, ev.p_den[j])
+            key = (d1 + s1, d2 + s2)
+            v = out.get(key, 0) + c * Fraction(pv, p_den)
             if v:
                 out[key] = v
             else:
                 out.pop(key, None)
         qv = ev.q_num(j, (d1, d2))
         if qv:
-            key = (cls, d1, d2)
-            v = out.get(key, 0) - c * Fraction(qv, ev.q_den[j])
+            key = (d1, d2)
+            v = out.get(key, 0) - c * Fraction(qv, q_den)
             if v:
                 out[key] = v
             else:
                 out.pop(key, None)
+    return out
+
+
+def apply_horn(j: int, f: PuiseuxPolynomial, s: HornSystem) -> PuiseuxPolynomial:
+    """Residual x_j P_j(theta) f - Q_j(theta) f, exactly.
+
+    A zero residual for both j means f solves the system; nonzero terms
+    point at the offending support positions.  Each term is evaluated at its
+    integer offset on its exponent class mod Z^2 (`_class_residual`), so f
+    may mix classes.
+    """
+    if j not in (1, 2):
+        raise ValueError("j must be 1 or 2")
     res = PuiseuxPolynomial.zero()
-    res.terms = {classes[cls].exponent((d1, d2)): v for (cls, d1, d2), v in out.items()}
+    for ev, terms in _by_class(f, s):
+        res.terms.update((ev.exponent(d), v) for d, v in _class_residual(ev, j, terms).items())
     return res
 
 
 def is_solution(f: PuiseuxPolynomial, s: HornSystem) -> bool:
     if f.is_zero():
         raise ValueError("zero polynomial is trivially a solution; rejected")
-    return apply_horn(1, f, s).is_zero() and apply_horn(2, f, s).is_zero()
+    return not any(_class_residual(ev, j, terms)
+                   for ev, terms in _by_class(f, s) for j in (1, 2))
 
 
 def apply_intertwiner(j: int, f: PuiseuxPolynomial, s: HornSystem) -> PuiseuxPolynomial:

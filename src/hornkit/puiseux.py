@@ -192,7 +192,8 @@ def _int_str(n: int) -> str:
 
 def _parse_int(text: str) -> int:
     """int(text), also for a signed digit string past the interpreter's digit
-    limit, which is read in two halves."""
+    limit, which is read in two halves.  A malformed string of any length
+    raises int()'s "invalid literal" error, with a long one cut short."""
     try:
         return int(text)
     except ValueError:
@@ -200,7 +201,8 @@ def _parse_int(text: str) -> int:
         sign = s[:1] if s[:1] in ("+", "-") else ""
         digits = s[len(sign):]
         if not (digits.isascii() and digits.isdigit()):
-            raise
+            shown = repr(text) if len(text) <= 60 else f"{text[:60]!r}... ({len(text)} characters)"
+            raise ValueError(f"invalid literal for int() with base 10: {shown}") from None
         k = len(digits) // 2
         v = _parse_int(digits[:-k]) * 10 ** k + _parse_int(digits[-k:])
         return -v if sign == "-" else v

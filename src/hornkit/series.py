@@ -16,6 +16,12 @@ support that closes, or a series table, gets coefficients.  Atomic strip
 solutions and the full system's persistent solutions grow at
 `default_window`, the harvest at the window it is given.
 
+The harvest runs on exponent classes in integers.  A start is a class key
+and an integer offset on it (`_branch_start`), each class gets one factor
+evaluator (`operators._ClassFactors`), rebased by offset for every later
+start on it, the covered-start skip compares offsets, and a finite
+support is verified on the evaluator it was grown with.
+
 Before a walk that may stop at the window, an escape certificate
 (`_escape_certified`) tries to prove the escape.  Let R be the offsets d
 where every integer-valued row has n_i + <A_i, d> <= 0.  If the start lies
@@ -33,7 +39,7 @@ from fractions import Fraction
 from math import gcd
 
 from .lattice import QVec, inverse_times, qvec
-from .operators import Offset, _ClassFactors, is_solution
+from .operators import ClassKey, Offset, _class_exponent, _class_residual, _ClassFactors
 from .puiseux import PuiseuxPolynomial
 from .system import AtomicSystem, HornSystem, enumerate_atomic
 from .counting import ConeQ
@@ -61,9 +67,9 @@ class GrowResult:
     exceeded: bool
 
 
-def grow_component(s: HornSystem, alpha0: QVec, radius: int,
-                   early_exit: bool = True) -> GrowResult:
-    """Grow the coupled component through alpha0, assigning it coefficient 1.
+def grow_component(ev: _ClassFactors, radius: int, early_exit: bool = True) -> GrowResult:
+    """Grow the coupled component through the anchor of ev, assigning it
+    coefficient 1.
 
     Growth walks the support, then fills its coefficients.  The walk follows
     every forced relation in all four lattice directions, depth first.  It
@@ -99,7 +105,6 @@ def grow_component(s: HornSystem, alpha0: QVec, radius: int,
     With early_exit, `_escape_certified` first tries to prove the escape
     from the integer-valued rows alone; a proved escape skips the walk.
     """
-    ev = _ClassFactors(s, qvec(alpha0[0], alpha0[1]))
     if early_exit and _escape_certified(ev, radius):
         return GrowResult({}, True)
     edges, exceeded = _walk_support(ev, radius, early_exit)
@@ -255,12 +260,11 @@ def _fill(ev: _ClassFactors, edges: list[_Edge]) -> dict[Offset, Fraction]:
 def component_polynomial(s: HornSystem, alpha0: QVec, radius: int) -> PuiseuxPolynomial | None:
     """The finite solution through alpha0, or None if it leaves the radius
     box; an escape is decided by the support walk, before any coefficient."""
-    res = grow_component(s, alpha0, radius, early_exit=True)
+    ev = _ClassFactors(s, qvec(alpha0[0], alpha0[1]))
+    res = grow_component(ev, radius)
     if res.exceeded:
         return None
-    return PuiseuxPolynomial(
-        {(alpha0[0] + d[0], alpha0[1] + d[1]): v for d, v in res.values.items()}
-    )
+    return PuiseuxPolynomial({ev.exponent(d): v for d, v in res.values.items()})
 
 
 # -- atomic subsystems and branch bookkeeping --------------------------------
@@ -319,10 +323,30 @@ def branch_base_points(sub: AtomicSystem) -> list[Offset]:
     return out
 
 
+def _branch_start(sub: AtomicSystem, k0: Offset) -> tuple[ClassKey, Offset]:
+    """alpha0 = -A_I^{-1}(k0 + c_I) as its exponent class and integer part.
+
+    With l the lcm of the denominators of c_I and D = l*|det A_I|, D*alpha0
+    is the integer vector -sgn(det A_I) * adj(A_I) (l*k0 + l*c_I).  Each
+    coordinate N/D is floor(N/D) plus (N mod D)/D, which in lowest terms r/q
+    gives the class key (r1, q1, r2, q2), the key `operators._by_class` uses.
+    """
+    (a1, b1), (a2, b2) = sub.rows
+    c1, c2 = sub.params
+    lcd = c1.denominator * c2.denominator // gcd(c1.denominator, c2.denominator)
+    v1 = lcd * k0[0] + c1.numerator * (lcd // c1.denominator)
+    v2 = lcd * k0[1] + c2.numerator * (lcd // c2.denominator)
+    det = sub.det
+    den, sign = lcd * abs(det), (-1 if det > 0 else 1)
+    o1, r1 = divmod(sign * (b2 * v1 - b1 * v2), den)
+    o2, r2 = divmod(sign * (a1 * v2 - a2 * v1), den)
+    g1, g2 = gcd(r1, den), gcd(r2, den)
+    return (r1 // g1, den // g1, r2 // g2, den // g2), (o1, o2)
+
+
 def branch_initial_exponent(sub: AtomicSystem, k0: Offset) -> QVec:
-    """alpha0 = -A_I^{-1}(k0 + c_I)."""
-    w = inverse_times(sub.rows, (k0[0] + sub.params[0], k0[1] + sub.params[1]))
-    return (-w[0], -w[1])
+    """alpha0 = -A_I^{-1}(k0 + c_I), computed in integers (`_branch_start`)."""
+    return _class_exponent(*_branch_start(sub, k0))
 
 
 def _atomic_pair(s: HornSystem, indices: tuple[int, int]) -> AtomicSystem:
@@ -375,7 +399,7 @@ def series_from_submatrix(s: HornSystem, indices: tuple[int, int], branch: int,
     if not 0 <= branch < len(bases):
         raise ValueError(f"branch {branch} out of range 0..{len(bases) - 1}")
     alpha0 = branch_initial_exponent(sub, bases[branch])
-    res = grow_component(s, alpha0, window, early_exit=False)
+    res = grow_component(_ClassFactors(s, alpha0), window, early_exit=False)
     return TruncatedSeries(sub.indices, branch, alpha0, res.values, window)
 
 
@@ -427,6 +451,13 @@ def harvest_polynomials(s: HornSystem, window: int) -> list[HarvestResult]:
     coefficient is computed; a vanishing denominator against a live
     numerator reports the offending point.
 
+    Starts are taken in integers, as a class key and an offset on it
+    (`_branch_start`).  Each exponent class gets one evaluator, built at its
+    first start; a later start on the class rebases it by its offset
+    (`_ClassFactors.shifted`).  A finite support is checked on the
+    evaluator it was grown with (`operators._class_residual`), and only a
+    reported polynomial gets rational exponents.
+
     The finite outcomes are distinct solutions.  A start inside a harvested
     support S is not explored when S fits its window box: the walk from it
     would find S again, with no cut, collision or escape that the walk of S
@@ -434,37 +465,46 @@ def harvest_polynomials(s: HornSystem, window: int) -> list[HarvestResult]:
     harvested polynomial is never found twice.
     """
     results: list[HarvestResult] = []
-    covered: dict[QVec, PuiseuxPolynomial] = {}  # exponent -> harvested polynomial
+    classes: dict[ClassKey, tuple[Offset, _ClassFactors]] = {}  # first start's offset, evaluator
+    covered: dict[tuple[ClassKey, Offset], list[Offset]] = {}  # point -> harvested support
 
     for sub in enumerate_atomic(s):
         for branch, k0 in enumerate(branch_base_points(sub)):
-            alpha0 = branch_initial_exponent(sub, k0)
-            done = covered.get(alpha0)
-            if done is not None and all(
-                    max(abs(x - alpha0[0]), abs(y - alpha0[1])) <= window
-                    for x, y in done.terms):
+            key, (o1, o2) = _branch_start(sub, k0)
+            done = covered.get((key, (o1, o2)))
+            if done is not None and all(max(abs(x - o1), abs(y - o2)) <= window
+                                        for x, y in done):
                 continue
+            if key not in classes:
+                classes[key] = ((o1, o2), _ClassFactors(s, _class_exponent(key, (o1, o2))))
+            (f1, f2), ev = classes[key]
+            ev = ev.shifted((o1 - f1, o2 - f2))
+            alpha0 = ev.anchor
             try:
-                poly = component_polynomial(s, alpha0, window)
+                res = grow_component(ev, window)
             except ResonantCollisionError as exc:
                 results.append(HarvestResult(
                     "resonant_collision", sub.indices, branch, alpha0,
                     collision_point=exc.point,
                 ))
                 continue
-            if poly is None:
+            if res.exceeded:
                 results.append(HarvestResult(
                     "exceeds_window", sub.indices, branch, alpha0,
                 ))
                 continue
-            poly = poly.normalized()
-            if not is_solution(poly, s):
+            values = res.values
+            if _class_residual(ev, 1, values) or _class_residual(ev, 2, values):
                 results.append(HarvestResult(
                     "resonant_collision", sub.indices, branch, alpha0,
                     collision_point=alpha0,
                 ))
                 continue
-            covered.update(dict.fromkeys(poly.terms, poly))
+            support = [(o1 + d1, o2 + d2) for d1, d2 in values]
+            covered.update(dict.fromkeys(((key, p) for p in support), support))
+            scale = 1 / values[min(values)]  # 1 at the lex-smallest exponent
+            poly = PuiseuxPolynomial.zero()
+            poly.terms = {ev.exponent(d): v * scale for d, v in values.items()}
             results.append(HarvestResult(
                 "finite", sub.indices, branch, alpha0, polynomial=poly,
             ))

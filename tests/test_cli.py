@@ -272,6 +272,23 @@ def test_verify_command(tmp_path):
     assert len(d["residuals"]) >= 1
 
 
+def test_json_numbers_past_the_digit_limit(tmp_path):
+    # JSON number literals, not strings, past the 4,300-digit limit of
+    # int/str conversion: a coefficient of the solution file and a parameter
+    # of the system file
+    sol = tmp_path / "sol.json"
+    sol.write_text('{"terms": [{"exponent": ["-1", "-1"], "coefficient": 1%s}]}' % ("0" * 5000))
+    r = run("verify", SIMPLEX, "--solution", str(sol))
+    assert r.exit_code == 0, r.output
+    assert json.loads(r.output)["is_solution"] is True
+    system = tmp_path / "system.json"
+    system.write_text('{"matrix": [[1, 1], [1, -2], [-2, 1]], "parameters": [%s, -1, -1]}'
+                      % ("7" * 5000))
+    r = run("rank", str(system))
+    assert r.exit_code == 0, r.output
+    assert json.loads(r.output)["rank"] == 4
+
+
 def test_verify_persistent_monomial():
     runner = CliRunner()
     with runner.isolated_filesystem():

@@ -118,6 +118,32 @@ def test_class_factors_match_affine_factors(system_anchor, offsets):
             assert ev.q(j, d) == eval_factors(ops.q(j), alpha)
 
 
+def test_shifted_matches_fresh_evaluator():
+    """Rebasing a class evaluator by an integer offset gives, field by field,
+    the evaluator built at the new anchor: at resonant parameters, anchored
+    at every start of the system, for every offset in [-5, 5]^2."""
+    from hornkit.series import branch_base_points, branch_initial_exponent
+    from hornkit.system import enumerate_atomic
+
+    rng = random.Random(89)
+    fields = ("pos", "neg", "p_int", "q_int", "p_den", "q_den", "anchor")
+    compared = 0
+    for i in range(12):
+        rows = random_nonconfluent_system(rng, max_m=4).rows
+        den = (1, 2, 3)[i % 3]
+        s = HornSystem.make(rows, [F(rng.randint(-8, 8), den) for _ in rows])
+        for sub in enumerate_atomic(s):
+            anchor = branch_initial_exponent(sub, branch_base_points(sub)[-1])
+            ev = _ClassFactors(s, anchor)
+            for k in ((k1, k2) for k1 in range(-5, 6) for k2 in range(-5, 6)):
+                got = ev.shifted(k)
+                want = _ClassFactors(s, (anchor[0] + k[0], anchor[1] + k[1]))
+                for name in fields:
+                    assert getattr(got, name) == getattr(want, name), (s, anchor, k, name)
+                compared += 1
+    assert compared > 3000, compared
+
+
 @settings(max_examples=100, deadline=None)
 @given(_anchored_systems(), st.lists(st.tuples(_offsets, _rationals), min_size=1, max_size=8),
        st.tuples(_rationals, _rationals))

@@ -65,4 +65,7 @@ def test_rationals_past_the_digit_limit():
     for bad in ("1" * 5000 + "x", "+-" + "1" * 5000, "1" * 5000 + "/0"):
         with pytest.raises(ValueError):
             parse_rational(bad)
+    # a malformed string is named as one, whatever its length
+    with pytest.raises(ValueError, match="invalid literal"):
+        parse_rational("1" * 5000 + "x")
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit

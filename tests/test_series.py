@@ -210,7 +210,7 @@ def test_verify_truncated_on_finite_support(triangle_simplex):
     from hornkit.series import TruncatedSeries, grow_component
 
     alpha0 = (F(-1), F(-1))
-    grown = grow_component(triangle_simplex, alpha0, 10, early_exit=True)
+    grown = grow_component(_ClassFactors(triangle_simplex, alpha0), 10, early_exit=True)
     assert not grown.exceeded
     t = TruncatedSeries((1, 2), 0, alpha0, grown.values, 10)
     assert verify_truncated(t, triangle_simplex)
@@ -222,7 +222,7 @@ def test_resonant_collision_reported():
     # walk from (-3, 0) is forced one step right onto a vanishing Q_1
     s = HornSystem.make([[1, 0], [-1, 0], [0, 1], [0, -1]], [0, -2, 0, 0])
     with pytest.raises(ResonantCollisionError):
-        grow_component(s, (F(-3), F(0)), 5)
+        grow_component(_ClassFactors(s, (F(-3), F(0))), 5)
 
 
 def test_resonant_collisions_are_zero_denominators():
@@ -251,7 +251,7 @@ def test_resonant_collisions_are_zero_denominators():
                 alpha0 = branch_initial_exponent(sub, k0)
                 for early_exit in (True, False):
                     try:
-                        grow_component(s, alpha0, 8, early_exit=early_exit)
+                        grow_component(_ClassFactors(s, alpha0), 8, early_exit=early_exit)
                     except ResonantCollisionError as exc:
                         collisions += 1
                         assert zero_denominator_at(s, exc.point), (s, alpha0, exc.point)
@@ -327,6 +327,45 @@ def test_escape_certificate_thin_cone():
         assert sorted(n for n, *_ in ev.p_int[1] + ev.q_int[1]) == sorted((-k0[0], -k0[1]))
         assert _walk_support(ev, 30, True)[1] is escapes
         assert _escape_certified(ev, 30) is escapes
+
+
+def test_branch_initial_exponent_matches_inverse():
+    """The integer start formula gives -A_I^{-1}(k0 + c_I) exactly."""
+    from hornkit.lattice import inverse_times
+
+    rng = random.Random(71)
+    for _ in range(300):
+        rows = [(rng.randint(-7, 7), rng.randint(-7, 7)) for _ in range(2)]
+        if rows[0][0] * rows[1][1] == rows[0][1] * rows[1][0]:
+            continue
+        params = [F(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(2)]
+        (sub,) = enumerate_atomic(HornSystem.make(rows, params))
+        for k0 in branch_base_points(sub)[:5]:
+            w = inverse_times(sub.rows, (k0[0] + sub.params[0], k0[1] + sub.params[1]))
+            assert branch_initial_exponent(sub, k0) == (-w[0], -w[1]), (rows, params, k0)
+
+
+def test_harvest_builds_one_evaluator_per_class(monkeypatch):
+    """One harvest builds one `_ClassFactors` per exponent class mod Z^2 of
+    its starts, and rebases it for every other start on the class."""
+    base = load_system("zonotope")
+    s = HornSystem.make([(2 * r.a, 2 * r.b) for r in base.rows], base.params)
+    starts = [branch_initial_exponent(sub, k0)
+              for sub in enumerate_atomic(s) for k0 in branch_base_points(sub)]
+    classes = {(x - math.floor(x), y - math.floor(y)) for x, y in starts}
+    assert len(classes) < len(starts)
+    built = []
+    init = _ClassFactors.__init__
+
+    def counted(self, system, anchor):
+        built.append(anchor)
+        init(self, system, anchor)
+
+    monkeypatch.setattr(_ClassFactors, "__init__", counted)
+    results = harvest_polynomials(s, default_window(s))
+    assert any(r.outcome == "finite" for r in results)
+    assert len(built) == len(classes)
+    assert {(x - math.floor(x), y - math.floor(y)) for x, y in built} == classes
 
 
 def test_default_window_formula(zonotope):
@@ -443,7 +482,7 @@ def oracle_harvest(s, window):
 
 def grower_outcome(s, alpha0, window):
     def grow(s, alpha0, window):
-        res = grow_component(s, alpha0, window)
+        res = grow_component(_ClassFactors(s, alpha0), window)
         return res.values, res.exceeded
     return oracle_outcome(s, alpha0, window, grow)
 
