@@ -1,15 +1,14 @@
 """Atomic subsystems (nondegenerate 2x2 row pairs, `system.AtomicSystem`):
 their rank, the full exponent lattice of their polynomial solutions, and the
 persistent solutions themselves: monomials, and essentially polynomial
-solutions grown as finite components (`series.component_polynomial`).
+solutions grown as finite components (`series.grow_starts`).
 """
 
 from __future__ import annotations
 
 from .lattice import QVec
-from .operators import is_solution
 from .puiseux import PuiseuxPolynomial
-from .series import branch_initial_exponent, component_polynomial, default_window
+from .series import branch_initial_exponent, default_window, grow_starts
 from .system import AtomicSystem
 
 
@@ -61,23 +60,24 @@ def persistent_monomials(a: AtomicSystem) -> list[PuiseuxPolynomial]:
 
 def persistent_polynomials(a: AtomicSystem) -> list[PuiseuxPolynomial]:
     """Essentially polynomial solutions, one per initial exponent over the
-    boundary strips of the index rectangle.
+    boundary strips of the index rectangle, each scaled to 1 there.
 
     Each is the finite component through its initial exponent, grown at
-    `default_window`.  A component that escapes the window raises; every
-    returned object is verified to be an exact solution of the atomic system.
+    `default_window` and checked on its growth evaluator
+    (`series.grow_starts`).  A component that escapes the window or meets a
+    resonant collision raises ValueError, as does a strip start that lies
+    on an earlier start's support.
     """
     if a.nu == 0:
         return []
     rect, small = _index_rects(a)
+    starts = [(a, i, uv) for i, uv in enumerate(rect) if uv not in small]
     s = a.system()
-    radius = default_window(s)
     out = []
-    for alpha in sorted(branch_initial_exponent(a, uv) for uv in set(rect) - small):
-        poly = component_polynomial(s, alpha, radius)
-        if poly is None:
-            raise ValueError(f"no finite solution through initial exponent {alpha}")
-        if not is_solution(poly, s):
-            raise AssertionError("strip component fails the atomic operators")
-        out.append(poly)
+    for r in sorted(grow_starts(s, starts, default_window(s)), key=lambda r: r.initial_exponent):
+        if r.outcome != "finite":
+            raise ValueError(f"no finite solution through initial exponent {r.initial_exponent}")
+        out.append(r.polynomial.scale(1 / r.polynomial.terms[r.initial_exponent]))
+    if len(out) < len(starts):
+        raise ValueError("two strip starts lie on one support")
     return out

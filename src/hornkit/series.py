@@ -7,19 +7,20 @@ obey, for j = 1, 2 and every beta in the class,
 
 The relations drive windowed fully supported series tables (the residue
 series of the Mellin-Barnes representation, generated through coefficient
-ratios, never through Gamma values) and `component_polynomial`, the
-grower of Puiseux polynomial solutions.  Growth walks the support first and
-fills coefficients second.  The walk decides, from integer zero tests alone,
-whether the support component through a seed exponent closes off into a
+ratios, never through Gamma values) and `grow_starts`, the one route from
+a start to a Puiseux polynomial solution: harvested, persistent and atomic
+strip solutions alike.  Growth walks the support first and fills
+coefficients second.  The walk decides, from integer zero tests alone,
+whether the support component through a start exponent closes off into a
 finite support, escapes the window or meets a resonant collision; only a
 support that closes, or a series table, gets coefficients.  Atomic strip
 solutions and the full system's persistent solutions grow at
 `default_window`, the harvest at the window it is given.
 
-The harvest runs on exponent classes in integers.  A start is a class key
-and an integer offset on it (`_branch_start`), each class gets one factor
-evaluator (`operators._ClassFactors`), rebased by offset for every later
-start on it, the covered-start skip compares offsets, and a finite
+`grow_starts` runs on exponent classes in integers.  A start is a class
+key and an integer offset on it (`_branch_start`), each class gets one
+factor evaluator (`operators._ClassFactors`), rebased by offset for every
+later start on it, the covered-start skip compares offsets, and a finite
 support is verified on the evaluator it was grown with.
 
 Before a walk that may stop at the window, an escape certificate
@@ -101,6 +102,16 @@ def grow_component(ev: _ClassFactors, radius: int, early_exit: bool = True) -> G
     nonzero, so every step it takes is defined.  The comparison is kept as
     a guard; every collision raised comes from the walk's zero-denominator
     test.
+
+    A finite support grown without collision solves both equations, so the
+    residual check of `grow_starts` is a guard that cannot fire.  The
+    residual of equation j at b is P_j(b - e_j) u(b - e_j) - Q_j(b) u(b),
+    with u = 0 off the support.  Where both points lie in the support, the
+    relation between them was walked (a cut step from one end meets a live
+    step from the other only as a collision) or both factors vanish, and
+    the fill makes every walked relation hold.  Where only b - e_j lies in
+    it, the forward step from b - e_j was cut, so P_j vanishes there; where
+    only b does, the backward step from b was cut, so Q_j vanishes there.
 
     With early_exit, `_escape_certified` first tries to prove the escape
     from the integer-valued rows alone; a proved escape skips the walk.
@@ -257,16 +268,6 @@ def _fill(ev: _ClassFactors, edges: list[_Edge]) -> dict[Offset, Fraction]:
     return values
 
 
-def component_polynomial(s: HornSystem, alpha0: QVec, radius: int) -> PuiseuxPolynomial | None:
-    """The finite solution through alpha0, or None if it leaves the radius
-    box; an escape is decided by the support walk, before any coefficient."""
-    ev = _ClassFactors(s, qvec(alpha0[0], alpha0[1]))
-    res = grow_component(ev, radius)
-    if res.exceeded:
-        return None
-    return PuiseuxPolynomial({ev.exponent(d): v for d, v in res.values.items()})
-
-
 # -- atomic subsystems and branch bookkeeping --------------------------------
 
 
@@ -405,25 +406,15 @@ def series_from_submatrix(s: HornSystem, indices: tuple[int, int], branch: int,
 
 def verify_truncated(t: TruncatedSeries, s: HornSystem) -> bool:
     """Check every coefficient relation whose two endpoints both lie inside
-    the window box, reading absent points as exact zeros."""
+    the window box, reading absent points as exact zeros.  The residual term
+    of equation j at b is the relation between b - e_j and b
+    (`operators._class_residual`)."""
     ev = _ClassFactors(s, qvec(t.alpha0[0], t.alpha0[1]))
     w = t.window
-
-    for d1 in range(-w, w + 1):
-        for d2 in range(-w, w + 1):
-            d = (d1, d2)
-            u = t.coeffs.get(d, 0)
-            for j, (s1, s2) in _STEPS:
-                nxt = (d1 + s1, d2 + s2)
-                if max(abs(nxt[0]), abs(nxt[1])) > w:
-                    continue
-                v = t.coeffs.get(nxt, 0)
-                # P_j(d) u(d) == Q_j(nxt) v(nxt), both sides over the
-                # common denominator p_den * q_den * den(u) * den(v)
-                lhs = ev.p_num(j, d) * ev.q_den[j] * u.numerator * v.denominator
-                rhs = ev.q_num(j, nxt) * ev.p_den[j] * v.numerator * u.denominator
-                if lhs != rhs:
-                    return False
+    for j, (s1, s2) in _STEPS:
+        for b1, b2 in _class_residual(ev, j, t.coeffs):
+            if max(abs(b1), abs(b2), abs(b1 - s1), abs(b2 - s2)) <= w:
+                return False
     return True
 
 
@@ -434,29 +425,41 @@ def verify_truncated(t: TruncatedSeries, s: HornSystem) -> bool:
 class HarvestResult:
     outcome: str  # "finite" | "exceeds_window" | "resonant_collision"
     subsystem: tuple[int, int]
-    branch: int
+    branch: int  # the start's label: its branch in a harvest
     initial_exponent: QVec
     polynomial: PuiseuxPolynomial | None = None
     collision_point: QVec | None = None
 
 
 def harvest_polynomials(s: HornSystem, window: int) -> list[HarvestResult]:
-    """Run one exploration per (row pair, residue class) start point.
+    """Run one exploration per (row pair, residue class) start point: the
+    branch base points of every row pair, labelled by branch
+    (`grow_starts`)."""
+    return grow_starts(s, [(sub, branch, k0) for sub in enumerate_atomic(s)
+                           for branch, k0 in enumerate(branch_base_points(sub))], window)
 
-    From each branch base exponent the support component is walked along
-    the coefficient relations; a direction is cut where its numerator factor
-    vanishes.  If the frontier dies out inside the window, the outcome is
-    finite and carries the assembled (verified) polynomial; paths touching
-    the window boundary report exceeds_window, decided before any
+
+def grow_starts(s: HornSystem, starts: list[tuple[AtomicSystem, int, Offset]],
+                window: int) -> list[HarvestResult]:
+    """Grow the component of s through each start (sub, label, k0), whose
+    exponent is -A_I^{-1}(k0 + c_I) for the row pair sub; the one route
+    from a start to a Puiseux polynomial solution.
+
+    From each start the support component is walked along the coefficient
+    relations; a direction is cut where its numerator factor vanishes.  If
+    the frontier dies out inside the window, the outcome is finite and
+    carries the polynomial, scaled to 1 at its lex-smallest exponent; paths
+    touching the window boundary report exceeds_window, decided before any
     coefficient is computed; a vanishing denominator against a live
     numerator reports the offending point.
 
     Starts are taken in integers, as a class key and an offset on it
     (`_branch_start`).  Each exponent class gets one evaluator, built at its
     first start; a later start on the class rebases it by its offset
-    (`_ClassFactors.shifted`).  A finite support is checked on the
-    evaluator it was grown with (`operators._class_residual`), and only a
-    reported polynomial gets rational exponents.
+    (`_ClassFactors.shifted`).  A finite support is checked once, on the
+    evaluator it was grown with (`operators._class_residual`); a nonzero
+    residual raises AssertionError, a guard that `grow_component` shows
+    cannot fire.  Only a reported polynomial gets rational exponents.
 
     The finite outcomes are distinct solutions.  A start inside a harvested
     support S is not explored when S fits its window box: the walk from it
@@ -468,46 +471,42 @@ def harvest_polynomials(s: HornSystem, window: int) -> list[HarvestResult]:
     classes: dict[ClassKey, tuple[Offset, _ClassFactors]] = {}  # first start's offset, evaluator
     covered: dict[tuple[ClassKey, Offset], list[Offset]] = {}  # point -> harvested support
 
-    for sub in enumerate_atomic(s):
-        for branch, k0 in enumerate(branch_base_points(sub)):
-            key, (o1, o2) = _branch_start(sub, k0)
-            done = covered.get((key, (o1, o2)))
-            if done is not None and all(max(abs(x - o1), abs(y - o2)) <= window
-                                        for x, y in done):
-                continue
-            if key not in classes:
-                classes[key] = ((o1, o2), _ClassFactors(s, _class_exponent(key, (o1, o2))))
-            (f1, f2), ev = classes[key]
-            ev = ev.shifted((o1 - f1, o2 - f2))
-            alpha0 = ev.anchor
-            try:
-                res = grow_component(ev, window)
-            except ResonantCollisionError as exc:
-                results.append(HarvestResult(
-                    "resonant_collision", sub.indices, branch, alpha0,
-                    collision_point=exc.point,
-                ))
-                continue
-            if res.exceeded:
-                results.append(HarvestResult(
-                    "exceeds_window", sub.indices, branch, alpha0,
-                ))
-                continue
-            values = res.values
-            if _class_residual(ev, 1, values) or _class_residual(ev, 2, values):
-                results.append(HarvestResult(
-                    "resonant_collision", sub.indices, branch, alpha0,
-                    collision_point=alpha0,
-                ))
-                continue
-            support = [(o1 + d1, o2 + d2) for d1, d2 in values]
-            covered.update(dict.fromkeys(((key, p) for p in support), support))
-            scale = 1 / values[min(values)]  # 1 at the lex-smallest exponent
-            poly = PuiseuxPolynomial.zero()
-            poly.terms = {ev.exponent(d): v * scale for d, v in values.items()}
+    for sub, label, k0 in starts:
+        key, (o1, o2) = _branch_start(sub, k0)
+        done = covered.get((key, (o1, o2)))
+        if done is not None and all(max(abs(x - o1), abs(y - o2)) <= window
+                                    for x, y in done):
+            continue
+        if key not in classes:
+            classes[key] = ((o1, o2), _ClassFactors(s, _class_exponent(key, (o1, o2))))
+        (f1, f2), ev = classes[key]
+        ev = ev.shifted((o1 - f1, o2 - f2))
+        alpha0 = ev.anchor
+        try:
+            res = grow_component(ev, window)
+        except ResonantCollisionError as exc:
             results.append(HarvestResult(
-                "finite", sub.indices, branch, alpha0, polynomial=poly,
+                "resonant_collision", sub.indices, label, alpha0,
+                collision_point=exc.point,
             ))
+            continue
+        if res.exceeded:
+            results.append(HarvestResult(
+                "exceeds_window", sub.indices, label, alpha0,
+            ))
+            continue
+        values = res.values
+        if _class_residual(ev, 1, values) or _class_residual(ev, 2, values):
+            raise AssertionError(
+                f"the finite support through ({alpha0[0]}, {alpha0[1]}) fails the operators")
+        support = [(o1 + d1, o2 + d2) for d1, d2 in values]
+        covered.update(dict.fromkeys(((key, p) for p in support), support))
+        scale = 1 / values[min(values)]  # 1 at the lex-smallest exponent
+        poly = PuiseuxPolynomial.zero()
+        poly.terms = {ev.exponent(d): v * scale for d, v in values.items()}
+        results.append(HarvestResult(
+            "finite", sub.indices, label, alpha0, polynomial=poly,
+        ))
     return results
 
 

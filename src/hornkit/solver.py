@@ -10,14 +10,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .atomic import atomic_rank, polynomial_exponents
+from .atomic import _index_rects, atomic_rank
 from .counting import holonomic_rank
 from .lattice import QVec, Vec2, cross, dot, inverse_times
 from .operators import is_solution
 from .polygon import Kind, build_polygon, classify
 from .puiseux import PuiseuxPolynomial
-from .series import (HarvestResult, ResonantCollisionError, component_polynomial,
-                     default_window, harvest_polynomials)
+from .series import HarvestResult, default_window, grow_starts, harvest_polynomials
 from .system import HornSystem, check_nonconfluent, enumerate_atomic
 
 
@@ -32,32 +31,21 @@ def system_rank(s: HornSystem) -> int:
 
 
 def persistent_solutions(s: HornSystem) -> list[PuiseuxPolynomial]:
-    """Candidates are seeded at the atomic initial exponents and grown to the
-    full system's finite component; survivors are exact solutions of every
-    operator, deduplicated and sorted.
+    """The finite components of the full system through the index-rectangle
+    starts of every row pair (`atomic.polynomial_exponents`), each scaled to
+    1 at its lex-smallest exponent, and sorted.
 
     Coefficients are recomputed against the full system: an atomic pair
-    pins the support, the remaining rows reshape the coefficients.  Growth
-    runs at `default_window`, which raises ValueError on systems without a
-    rank formula.
+    pins the support, the remaining rows reshape the coefficients.  Each
+    solution is grown once and checked on its growth evaluator
+    (`series.grow_starts`), whose covered-start skip keeps it from being
+    found twice.  Growth runs at `default_window`, which raises ValueError
+    on systems without a rank formula.
     """
     radius = default_window(s)
-    seeds: set[QVec] = set()
-    for a in enumerate_atomic(s):
-        seeds |= polynomial_exponents(a)
-    found: dict = {}
-    for seed in sorted(seeds):
-        try:
-            poly = component_polynomial(s, seed, radius)
-        except ResonantCollisionError:
-            continue  # resonant degeneracy through this seed
-        if poly is None:
-            continue  # support escapes: not a polynomial at these parameters
-        if not is_solution(poly, s):
-            continue
-        normal = poly.normalized()
-        found[frozenset(normal.terms.items())] = normal
-    out = list(found.values())
+    starts = [(a, i, uv) for a in enumerate_atomic(s) if a.nu
+              for i, uv in enumerate(_index_rects(a)[0])]
+    out = [r.polynomial for r in grow_starts(s, starts, radius) if r.outcome == "finite"]
     out.sort(key=lambda p: sorted(p.terms.items()))
     return out
 

@@ -204,6 +204,71 @@ def test_harvest_finite_results_verify(triangle_sides):
             assert is_solution(r.polynomial, triangle_sides)
 
 
+def box_verify_truncated(t, s):
+    """The box loop `verify_truncated` ran before it read the residual:
+    every relation P_j(d) u(d) = Q_j(d + e_j) u(d + e_j) with both ends in
+    the (2w+1)^2 window box, absent points read as zeros."""
+    ev = _ClassFactors(s, qvec(t.alpha0[0], t.alpha0[1]))
+    w = t.window
+    for d1 in range(-w, w + 1):
+        for d2 in range(-w, w + 1):
+            d = (d1, d2)
+            u = t.coeffs.get(d, 0)
+            for j, (s1, s2) in ((1, (1, 0)), (2, (0, 1))):
+                nxt = (d1 + s1, d2 + s2)
+                if max(abs(nxt[0]), abs(nxt[1])) > w:
+                    continue
+                v = t.coeffs.get(nxt, 0)
+                lhs = ev.p_num(j, d) * ev.q_den[j] * u.numerator * v.denominator
+                rhs = ev.q_num(j, nxt) * ev.p_den[j] * v.numerator * u.denominator
+                if lhs != rhs:
+                    return False
+    return True
+
+
+def test_verify_truncated_agrees_with_box_loop():
+    """The residual reading and the box loop agree on seeded tables, as
+    grown and with one entry changed, deleted, or planted on the box edge,
+    at a corner, inside the box or just outside it."""
+    from hornkit.series import TruncatedSeries
+
+    rng = random.Random(37)
+    verdicts = Counter()
+    tables = 0
+    while tables < 70:
+        rows = random_nonconfluent_system(rng, max_m=5).rows
+        den = (1, 2, 3, 10**5 + 3)[tables % 4]
+        s = HornSystem.make(rows, [F(rng.randint(-6, 6), den) for _ in rows])
+        sub = rng.choice(enumerate_atomic(s))
+        try:
+            table = series_from_submatrix(s, sub.indices, 0, rng.randint(1, 4))
+        except ResonantCollisionError:
+            continue
+        tables += 1
+        w = table.window
+        for kind in ("grown", "changed", "deleted", "edge", "corner", "inside", "outside"):
+            coeffs = dict(table.coeffs)
+            d = rng.choice(sorted(coeffs))
+            e = rng.randint(-w, w)
+            if kind == "changed":
+                coeffs[d] = coeffs[d] * rng.choice((2, -1, F(1, 3))) + rng.randint(0, 1)
+            elif kind == "deleted":
+                del coeffs[d]
+            elif kind != "grown":
+                point = {"edge": rng.choice(((w, e), (-w, e), (e, w), (e, -w))),
+                         "corner": (rng.choice((-w, w)), rng.choice((-w, w))),
+                         "inside": (rng.randint(-w, w), rng.randint(-w, w)),
+                         "outside": rng.choice(((w + 1, e), (e, -w - 1)))}[kind]
+                coeffs[point] = F(rng.randint(1, 9), rng.randint(1, 9))
+            t = TruncatedSeries(table.indices, 0, table.alpha0, coeffs, w)
+            want = box_verify_truncated(t, s)
+            assert verify_truncated(t, s) is want, (s, kind, coeffs)
+            verdicts[kind, want] += 1
+    assert verdicts["grown", True] == verdicts["outside", True] == 70
+    for kind in ("changed", "deleted", "edge", "corner"):
+        assert verdicts[kind, False] > 0, verdicts
+
+
 def test_verify_truncated_on_finite_support(triangle_simplex):
     # a finite-support table has every relation interior: the truncated check
     # coincides with full solution checking
@@ -366,6 +431,31 @@ def test_harvest_builds_one_evaluator_per_class(monkeypatch):
     assert any(r.outcome == "finite" for r in results)
     assert len(built) == len(classes)
     assert {(x - math.floor(x), y - math.floor(y)) for x, y in built} == classes
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_residual_guard_raises(axis, monkeypatch, zonotope, atomic_32_43):
+    """A finite support whose fill breaks a relation raises AssertionError
+    from every route to a solution: the harvest, persistent solutions and
+    atomic strip polynomials.  Doubling every value off the line
+    d[axis] = 0 breaks the relations of equation axis + 1 alone."""
+    import hornkit.series as series
+    from hornkit.atomic import persistent_polynomials
+    from hornkit.solver import persistent_solutions
+
+    fill = series._fill
+
+    def corrupted(ev, edges):
+        values = fill(ev, edges)
+        return {d: v * 2 if d[axis] else v for d, v in values.items()}
+
+    monkeypatch.setattr(series, "_fill", corrupted)
+    (pair,) = enumerate_atomic(atomic_32_43)
+    for call in (lambda: harvest_polynomials(zonotope, 20),
+                 lambda: persistent_solutions(atomic_32_43),
+                 lambda: persistent_polynomials(pair)):
+        with pytest.raises(AssertionError, match="fails the operators"):
+            call()
 
 
 def test_default_window_formula(zonotope):

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from collections import Counter
@@ -5,10 +6,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import load_expected, random_nonconfluent_system
-from hornkit.operators import is_solution
+from conftest import load_expected, load_system, random_nonconfluent_system
+from hornkit.atomic import polynomial_exponents
+from hornkit.operators import _ClassFactors, is_solution
 from hornkit.puiseux import PuiseuxPolynomial
-from hornkit.series import default_window
+from hornkit.series import ResonantCollisionError, default_window, grow_component
 from hornkit.solver import (
     check_constructive,
     expand_closed_form,
@@ -22,7 +24,7 @@ from hornkit.solver import (
     suggest_polynomial_parameters,
     validate_persistence,
 )
-from hornkit.system import HornSystem, detect_resonance
+from hornkit.system import HornSystem, detect_resonance, enumerate_atomic
 
 
 def as_set(polys):
@@ -62,6 +64,67 @@ def test_persistent_solutions_need_a_rank_formula():
         with pytest.raises(ValueError):
             persistent_solutions(HornSystem.make(rows, [F(1, 3)] * len(rows)))
     assert len(persistent_solutions(HornSystem.make([[3, 2], [-4, -3]], [0, 0]))) == 8
+
+
+def old_route_persistent_solutions(s):
+    """Persistent solutions as they were grown before `grow_starts`: one
+    fresh evaluator per seed exponent, an `is_solution` filter, and a
+    dedupe of the normalized polynomials."""
+    radius = default_window(s)
+    seeds = set()
+    for a in enumerate_atomic(s):
+        seeds |= polynomial_exponents(a)
+    found = {}
+    for seed in sorted(seeds):
+        try:
+            res = grow_component(_ClassFactors(s, seed), radius)
+        except ResonantCollisionError:
+            continue
+        if res.exceeded:
+            continue
+        poly = PuiseuxPolynomial({(seed[0] + d[0], seed[1] + d[1]): v
+                                  for d, v in res.values.items()})
+        if not is_solution(poly, s):
+            continue
+        normal = poly.normalized()
+        found[frozenset(normal.terms.items())] = normal
+    return sorted(found.values(), key=lambda p: sorted(p.terms.items()))
+
+
+def test_persistent_solutions_match_old_route():
+    rng = random.Random(89)
+    total = 0
+    for i in range(60):
+        rows = random_nonconfluent_system(rng, max_m=5).rows
+        s = HornSystem.make(rows, [F(rng.randint(-9, 9), i % 3 + 1) for _ in rows])
+        got = persistent_solutions(s)
+        want = old_route_persistent_solutions(s)
+        assert got == want, s
+        assert [list(p.terms.items()) for p in got] == [list(p.terms.items()) for p in want]
+        total += len(got)
+    assert total > 100, total
+
+
+@pytest.mark.parametrize("name", ["zonotope", "triangle_sides"])
+def test_persistent_solutions_build_one_evaluator_per_class(name, monkeypatch):
+    """Persistent solutions build one `_ClassFactors` per exponent class of
+    their starts, however many starts share it."""
+    base = load_system(name)
+    s = HornSystem.make([(2 * r.a, 2 * r.b) for r in base.rows], base.params)
+    starts = [e for a in enumerate_atomic(s) for e in polynomial_exponents(a)]
+    classes = {(x - math.floor(x), y - math.floor(y)) for x, y in starts}
+    assert len(classes) == 12 < len(starts)
+    built = []
+    init = _ClassFactors.__init__
+
+    def counted(self, system, anchor):
+        built.append(anchor)
+        init(self, system, anchor)
+
+    monkeypatch.setattr(_ClassFactors, "__init__", counted)
+    assert persistent_solutions(s)
+    assert len(built) == len(classes)
+    assert {(x - math.floor(x), y - math.floor(y)) for x, y in built} == classes
 
 
 def test_persistent_solutions_pass_validation(zonotope, triangle_sides):
