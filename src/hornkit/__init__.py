@@ -12,16 +12,8 @@ from .system import (
     check_nonconfluent,
     detect_resonance,
     enumerate_atomic,
-    normalize_rows,
 )
-from .operators import (
-    AffineFactor,
-    HornOperatorPair,
-    apply_horn,
-    apply_intertwiner,
-    build_operators,
-    is_solution,
-)
+from .operators import apply_horn, apply_intertwiner, is_solution
 from .polygon import (
     Classification,
     Kind,

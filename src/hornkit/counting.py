@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .lattice import RelAngle, Vec2, cross, index_nu
 from .polygon import OreSatoPolygon, build_polygon
-from .system import HornSystem, check_nonconfluent
+from .system import HornSystem, check_nonconfluent, enumerate_atomic
 
 
 @dataclass(frozen=True)
@@ -82,12 +82,12 @@ def holonomic_rank(s: HornSystem) -> int:
     open quadrants.
 
     Evaluated on the rows as given, which equals the value on the
-    Gauss-normalized rows (`system.normalize_rows`): normalization replaces
-    a row g*d (d primitive) by g copies of d, which keeps both sums of
-    positive column entries, and index_nu(g*d, h*e) = g*h * index_nu(d, e)
-    is the sum over the g*h pairs of copies (positive scaling keeps the
-    quadrants; two copies of one d have index 0).  `persistent_dim` follows
-    the same way.
+    Gauss-normalized rows: normalization replaces a row g*d (d primitive,
+    parameter c) by g copies of d (parameters (c + k)/g, k = 0..g-1), which
+    keeps both sums of positive column entries, and index_nu(g*d, h*e) =
+    g*h * index_nu(d, e) is the sum over the g*h pairs of copies (positive
+    scaling keeps the quadrants; two copies of one d have index 0).
+    `persistent_dim` follows the same way.
     """
     if not check_nonconfluent(s):
         raise ValueError("rank formula requires nonconfluency")
@@ -108,25 +108,14 @@ def persistent_dim(s: HornSystem) -> int:
     value)."""
     if not check_nonconfluent(s):
         raise ValueError("persistent dimension requires nonconfluency")
-    rows = s.rows
-    total = 0
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            if cross(rows[i], rows[j]) != 0:
-                total += index_nu(rows[i], rows[j])
-    return total
+    return sum(a.nu for a in enumerate_atomic(s))
 
 
 def fully_supported_count(s: HornSystem) -> int:
     """Sum of |det| over all unordered nondegenerate row pairs: the number of
     pure fully supported series solutions across all convergence domains.
     Also meaningful for a bare atomic pair, where it equals |det M|."""
-    rows = s.rows
-    total = 0
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            total += abs(cross(rows[i], rows[j]))
-    return total
+    return sum(abs(a.det) for a in enumerate_atomic(s))
 
 
 # -- per-vertex counts -------------------------------------------------------
@@ -180,13 +169,5 @@ def convergent_dim_by_cone(s: HornSystem, comp: ComponentRef) -> int:
     pairs of Gauss-normalized copies, and the spanned cone is unchanged."""
     if not check_nonconfluent(s):
         raise ValueError("count requires nonconfluency")
-    rows = s.rows
-    total = 0
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            d = cross(rows[i], rows[j])
-            if d == 0:
-                continue
-            if cone_from_vectors(rows[i], rows[j]).contains_cone(comp.normal_cone):
-                total += abs(d)
-    return total
+    return sum(abs(a.det) for a in enumerate_atomic(s)
+               if cone_from_vectors(*a.rows).contains_cone(comp.normal_cone))

@@ -1,23 +1,23 @@
-"""Horn operators as explicit affine-factor lists, exact application to
-Puiseux polynomials, solution checking, and the parameter-shift intertwiners.
+"""Horn operators as integer factor products on exponent classes, exact
+application to Puiseux polynomials, solution checking, and the
+parameter-shift intertwiners.
 
 The j-th equation is x_j * P_j(theta) f = Q_j(theta) f.  P_j collects one
 factor <A_i, s> + c_i + l per row with A_{i,j} > 0 and l = 0..A_{i,j}-1;
 Q_j the same for rows with A_{i,j} < 0 and l = 0..|A_{i,j}|-1.  Operators
 stay factored; theta acts on x^alpha by the scalar alpha.  Growth, series
 checks and operator application evaluate the factors on one exponent class
-at a time, in integers (`_ClassFactors`); `eval_factors` is the reference.
+at a time, in integers (`_ClassFactors`), the one evaluator of P_j and Q_j.
 Residuals are computed class by class (`_class_residual`), which lets the
 harvest verify a support on the evaluator it grew it with.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .lattice import QVec, Vec2, dot
+from .lattice import QVec, dot
 from .puiseux import PuiseuxPolynomial
 from .system import HornSystem
 
@@ -25,58 +25,6 @@ Offset = tuple[int, int]
 # An exponent class mod Z^2, (r1, q1, r2, q2) for the class of
 # (r1/q1, r2/q2), with 0 <= r_i < q_i and gcd(r_i, q_i) = 1.
 ClassKey = tuple[int, int, int, int]
-
-
-@dataclass(frozen=True)
-class AffineFactor:
-    """The linear form <normal, s> + offset."""
-
-    normal: Vec2
-    offset: Fraction
-
-    def eval(self, alpha) -> Fraction:
-        return Fraction(dot(self.normal, alpha)) + self.offset
-
-
-@dataclass(frozen=True)
-class HornOperatorPair:
-    p1: tuple[AffineFactor, ...]
-    q1: tuple[AffineFactor, ...]
-    p2: tuple[AffineFactor, ...]
-    q2: tuple[AffineFactor, ...]
-
-    def p(self, j: int) -> tuple[AffineFactor, ...]:
-        return self.p1 if j == 1 else self.p2
-
-    def q(self, j: int) -> tuple[AffineFactor, ...]:
-        return self.q1 if j == 1 else self.q2
-
-
-def build_operators(s: HornSystem) -> HornOperatorPair:
-    """Factor lists in row order, then offset order; deterministic."""
-    parts: dict[tuple[int, str], list[AffineFactor]] = {
-        (1, "p"): [], (1, "q"): [], (2, "p"): [], (2, "q"): [],
-    }
-    for row, c in zip(s.rows, s.params):
-        for j, entry in ((1, row.a), (2, row.b)):
-            if entry == 0:
-                continue
-            side = "p" if entry > 0 else "q"
-            for ell in range(abs(entry)):
-                parts[(j, side)].append(AffineFactor(row, c + ell))
-    return HornOperatorPair(
-        tuple(parts[(1, "p")]), tuple(parts[(1, "q")]),
-        tuple(parts[(2, "p")]), tuple(parts[(2, "q")]),
-    )
-
-
-def eval_factors(factors: tuple[AffineFactor, ...], alpha) -> Fraction:
-    out = Fraction(1)
-    for f in factors:
-        out *= f.eval(alpha)
-        if out == 0:
-            return out
-    return out
 
 
 class _ClassFactors:
@@ -143,12 +91,6 @@ class _ClassFactors:
     def q_num(self, j: int, d: Offset) -> int:
         """Numerator of Q_j at offset d, over the denominator q_den[j]."""
         return _product(self.neg[j], d)
-
-    def p(self, j: int, d: Offset) -> Fraction:
-        return Fraction(self.p_num(j, d), self.p_den[j])
-
-    def q(self, j: int, d: Offset) -> Fraction:
-        return Fraction(self.q_num(j, d), self.q_den[j])
 
     def exponent(self, d: Offset) -> QVec:
         return (self.anchor[0] + d[0], self.anchor[1] + d[1])

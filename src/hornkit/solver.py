@@ -8,11 +8,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .atomic import _index_rects, atomic_rank
 from .counting import holonomic_rank
-from .lattice import QVec, Vec2, cross, dot, inverse_times
+from .lattice import QVec, Vec2, dot, inverse_times
 from .operators import is_solution
 from .polygon import Kind, build_polygon, classify
 from .puiseux import PuiseuxPolynomial
@@ -85,12 +84,8 @@ def validate_persistence(f: PuiseuxPolynomial, s: HornSystem) -> bool:
         val = Fraction(dot(row, alpha)) + c
         return val.denominator == 1 and -abs(entry) < val <= 0
 
-    for i, j in combinations(range(s.m), 2):
-        if cross(s.rows[i], s.rows[j]) == 0:
-            continue
-        if all(witnesses(i, *cut) or witnesses(j, *cut) for cut in cuts):
-            return True
-    return False
+    return any(all(witnesses(i, *cut) or witnesses(j, *cut) for cut in cuts)
+               for i, j in (a.indices for a in enumerate_atomic(s)))
 
 
 @dataclass(frozen=True)
@@ -212,10 +207,15 @@ class ConstructiveReport:
 
 
 def independent_dimension(polys: list[PuiseuxPolynomial]) -> int:
-    """Dimension of the span: distinct exponent classes mod Z^2 are
-    independent; within a class, exact row reduction of coefficient vectors."""
+    """Dimension of the span of pure polynomials: distinct exponent classes
+    mod Z^2 are independent; within a class, exact row reduction of
+    coefficient vectors.  A polynomial mixing classes raises ValueError;
+    callers with mixed input split it into its class parts themselves."""
     classes: dict[QVec, list[PuiseuxPolynomial]] = {}
     for p in polys:
+        pure, witness = p.is_pure()
+        if not pure:
+            raise ValueError(f"element is not pure: exponents {witness[0]} and {witness[1]}")
         if p.is_zero():
             continue
         e = next(iter(p.terms))

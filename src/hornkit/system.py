@@ -1,5 +1,5 @@
 """The Horn system data model: an integer matrix of row vectors plus a
-rational parameter per row, with row normalization and resonance detection.
+rational parameter per row, with atomic row pairs and resonance detection.
 
 A system is the data (A, c) of the coefficient prod_i Gamma(<A_i, s> + c_i);
 rows generate the operators, the polygon, and every count downstream.
@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .lattice import Vec2, cross, index_nu, primitive
+from .lattice import Vec2, cross, index_nu
 from .puiseux import parse_rational
 
 
@@ -107,27 +107,6 @@ def check_nonconfluent(s: HornSystem) -> bool:
     sa = sum(r.a for r in s.rows)
     sb = sum(r.b for r in s.rows)
     return sa == 0 and sb == 0
-
-
-def normalize_rows(s: HornSystem) -> HornSystem:
-    """Split every row N*d (d primitive, N > 1) with parameter c into N rows d
-    with parameters (c + k)/N, k = 0..N-1; primitive rows pass through.
-
-    This is the Gauss-multiplication normalization; it preserves
-    nonconfluency and all the combinatorial counts.
-    """
-    rows: list[Vec2] = []
-    params: list[Fraction] = []
-    for r, c in zip(s.rows, s.params):
-        d, g = primitive(r)  # raises on a zero row
-        if g == 1:
-            rows.append(r)
-            params.append(c)
-        else:
-            for k in range(g):
-                rows.append(d)
-                params.append(Fraction(c + k, g))
-    return HornSystem(tuple(rows), tuple(params), s.name)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from hornkit.lattice import Vec2, cross
+from hornkit.lattice import Vec2, cross, primitive
 from hornkit.system import HornSystem
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "hornkit" / "fixtures"
@@ -44,6 +44,41 @@ def random_nonconfluent_system(rng: random.Random, max_m: int = 7,
         params = [Fraction(rng.randint(1, 10**7), 10**7 + rng.randint(1, 997))
                   for _ in rows]
         return HornSystem.make(rows, params)
+
+
+def normalize_rows(s: HornSystem) -> HornSystem:
+    """Split every row N*d (d primitive, N > 1) with parameter c into N rows d
+    with parameters (c + k)/N, k = 0..N-1; primitive rows pass through.
+
+    This is the Gauss-multiplication normalization; it preserves
+    nonconfluency and all the combinatorial counts, which the library
+    computes on the rows as given.
+    """
+    rows: list[Vec2] = []
+    params: list[Fraction] = []
+    for r, c in zip(s.rows, s.params):
+        d, g = primitive(r)  # raises on a zero row
+        if g == 1:
+            rows.append(r)
+            params.append(c)
+        else:
+            for k in range(g):
+                rows.append(d)
+                params.append(Fraction(c + k, g))
+    return HornSystem(tuple(rows), tuple(params), s.name)
+
+
+def factor_product(s: HornSystem, j: int, side: str, alpha) -> Fraction:
+    """P_j (side "p") or Q_j (side "q") at the exponent alpha, straight from
+    the definition: the product of <A_i, alpha> + c_i + l over the rows with
+    A_ij > 0 (for P_j) or A_ij < 0 (for Q_j), and l = 0..|A_ij|-1."""
+    out = Fraction(1)
+    for row, c in zip(s.rows, s.params):
+        entry = row.a if j == 1 else row.b
+        if (entry > 0) if side == "p" else (entry < 0):
+            for ell in range(abs(entry)):
+                out *= row.a * alpha[0] + row.b * alpha[1] + c + ell
+    return out
 
 
 def pytest_terminal_summary(terminalreporter):

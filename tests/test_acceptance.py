@@ -10,7 +10,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import load_expected, load_system, random_nonconfluent_system
+from conftest import (
+    factor_product,
+    load_expected,
+    load_system,
+    normalize_rows,
+    random_nonconfluent_system,
+)
 from hornkit.atomic import (
     persistent_monomials,
     persistent_polynomials,
@@ -36,7 +42,7 @@ from hornkit.polygon import (
 from hornkit.puiseux import PuiseuxPolynomial
 from hornkit.series import harvest_polynomials, series_from_submatrix, verify_truncated
 from hornkit.solver import check_constructive, persistent_solutions
-from hornkit.system import HornSystem, detect_resonance, enumerate_atomic, normalize_rows
+from hornkit.system import HornSystem, detect_resonance, enumerate_atomic
 
 ZONO = load_system("zonotope")
 TRI = load_system("triangle_sides")
@@ -223,14 +229,14 @@ def test_criterion_08_series_oracle():
     assert verify_truncated(t, EX21)
 
     # order independence of the two recurrences on every explored point
-    from hornkit.operators import _ClassFactors
-
-    ev = _ClassFactors(EX21, t.alpha0)
+    x0, y0 = t.alpha0
     for (d1, d2), v in t.coeffs.items():
         for j, step in ((1, (1, 0)), (2, (0, 1))):
             prev = (d1 - step[0], d2 - step[1])
             if prev in t.coeffs:
-                assert v == t.coeffs[prev] * ev.p(j, prev) / ev.q(j, (d1, d2))
+                num = factor_product(EX21, j, "p", (x0 + prev[0], y0 + prev[1]))
+                den = factor_product(EX21, j, "q", (x0 + d1, y0 + d2))
+                assert v == t.coeffs[prev] * num / den
 
 
 def test_criterion_09_resonance():

@@ -3,14 +3,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import load_expected
+from conftest import factor_product, load_expected
 from hornkit.atomic import (
     atomic_rank,
     persistent_monomials,
     persistent_polynomials,
     polynomial_exponents,
 )
-from hornkit.operators import build_operators, eval_factors, is_solution
+from hornkit.operators import is_solution
 from hornkit.puiseux import PuiseuxPolynomial
 from hornkit.lattice import Vec2, inverse_times, opposite_open_quadrants
 from hornkit.system import AtomicSystem, HornSystem, enumerate_atomic
@@ -70,7 +70,7 @@ def quotient_walk(a: AtomicSystem, alpha, case_i: int) -> PuiseuxPolynomial:
     The walk length is capped at ||b2|-|a2|| + 1; a vanishing P denominator
     before the stop, or a walk past the cap, raises ValueError.
     """
-    ops = build_operators(a.system())
+    s = a.system()
     (_a1, _b1), (a2, b2) = a.rows
     cap = abs(abs(b2) - abs(a2)) + 1
     e_i = (1, 0) if case_i == 1 else (0, 1)
@@ -78,11 +78,11 @@ def quotient_walk(a: AtomicSystem, alpha, case_i: int) -> PuiseuxPolynomial:
     coeff = F(1)
     pt = alpha
     for _ in range(cap + 1):
-        q = eval_factors(ops.q(case_i), pt)
+        q = factor_product(s, case_i, "q", pt)
         if q == 0:
             return PuiseuxPolynomial(terms)
         nxt = (pt[0] - e_i[0], pt[1] - e_i[1])
-        den = eval_factors(ops.p(case_i), nxt)
+        den = factor_product(s, case_i, "p", nxt)
         if den == 0:
             raise ValueError(f"P_{case_i} vanishes at {nxt} before the stopping index")
         coeff = coeff * q / den

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import random_nonconfluent_system
+from conftest import normalize_rows, random_nonconfluent_system
 from hornkit.counting import (
     component_ref,
     convergent_count_S,
@@ -14,7 +14,7 @@ from hornkit.counting import (
     persistent_dim,
 )
 from hornkit.polygon import build_polygon, vertex_count
-from hornkit.system import HornSystem, normalize_rows
+from hornkit.system import HornSystem
 
 
 def test_holonomic_rank_fixtures(zonotope, triangle_sides, triangle_simplex):

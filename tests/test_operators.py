@@ -1,85 +1,85 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_nonconfluent_system
-from hornkit.operators import (
-    _ClassFactors,
-    apply_horn,
-    apply_intertwiner,
-    build_operators,
-    eval_factors,
-    is_solution,
-)
+from conftest import factor_product, random_nonconfluent_system
+from hornkit.operators import _ClassFactors, apply_horn, apply_intertwiner, is_solution
 from hornkit.puiseux import PuiseuxPolynomial
 from hornkit.system import HornSystem
 
+ORIGIN = (F(0), F(0))
 
-def factor_strs(factors):
-    return [((f.normal.a, f.normal.b), f.offset) for f in factors]
+
+def layout(ev, j):
+    """The rows of P_j and Q_j on the evaluator, as (row, |A_ij|, value of
+    <A_i, anchor> + c_i), in row order."""
+    return tuple([((qa // q, qb // q), e, F(n, q)) for n, qa, qb, q, e in side[j]]
+                 for side in (ev.pos, ev.neg))
 
 
 def test_build_operators_example31():
     s = HornSystem.make([[1, 2], [-1, -1], [0, -1]], ["1/3", "1/5", "1/7"])
-    ops = build_operators(s)
+    ev = _ClassFactors(s, ORIGIN)
     c1, c2, c3 = s.params
-    assert factor_strs(ops.p2) == [((1, 2), c1), ((1, 2), c1 + 1)]
-    assert factor_strs(ops.q2) == [((-1, -1), c2), ((0, -1), c3)]
-    assert factor_strs(ops.p1) == [((1, 2), c1)]
-    assert factor_strs(ops.q1) == [((-1, -1), c2)]
+    assert layout(ev, 2) == ([((1, 2), 2, c1)], [((-1, -1), 1, c2), ((0, -1), 1, c3)])
+    assert layout(ev, 1) == ([((1, 2), 1, c1)], [((-1, -1), 1, c2)])
+    assert (ev.p_den[1], ev.q_den[1], ev.p_den[2], ev.q_den[2]) == (3, 5, 9, 35)
 
 
 def test_build_operators_atomic_degrees():
     s = HornSystem.make([[3, 2], [-4, -3]], [0, 0])
-    ops = build_operators(s)
-    assert len(ops.p1) == 3 and len(ops.q1) == 4
-    assert len(ops.p2) == 2 and len(ops.q2) == 3
+    ev = _ClassFactors(s, ORIGIN)
+    assert layout(ev, 1) == ([((3, 2), 3, 0)], [((-4, -3), 4, 0)])
+    assert layout(ev, 2) == ([((3, 2), 2, 0)], [((-4, -3), 3, 0)])
+    assert ev.p_den == ev.q_den == [1, 1, 1]
 
 
 def test_build_operators_single_column():
     s = HornSystem.make([[1, 0], [-1, 0]], ["1/2", "1/3"])
-    ops = build_operators(s)
-    assert factor_strs(ops.p1) == [((1, 0), F(1, 2))]
-    assert factor_strs(ops.q1) == [((-1, 0), F(1, 3))]
-    assert ops.p2 == () and ops.q2 == ()
+    ev = _ClassFactors(s, ORIGIN)
+    assert layout(ev, 1) == ([((1, 0), 1, F(1, 2))], [((-1, 0), 1, F(1, 3))])
+    assert layout(ev, 2) == ([], [])
+    assert (ev.p_den[1], ev.q_den[1], ev.p_den[2], ev.q_den[2]) == (2, 3, 1, 1)
 
 
 def test_degree_bookkeeping_random():
     rng = random.Random(13)
     for _ in range(100):
         s = random_nonconfluent_system(rng)
-        ops = build_operators(s)
-        assert len(ops.p1) == sum(r.a for r in s.rows if r.a > 0)
-        assert len(ops.q1) == sum(-r.a for r in s.rows if r.a < 0)
-        assert len(ops.p2) == sum(r.b for r in s.rows if r.b > 0)
-        assert len(ops.q2) == sum(-r.b for r in s.rows if r.b < 0)
+        ev = _ClassFactors(s, ORIGIN)
+        for j in (1, 2):
+            entries = [(r.a if j == 1 else r.b, c) for r, c in zip(s.rows, s.params)]
+            p_rows, q_rows = layout(ev, j)
+            assert sum(e for _, e, _ in p_rows) == sum(a for a, _ in entries if a > 0)
+            assert sum(e for _, e, _ in q_rows) == sum(-a for a, _ in entries if a < 0)
+            assert ev.p_den[j] == math.prod(c.denominator ** a for a, c in entries if a > 0)
+            assert ev.q_den[j] == math.prod(c.denominator ** -a for a, c in entries if a < 0)
 
 
 def test_apply_horn_monomial_action():
     s = HornSystem.make([[1, 1], [-1, 0], [0, -1]], ["1/7", "-1/3", "-1/5"])
-    ops = build_operators(s)
     alpha = (F(2, 3), F(-1, 2))
     f = PuiseuxPolynomial.monomial(alpha[0], alpha[1])
     for j, e_j in ((1, (1, 0)), (2, (0, 1))):
         res = apply_horn(j, f, s)
         want = PuiseuxPolynomial({
-            (alpha[0] + e_j[0], alpha[1] + e_j[1]): eval_factors(ops.p(j), alpha),
-            alpha: -eval_factors(ops.q(j), alpha),
+            (alpha[0] + e_j[0], alpha[1] + e_j[1]): factor_product(s, j, "p", alpha),
+            alpha: -factor_product(s, j, "q", alpha),
         })
         assert res == want
 
 
 def reference_residual(j, f, s):
-    """x_j P_j(theta) f - Q_j(theta) f, term by term through eval_factors."""
-    ops = build_operators(s)
+    """x_j P_j(theta) f - Q_j(theta) f, term by term through factor_product."""
     e_j = (1, 0) if j == 1 else (0, 1)
     out = PuiseuxPolynomial.zero()
     for alpha, c in f.terms.items():
         out = out + PuiseuxPolynomial({
-            (alpha[0] + e_j[0], alpha[1] + e_j[1]): c * eval_factors(ops.p(j), alpha),
-            alpha: -c * eval_factors(ops.q(j), alpha),
+            (alpha[0] + e_j[0], alpha[1] + e_j[1]): c * factor_product(s, j, "p", alpha),
+            alpha: -c * factor_product(s, j, "q", alpha),
         })
     return out
 
@@ -109,13 +109,12 @@ def _anchored_systems(draw):
 @given(_anchored_systems(), st.lists(_offsets, min_size=1, max_size=6))
 def test_class_factors_match_affine_factors(system_anchor, offsets):
     s, anchor = system_anchor
-    ops = build_operators(s)
     ev = _ClassFactors(s, anchor)
     for d in offsets:
         alpha = (anchor[0] + d[0], anchor[1] + d[1])
         for j in (1, 2):
-            assert ev.p(j, d) == eval_factors(ops.p(j), alpha)
-            assert ev.q(j, d) == eval_factors(ops.q(j), alpha)
+            assert F(ev.p_num(j, d), ev.p_den[j]) == factor_product(s, j, "p", alpha)
+            assert F(ev.q_num(j, d), ev.q_den[j]) == factor_product(s, j, "q", alpha)
 
 
 def test_shifted_matches_fresh_evaluator():

@@ -267,6 +267,10 @@ def test_independent_dimension_within_class():
     assert independent_dimension([a, b, c]) == 2
     d = PuiseuxPolynomial.monomial(F(1, 2), 0)
     assert independent_dimension([a, c, d]) == 3
+    # a polynomial mixing two classes is rejected, in either order
+    for polys in ([a, d, a + d], [a + d, d, a]):
+        with pytest.raises(ValueError, match="not pure"):
+            independent_dimension(polys)
 
 
 def test_suggest_parameters_zonotope(zonotope):

@@ -3,15 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import random_nonconfluent_system
+from conftest import normalize_rows, random_nonconfluent_system
 from hornkit.counting import holonomic_rank
 from hornkit.lattice import Vec2
-from hornkit.system import (
-    HornSystem,
-    check_nonconfluent,
-    detect_resonance,
-    normalize_rows,
-)
+from hornkit.system import HornSystem, check_nonconfluent, detect_resonance
 
 
 def test_nonconfluency():
