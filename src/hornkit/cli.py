@@ -18,6 +18,7 @@ from .counting import (
     holonomic_rank,
     persistent_dim,
 )
+from .operators import apply_horn
 from .polygon import Kind, build_polygon, classify, vertex_count
 from .puiseux import PuiseuxPolynomial, _parse_int, format_rational
 from .render import polygon_svg, supports_svg
@@ -58,6 +59,12 @@ def _check_window(window: int | None) -> int | None:
     if window is not None and window < 0:
         _fail(2, f"--window must be nonnegative, got {window}")
     return window
+
+
+def _check_bound(bound: int) -> int:
+    if bound < 1:
+        _fail(2, f"--bound must be at least 1, got {bound}")
+    return bound
 
 
 def _resolve_window(s: HornSystem, window: int | None) -> int:
@@ -299,8 +306,6 @@ def verify(input_path, solution_path, out):
             raise ValueError("the zero polynomial is no candidate solution")
     except (OSError, ValueError, KeyError, TypeError) as exc:
         _fail(2, f"cannot parse solution file {solution_path}: {exc}")
-    from .operators import apply_horn
-
     r1 = apply_horn(1, f, s)
     r2 = apply_horn(2, f, s)
     ok = r1.is_zero() and r2.is_zero()
@@ -322,7 +327,8 @@ def verify(input_path, solution_path, out):
 
 @main.command("suggest-params")
 @_input_arg
-@click.option("--bound", type=int, default=SUGGEST_BOUND, show_default=True)
+@click.option("--bound", type=int, default=SUGGEST_BOUND, show_default=True,
+              callback=lambda _ctx, _param, b: _check_bound(b))
 @_window_option(default=SUGGEST_WINDOW, show_default=True)
 @_out_opt
 def suggest_params(input_path, bound, window, out):

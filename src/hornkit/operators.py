@@ -36,7 +36,8 @@ class _ClassFactors:
     plain integer product, which vanishes exactly when the product does; its
     denominator, prod q_i^|A_ij| over the side's rows, is fixed per class.
     With gcd(n_i, q_i) = 1, a factor vanishes only where q_i = 1: `p_int` and
-    `q_int` keep those rows of each side, as (n_i, a_i, b_i, |A_ij|).
+    `q_int` keep those rows of each side, as (n_i, a_i, b_i, |A_ij|, i) with
+    i the row's index in s, so a zero test also names the row that vanishes.
     """
 
     def __init__(self, s: HornSystem, anchor):
@@ -47,9 +48,11 @@ class _ClassFactors:
         # (n_i, q_i*a_i, q_i*b_i, q_i, |A_ij|); slot 0 is unused
         self.pos: tuple[list, list, list] = ([], [], [])
         self.neg: tuple[list, list, list] = ([], [], [])
+        self.p_int: tuple[list, list, list] = ([], [], [])
+        self.q_int: tuple[list, list, list] = ([], [], [])
         self.p_den = [1, 1, 1]
         self.q_den = [1, 1, 1]
-        for r, c in zip(s.rows, s.params):
+        for i, (r, c) in enumerate(zip(s.rows, s.params)):
             cn, cd = c.numerator, c.denominator
             n = (r.a * xn * yd + r.b * yn * xd) * cd + cn * xd * yd
             q = xd * yd * cd
@@ -59,30 +62,13 @@ class _ClassFactors:
                 if entry > 0:
                     self.pos[j].append((n, q * r.a, q * r.b, q, entry))
                     self.p_den[j] *= q ** entry
+                    if q == 1:
+                        self.p_int[j].append((n, r.a, r.b, entry, i))
                 elif entry < 0:
                     self.neg[j].append((n, q * r.a, q * r.b, q, -entry))
                     self.q_den[j] *= q ** -entry
-        self.p_int = tuple([(n, a, b, e) for n, a, b, q, e in rows if q == 1]
-                           for rows in self.pos)
-        self.q_int = tuple([(n, a, b, e) for n, a, b, q, e in rows if q == 1]
-                           for rows in self.neg)
-
-    def shifted(self, k: Offset) -> "_ClassFactors":
-        """The same class anchored at anchor + k.  Row i's value at the new
-        anchor is (n_i + q_i*<A_i, k>)/q_i, still in lowest terms, so only
-        the n_i move; q_i and the denominators stay."""
-        k1, k2 = k
-        out = object.__new__(_ClassFactors)
-        out.anchor = (self.anchor[0] + k1, self.anchor[1] + k2)
-        out.pos, out.neg = (
-            tuple([(n + qa * k1 + qb * k2, qa, qb, q, e) for n, qa, qb, q, e in rows]
-                  for rows in side)
-            for side in (self.pos, self.neg))
-        out.p_int, out.q_int = (
-            tuple([(n + a * k1 + b * k2, a, b, e) for n, a, b, e in rows] for rows in side)
-            for side in (self.p_int, self.q_int))
-        out.p_den, out.q_den = self.p_den, self.q_den
-        return out
+                    if q == 1:
+                        self.q_int[j].append((n, r.a, r.b, -entry, i))
 
     def p_num(self, j: int, d: Offset) -> int:
         """Numerator of P_j at offset d, over the denominator p_den[j]."""

@@ -107,9 +107,6 @@ class PuiseuxPolynomial:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def support(self) -> set[Expt]:
-        return set(self.terms)
-
     def sorted_terms(self) -> list[tuple[Expt, Fraction]]:
         return sorted(self.terms.items(), key=lambda t: t[0])
 

@@ -7,6 +7,7 @@ timestamps or randomness.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .polygon import OreSatoPolygon
@@ -81,9 +82,6 @@ def supports_svg(solutions: list[PuiseuxPolynomial]) -> str:
     ymin = min(p[1] for p in pts) - 1
     ymax = max(p[1] for p in pts) + 1
     out, to_px = _header(xmin, ymin, xmax, ymax)
-
-    import math
-
     for x in range(math.floor(xmin), math.ceil(xmax) + 1):
         for y in range(math.floor(ymin), math.ceil(ymax) + 1):
             px, py = to_px(x, y)

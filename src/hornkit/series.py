@@ -19,18 +19,20 @@ solutions and the full system's persistent solutions grow at
 
 `grow_starts` runs on exponent classes in integers.  A start is a class
 key and an integer offset on it (`_branch_start`), each class gets one
-factor evaluator (`operators._ClassFactors`), rebased by offset for every
-later start on it, the covered-start skip compares offsets, and a finite
-support is verified on the evaluator it was grown with.
+factor evaluator (`operators._ClassFactors`) at its class point, every walk
+on the class starts at its offset on that evaluator, the covered-start skip
+compares offsets, and a finite support is verified on the evaluator it was
+grown with.
 
 Before a walk that may stop at the window, an escape certificate
 (`_escape_certified`) tries to prove the escape.  Let R be the offsets d
-where every integer-valued row has n_i + <A_i, d> <= 0.  If the start lies
-in R, a step from R is live exactly when it stays in R, no collision test
-can fire, and the walk's outcome does not depend on its order.  A monotone
-staircase in R from the start to a recession direction w of R then proves
-the escape: its translates by multiples of w leave every box.  Starts the
-certificate does not prove are walked.
+from the start where every integer-valued row has n_i + <A_i, d> <= 0, n_i
+its value at the start.  If the start lies in R, a step from R is live
+exactly when it stays in R, no collision test can fire, and the walk's
+outcome does not depend on its order.  A monotone staircase in R from the
+start to a recession direction w of R then proves the escape: its
+translates by multiples of w leave every box.  Starts the certificate does
+not prove are walked.
 """
 
 from __future__ import annotations
@@ -68,9 +70,11 @@ class GrowResult:
     exceeded: bool
 
 
-def grow_component(ev: _ClassFactors, radius: int, early_exit: bool = True) -> GrowResult:
-    """Grow the coupled component through the anchor of ev, assigning it
-    coefficient 1.
+def grow_component(ev: _ClassFactors, radius: int, early_exit: bool = True,
+                   start: Offset = (0, 0)) -> GrowResult:
+    """Grow the coupled component through offset start on the class of ev,
+    assigning it coefficient 1, within the radius box around start.  Values
+    are keyed by offsets on the class, like start.
 
     Growth walks the support, then fills its coefficients.  The walk follows
     every forced relation in all four lattice directions, depth first.  It
@@ -116,28 +120,32 @@ def grow_component(ev: _ClassFactors, radius: int, early_exit: bool = True) -> G
     With early_exit, `_escape_certified` first tries to prove the escape
     from the integer-valued rows alone; a proved escape skips the walk.
     """
-    if early_exit and _escape_certified(ev, radius):
+    if early_exit and _escape_certified(ev, start, radius):
         return GrowResult({}, True)
-    edges, exceeded = _walk_support(ev, radius, early_exit)
+    edges, exceeded = _walk_support(ev, start, radius, early_exit)
     if exceeded and early_exit:
         return GrowResult({}, True)
-    return GrowResult(_fill(ev, edges), exceeded)
+    return GrowResult(_fill(ev, start, edges), exceeded)
 
 
-def _walk_support(ev: _ClassFactors, radius: int, early_exit: bool) -> tuple[list[_Edge], bool]:
-    """Depth-first support walk from offset 0 with integer zero tests only.
+def _walk_support(ev: _ClassFactors, start: Offset, radius: int,
+                  early_exit: bool) -> tuple[list[_Edge], bool]:
+    """Depth-first support walk from offset start with integer zero tests
+    only, within the radius box around start.
 
     Returns the live relations in the order the fill needs them: each
     point's discovering relation when the point is found, and every other
     live relation once, from its lower end, when that end is popped.  Both
     ends are found by then.  `found[b]` is +j or -j for the step that found
-    b (0 for the origin): a popped a whose finder was a backward j-step came
+    b (0 for the start): a popped a whose finder was a backward j-step came
     from a + e_j, so that forward relation is the tree's own.
     """
     p_int, q_int = ev.p_int, ev.q_int
-    found: dict[Offset, int] = {(0, 0): 0}
+    lo1, hi1 = start[0] - radius, start[0] + radius
+    lo2, hi2 = start[1] - radius, start[1] + radius
+    found: dict[Offset, int] = {start: 0}
     edges: list[_Edge] = []
-    stack: list[Offset] = [(0, 0)]
+    stack: list[Offset] = [start]
     exceeded = False
 
     while stack:
@@ -147,7 +155,7 @@ def _walk_support(ev: _ClassFactors, radius: int, early_exit: bool) -> tuple[lis
             if not _vanishes(p_int[j], d):
                 if _vanishes(q_int[j], fwd):
                     raise ResonantCollisionError(ev.exponent(d))
-                if max(abs(fwd[0]), abs(fwd[1])) > radius:
+                if not (lo1 <= fwd[0] <= hi1 and lo2 <= fwd[1] <= hi2):
                     exceeded = True
                     if early_exit:
                         return edges, True
@@ -161,7 +169,7 @@ def _walk_support(ev: _ClassFactors, radius: int, early_exit: bool) -> tuple[lis
             if not _vanishes(q_int[j], d):
                 if _vanishes(p_int[j], bwd):
                     raise ResonantCollisionError(ev.exponent(d))
-                if max(abs(bwd[0]), abs(bwd[1])) > radius:
+                if not (lo1 <= bwd[0] <= hi1 and lo2 <= bwd[1] <= hi2):
                     exceeded = True
                     if early_exit:
                         return edges, True
@@ -177,28 +185,30 @@ def _vanishes(rows: list, d: Offset) -> bool:
     """Whether a factor (v + l), v = n + <A_i, d>, l < |A_ij|, of an
     integer-valued row vanishes at offset d."""
     d1, d2 = d
-    for n, a, b, e in rows:
+    for n, a, b, e, _ in rows:
         if -e < n + a * d1 + b * d2 <= 0:
             return True
     return False
 
 
-def _escape_certified(ev: _ClassFactors, radius: int) -> bool:
-    """Whether the support walk from offset 0 provably leaves the radius box.
+def _escape_certified(ev: _ClassFactors, start: Offset, radius: int) -> bool:
+    """Whether the support walk from offset start provably leaves the radius
+    box around it.
 
-    Write v_i(d) = n_i + <A_i, d> for the integer-valued rows (n_i, a_i, b_i)
-    of `p_int`/`q_int`, and R = {d : v_i(d) <= 0 for every such row}.
+    Write v_i(d) = n_i + <A_i, d> for the integer-valued rows (a_i, b_i) of
+    `p_int`/`q_int`, with n_i the row's value at start and d the offset from
+    start, and R = {d : v_i(d) <= 0 for every such row}.
 
-    Lemma.  Let every n_i <= 0, so that offset 0 lies in R.  From a point d
-    of R, (i) a step to a neighbour is live exactly when the neighbour lies
-    in R, on both the forward and the backward test; (ii) no collision test
-    fires; (iii) so the walk covers the 4-connected component of 0 among
-    the lattice points of R within the box, whatever its order, and exceeds
-    exactly when that component leaves the box.  Proof: the forward j-step
-    is cut where a row with A_ij > 0 has -A_ij < v_i(d) <= 0, which, as
-    v_i(d) <= 0, says v_i(d + e_j) = v_i(d) + A_ij > 0; rows with A_ij <= 0
-    do not grow along e_j.  So the step is cut exactly when d + e_j leaves
-    R.  Its collision test asks a row with A_ij < 0 for
+    Lemma.  Let every n_i <= 0, so that the start, d = 0, lies in R.  From a
+    point d of R, (i) a step to a neighbour is live exactly when the
+    neighbour lies in R, on both the forward and the backward test; (ii) no
+    collision test fires; (iii) so the walk covers the 4-connected component
+    of 0 among the lattice points of R within the box, whatever its order,
+    and exceeds exactly when that component leaves the box.  Proof: the
+    forward j-step is cut where a row with A_ij > 0 has -A_ij < v_i(d) <= 0,
+    which, as v_i(d) <= 0, says v_i(d + e_j) = v_i(d) + A_ij > 0; rows with
+    A_ij <= 0 do not grow along e_j.  So the step is cut exactly when d + e_j
+    leaves R.  Its collision test asks a row with A_ij < 0 for
     -|A_ij| < v_i(d + e_j) <= 0, but v_i(d + e_j) = v_i(d) - |A_ij| <= -|A_ij|.
     The backward step is the same argument with P_j and Q_j exchanged.
 
@@ -213,9 +223,11 @@ def _escape_certified(ev: _ClassFactors, radius: int) -> bool:
     those lines, so when none qualifies, R is bounded and nothing is
     proved.  False means unproved; the walk decides.
     """
+    o1, o2 = start
     rows: set[tuple[int, int, int]] = set()
     for side in (ev.p_int[1], ev.p_int[2], ev.q_int[1], ev.q_int[2]):
-        for n, a, b, _ in side:
+        for n, a, b, _, _ in side:
+            n += a * o1 + b * o2
             if n > 0:
                 return False
             rows.add((n, a, b))
@@ -252,10 +264,10 @@ def _staircase_in(rows: set, w: Offset, radius: int) -> bool:
     return True
 
 
-def _fill(ev: _ClassFactors, edges: list[_Edge]) -> dict[Offset, Fraction]:
-    """Coefficients over a walked support, 1 at offset 0, in walk order."""
+def _fill(ev: _ClassFactors, start: Offset, edges: list[_Edge]) -> dict[Offset, Fraction]:
+    """Coefficients over a walked support, 1 at offset start, in walk order."""
     p_num, q_num, p_den, q_den = ev.p_num, ev.q_num, ev.p_den, ev.q_den
-    values: dict[Offset, Fraction] = {(0, 0): Fraction(1)}
+    values: dict[Offset, Fraction] = {start: Fraction(1)}
     for a, b, j, forward in edges:
         if forward:
             v = values[a] * Fraction(p_num(j, a) * q_den[j], q_num(j, b) * p_den[j])
@@ -455,11 +467,10 @@ def grow_starts(s: HornSystem, starts: list[tuple[AtomicSystem, int, Offset]],
 
     Starts are taken in integers, as a class key and an offset on it
     (`_branch_start`).  Each exponent class gets one evaluator, built at its
-    first start; a later start on the class rebases it by its offset
-    (`_ClassFactors.shifted`).  A finite support is checked once, on the
-    evaluator it was grown with (`operators._class_residual`); a nonzero
-    residual raises AssertionError, a guard that `grow_component` shows
-    cannot fire.  Only a reported polynomial gets rational exponents.
+    class point, and every walk on the class starts at its offset on it.  A
+    finite support is checked once, on the evaluator it was grown with
+    (`operators._class_residual`); a nonzero residual raises AssertionError,
+    a guard that `grow_component` shows cannot fire.  Only a reported polynomial gets rational exponents.
 
     The finite outcomes are distinct solutions.  A start inside a harvested
     support S is not explored when S fits its window box: the walk from it
@@ -468,22 +479,21 @@ def grow_starts(s: HornSystem, starts: list[tuple[AtomicSystem, int, Offset]],
     harvested polynomial is never found twice.
     """
     results: list[HarvestResult] = []
-    classes: dict[ClassKey, tuple[Offset, _ClassFactors]] = {}  # first start's offset, evaluator
+    classes: dict[ClassKey, _ClassFactors] = {}
     covered: dict[tuple[ClassKey, Offset], list[Offset]] = {}  # point -> harvested support
 
     for sub, label, k0 in starts:
-        key, (o1, o2) = _branch_start(sub, k0)
-        done = covered.get((key, (o1, o2)))
-        if done is not None and all(max(abs(x - o1), abs(y - o2)) <= window
+        key, o = _branch_start(sub, k0)
+        done = covered.get((key, o))
+        if done is not None and all(max(abs(x - o[0]), abs(y - o[1])) <= window
                                     for x, y in done):
             continue
-        if key not in classes:
-            classes[key] = ((o1, o2), _ClassFactors(s, _class_exponent(key, (o1, o2))))
-        (f1, f2), ev = classes[key]
-        ev = ev.shifted((o1 - f1, o2 - f2))
-        alpha0 = ev.anchor
+        ev = classes.get(key)
+        if ev is None:
+            ev = classes[key] = _ClassFactors(s, _class_exponent(key, (0, 0)))
+        alpha0 = ev.exponent(o)
         try:
-            res = grow_component(ev, window)
+            res = grow_component(ev, window, start=o)
         except ResonantCollisionError as exc:
             results.append(HarvestResult(
                 "resonant_collision", sub.indices, label, alpha0,
@@ -499,7 +509,7 @@ def grow_starts(s: HornSystem, starts: list[tuple[AtomicSystem, int, Offset]],
         if _class_residual(ev, 1, values) or _class_residual(ev, 2, values):
             raise AssertionError(
                 f"the finite support through ({alpha0[0]}, {alpha0[1]}) fails the operators")
-        support = [(o1 + d1, o2 + d2) for d1, d2 in values]
+        support = list(values)
         covered.update(dict.fromkeys(((key, p) for p in support), support))
         scale = 1 / values[min(values)]  # 1 at the lex-smallest exponent
         poly = PuiseuxPolynomial.zero()
@@ -514,7 +524,7 @@ def default_window(s: HornSystem) -> int:
     """The one growth radius: 4 * (rank + m * max |entry|), wide enough for
     every fixture.  The rank is the holonomic rank, or the atomic rank of a
     bare atomic pair; raises ValueError where neither is defined."""
-    from .solver import system_rank
+    from .solver import system_rank  # solver imports this module
 
     max_entry = max(max(abs(r.a), abs(r.b)) for r in s.rows)
     return 4 * (system_rank(s) + s.m * max_entry)

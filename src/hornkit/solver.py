@@ -11,8 +11,8 @@ from fractions import Fraction
 
 from .atomic import _index_rects, atomic_rank
 from .counting import holonomic_rank
-from .lattice import QVec, Vec2, dot, inverse_times
-from .operators import is_solution
+from .lattice import QVec, Vec2, inverse_times, primitive
+from .operators import _by_class, is_solution
 from .polygon import Kind, build_polygon, classify
 from .puiseux import PuiseuxPolynomial
 from .series import HarvestResult, default_window, grow_starts, harvest_polynomials
@@ -60,31 +60,22 @@ def validate_persistence(f: PuiseuxPolynomial, s: HornSystem) -> bool:
     perturbation translates the support so that the pair's factor values are
     unchanged while every other row's values move, so cuts relying on a
     third row break and the support escapes to infinity.
+
+    Each cut is read off the class evaluator (`operators._by_class`) as the
+    set of rows whose integer factor of P_j (forward cut) or Q_j (backward
+    cut) vanishes at the cut point, from `p_int`/`q_int`.
     """
     if not is_solution(f, s):
         raise ValueError("persistence is only defined for solutions")
-    supp = set(f.terms)
-
-    # (point, variable ell, side) demanding a vanishing factor of that side
-    cuts: list[tuple] = []
-    for alpha in supp:
-        for ell, step in ((1, (1, 0)), (2, (0, 1))):
-            if (alpha[0] + step[0], alpha[1] + step[1]) not in supp:
-                cuts.append((alpha, ell, "p"))
-            if (alpha[0] - step[0], alpha[1] - step[1]) not in supp:
-                cuts.append((alpha, ell, "q"))
-
-    def witnesses(idx: int, alpha, ell: int, side: str) -> bool:
-        row, c = s.rows[idx], s.params[idx]
-        entry = row.a if ell == 1 else row.b
-        if side == "p" and entry <= 0:
-            return False
-        if side == "q" and entry >= 0:
-            return False
-        val = Fraction(dot(row, alpha)) + c
-        return val.denominator == 1 and -abs(entry) < val <= 0
-
-    return any(all(witnesses(i, *cut) or witnesses(j, *cut) for cut in cuts)
+    cuts: list[set[int]] = []
+    for ev, terms in _by_class(f, s):
+        for d1, d2 in terms:
+            for j, s1, s2 in ((1, 1, 0), (2, 0, 1)):
+                for rows, out in ((ev.p_int[j], (d1 + s1, d2 + s2)),
+                                  (ev.q_int[j], (d1 - s1, d2 - s2))):
+                    if out not in terms:
+                        cuts.append({i for n, a, b, e, i in rows if -e < n + a * d1 + b * d2 <= 0})
+    return any(all(i in cut or j in cut for cut in cuts)
                for i, j in (a.indices for a in enumerate_atomic(s)))
 
 
@@ -314,8 +305,6 @@ def _parameter_candidates(s: HornSystem, budget: int):
     negative integer from a cycled depth pattern.  Patterns whose maximum
     depth exceeds the budget are deferred to a later budget round.
     """
-    from .lattice import primitive
-
     lines: dict[Vec2, list[int]] = {}
     for i, r in enumerate(s.rows):
         d, _ = primitive(r)

@@ -13,7 +13,7 @@ from math import gcd
 from typing import Sequence
 
 from .lattice import Vec2, cross, index_nu
-from .puiseux import parse_rational
+from .puiseux import format_rational, parse_rational
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,6 @@ class HornSystem:
         return HornSystem(self.rows, tuple(parse_rational(p) for p in params), self.name)
 
     def to_json(self) -> dict:
-        from .puiseux import format_rational
-
         return {
             "name": self.name,
             "matrix": [[r.a, r.b] for r in self.rows],
@@ -180,7 +178,7 @@ def is_generic(s: HornSystem) -> bool:
     no collision among atomic initial exponents of distinct subsystems."""
     if detect_resonance(s).is_resonant:
         return False
-    from .atomic import polynomial_exponents
+    from .atomic import polynomial_exponents  # atomic imports this module
 
     seen = {}
     for a in enumerate_atomic(s):

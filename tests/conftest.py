@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from hornkit.lattice import Vec2, cross, primitive
-from hornkit.system import HornSystem
+from hornkit.lattice import Vec2, cross, dot, primitive
+from hornkit.system import HornSystem, enumerate_atomic
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "hornkit" / "fixtures"
 
@@ -79,6 +79,34 @@ def factor_product(s: HornSystem, j: int, side: str, alpha) -> Fraction:
             for ell in range(abs(entry)):
                 out *= row.a * alpha[0] + row.b * alpha[1] + c + ell
     return out
+
+
+def reference_persistence(f, s: HornSystem) -> bool:
+    """Persistence of the solution f, worked out in `Fraction`s: every
+    boundary cut of f's support (a point whose neighbour along e_j is
+    missing) must have a vanishing factor of P_j (forward) or Q_j (backward)
+    from one row of a single independent row pair."""
+    supp = set(f.terms)
+    cuts = []
+    for alpha in supp:
+        for ell, step in ((1, (1, 0)), (2, (0, 1))):
+            if (alpha[0] + step[0], alpha[1] + step[1]) not in supp:
+                cuts.append((alpha, ell, "p"))
+            if (alpha[0] - step[0], alpha[1] - step[1]) not in supp:
+                cuts.append((alpha, ell, "q"))
+
+    def witnesses(idx: int, alpha, ell: int, side: str) -> bool:
+        row, c = s.rows[idx], s.params[idx]
+        entry = row.a if ell == 1 else row.b
+        if side == "p" and entry <= 0:
+            return False
+        if side == "q" and entry >= 0:
+            return False
+        val = Fraction(dot(row, alpha)) + c
+        return val.denominator == 1 and -abs(entry) < val <= 0
+
+    return any(all(witnesses(i, *cut) or witnesses(j, *cut) for cut in cuts)
+               for i, j in (a.indices for a in enumerate_atomic(s)))
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -324,6 +324,18 @@ def test_suggest_params_cli():
     assert r.exit_code == 3
 
 
+def test_suggest_params_bound_below_one_exit_2():
+    # checked before the search: the quadrilateral alone would exit 3
+    for path in (SIMPLEX, QUAD):
+        for bound in ("0", "-2"):
+            r = run("suggest-params", path, "--bound", bound)
+            assert r.exit_code == 2, (path, bound, r.output)
+            assert "--bound must be at least 1" in json.loads(r.stderr)["error"]
+    r = run("suggest-params", SIMPLEX, "--bound", "1")
+    assert r.exit_code == 0, r.output
+    assert json.loads(r.output)["found"] is True
+
+
 def test_every_fixture_analyzes_quickly():
     import time
 

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -117,30 +118,46 @@ def test_class_factors_match_affine_factors(system_anchor, offsets):
             assert F(ev.q_num(j, d), ev.q_den[j]) == factor_product(s, j, "q", alpha)
 
 
-def test_shifted_matches_fresh_evaluator():
-    """Rebasing a class evaluator by an integer offset gives, field by field,
-    the evaluator built at the new anchor: at resonant parameters, anchored
-    at every start of the system, for every offset in [-5, 5]^2."""
-    from hornkit.series import branch_base_points, branch_initial_exponent
+def _grown(ev, start, radius, early_exit):
+    from hornkit.series import ResonantCollisionError, grow_component
+
+    try:
+        res = grow_component(ev, radius, early_exit, start=start)
+    except ResonantCollisionError as exc:
+        return "collision", exc.point
+    return ("exceeds" if res.exceeded else "finite"), res.values
+
+
+def test_walk_from_offset_matches_walk_from_anchor():
+    """Growing from a start's offset on the evaluator built at its class
+    point gives what growing on an evaluator anchored at the start gives:
+    the same outcome, the same collision exponent, and the same values once
+    shifted by the offset.  At resonant parameters, from every branch base
+    point of the system, with and without early exit."""
+    from hornkit.operators import _class_exponent
+    from hornkit.series import _branch_start, branch_base_points
     from hornkit.system import enumerate_atomic
 
     rng = random.Random(89)
-    fields = ("pos", "neg", "p_int", "q_int", "p_den", "q_den", "anchor")
-    compared = 0
+    seen = Counter()
     for i in range(12):
         rows = random_nonconfluent_system(rng, max_m=4).rows
         den = (1, 2, 3)[i % 3]
         s = HornSystem.make(rows, [F(rng.randint(-8, 8), den) for _ in rows])
         for sub in enumerate_atomic(s):
-            anchor = branch_initial_exponent(sub, branch_base_points(sub)[-1])
-            ev = _ClassFactors(s, anchor)
-            for k in ((k1, k2) for k1 in range(-5, 6) for k2 in range(-5, 6)):
-                got = ev.shifted(k)
-                want = _ClassFactors(s, (anchor[0] + k[0], anchor[1] + k[1]))
-                for name in fields:
-                    assert getattr(got, name) == getattr(want, name), (s, anchor, k, name)
-                compared += 1
-    assert compared > 3000, compared
+            for k0 in branch_base_points(sub):
+                key, o = _branch_start(sub, k0)
+                at_class = _ClassFactors(s, _class_exponent(key, (0, 0)))
+                at_start = _ClassFactors(s, _class_exponent(key, o))
+                for early_exit in (True, False):
+                    got = _grown(at_class, o, 6, early_exit)
+                    outcome, want = _grown(at_start, (0, 0), 6, early_exit)
+                    if outcome != "collision":
+                        want = {(d1 + o[0], d2 + o[1]): v for (d1, d2), v in want.items()}
+                    assert got == (outcome, want), (s, k0, early_exit)
+                    seen[outcome, early_exit, o != (0, 0)] += 1
+    assert all(seen[outcome, early_exit, True] for outcome in ("finite", "exceeds", "collision")
+               for early_exit in (True, False)), seen
 
 
 @settings(max_examples=100, deadline=None)

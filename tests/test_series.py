@@ -334,9 +334,9 @@ def test_escape_certificate_sound():
             for k0 in branch_base_points(sub):
                 ev = _ClassFactors(s, branch_initial_exponent(sub, k0))
                 for window in (6, 20):
-                    if _escape_certified(ev, window):
+                    if _escape_certified(ev, (0, 0), window):
                         certified += 1
-                        assert _walk_support(ev, window, True)[1], (s, ev.anchor, window)
+                        assert _walk_support(ev, (0, 0), window, True)[1], (s, ev.anchor, window)
     assert certified > 2000, certified
 
 
@@ -347,9 +347,9 @@ def test_escape_certificate_covers_quadrilateral(quadrilateral, monkeypatch):
 
     walked = []
 
-    def counted(ev, radius, early_exit):
-        walked.append(ev.anchor)
-        return _walk_support(ev, radius, early_exit)
+    def counted(ev, start, radius, early_exit):
+        walked.append(ev.exponent(start))
+        return _walk_support(ev, start, radius, early_exit)
 
     monkeypatch.setattr(series, "_walk_support", counted)
     results = harvest_polynomials(quadrilateral, default_window(quadrilateral))
@@ -363,18 +363,18 @@ def test_escape_certificate_negative_cases():
     # bounded, so nothing is certified, not even at a radius the walk leaves
     box = HornSystem.make([[1, 0], [-1, 0], [0, 1], [0, -1]], [0, -3, 0, -3])
     ev = _ClassFactors(box, (F(-1), F(-1)))
-    assert not _walk_support(ev, 5, True)[1]
-    assert _walk_support(ev, 1, True)[1]
+    assert not _walk_support(ev, (0, 0), 5, True)[1]
+    assert _walk_support(ev, (0, 0), 1, True)[1]
     for radius in (0, 1, 5):
-        assert not _escape_certified(ev, radius)
+        assert not _escape_certified(ev, (0, 0), radius)
     # row (1, 0) takes the value 1 > 0 at offset 0, and the backward 1-step
     # collides; the staircase to (-1, 0) alone would lie in R
     quad = HornSystem.make([[1, 0], [0, 1]], [0, 0])
     ev = _ClassFactors(quad, (F(1), F(0)))
     with pytest.raises(ResonantCollisionError):
-        _walk_support(ev, 5, True)
+        _walk_support(ev, (0, 0), 5, True)
     for radius in (0, 1, 5, 50):
-        assert not _escape_certified(ev, radius)
+        assert not _escape_certified(ev, (0, 0), radius)
 
 
 def test_escape_certificate_thin_cone():
@@ -387,8 +387,8 @@ def test_escape_certificate_thin_cone():
     for k0, escapes in (((0, 0), False), ((1, 1), False), ((2, 2), True), ((5, 3), True)):
         ev = _ClassFactors(s, branch_initial_exponent(sub, k0))
         assert sorted(n for n, *_ in ev.p_int[1] + ev.q_int[1]) == sorted((-k0[0], -k0[1]))
-        assert _walk_support(ev, 30, True)[1] is escapes
-        assert _escape_certified(ev, 30) is escapes
+        assert _walk_support(ev, (0, 0), 30, True)[1] is escapes
+        assert _escape_certified(ev, (0, 0), 30) is escapes
 
 
 def test_branch_initial_exponent_matches_inverse():
@@ -409,7 +409,8 @@ def test_branch_initial_exponent_matches_inverse():
 
 def test_harvest_builds_one_evaluator_per_class(monkeypatch):
     """One harvest builds one `_ClassFactors` per exponent class mod Z^2 of
-    its starts, and rebases it for every other start on the class."""
+    its starts, at the class point, and walks every start on the class from
+    its offset on that evaluator."""
     base = load_system("zonotope")
     s = HornSystem.make([(2 * r.a, 2 * r.b) for r in base.rows], base.params)
     starts = [branch_initial_exponent(sub, k0)
@@ -427,24 +428,25 @@ def test_harvest_builds_one_evaluator_per_class(monkeypatch):
     results = harvest_polynomials(s, default_window(s))
     assert any(r.outcome == "finite" for r in results)
     assert len(built) == len(classes)
-    assert {(x - math.floor(x), y - math.floor(y)) for x, y in built} == classes
+    assert set(built) == classes
 
 
 @pytest.mark.parametrize("axis", [0, 1])
 def test_residual_guard_raises(axis, monkeypatch, zonotope, atomic_32_43):
     """A finite support whose fill breaks a relation raises AssertionError
     from every route to a solution: the harvest, persistent solutions and
-    atomic strip polynomials.  Doubling every value off the line
-    d[axis] = 0 breaks the relations of equation axis + 1 alone."""
+    atomic strip polynomials.  Doubling every value off the line through
+    the start, d[axis] = start[axis], breaks the relations of equation
+    axis + 1 alone."""
     import hornkit.series as series
     from hornkit.atomic import persistent_polynomials
     from hornkit.solver import persistent_solutions
 
     fill = series._fill
 
-    def corrupted(ev, edges):
-        values = fill(ev, edges)
-        return {d: v * 2 if d[axis] else v for d, v in values.items()}
+    def corrupted(ev, start, edges):
+        values = fill(ev, start, edges)
+        return {d: v * 2 if d[axis] != start[axis] else v for d, v in values.items()}
 
     monkeypatch.setattr(series, "_fill", corrupted)
     (pair,) = enumerate_atomic(atomic_32_43)
