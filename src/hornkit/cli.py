@@ -11,6 +11,7 @@ import json
 import sys
 
 import click
+from click.core import ParameterSource
 
 from .counting import (
     convergent_count_S,
@@ -252,6 +253,12 @@ def solve(input_path, window, out):
 @_out_opt
 def series(input_path, submatrix, branch, window, out):
     """Truncated fully supported series tables (or a branch listing)."""
+    if submatrix is None:
+        ctx = click.get_current_context()
+        given = [f"--{name}" for name in ("branch", "window")
+                 if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT]
+        if given:
+            _fail(2, f"--submatrix is required with {' and '.join(given)}, which select a table")
     s = _load_system(input_path)
     _require_nonconfluent(s, False)
     if submatrix is None:
@@ -283,8 +290,8 @@ def series(input_path, submatrix, branch, window, out):
         "initial_exponent": [format_rational(t.alpha0[0]), format_rational(t.alpha0[1])],
         "window": window,
         "coefficients": [
-            {"offset": [d1, d2], "value": format_rational(v)}
-            for (d1, d2), v in sorted(t.coeffs.items())
+            {"offset": [d1, d2], "value": str(num) if den == 1 else f"{num}/{den}"}
+            for (d1, d2), (num, den) in sorted(t.coeffs.items())
         ],
     }, out)
 

@@ -13,7 +13,9 @@ strip solutions alike.  Growth walks the support first and fills
 coefficients second.  The walk decides, from integer zero tests alone,
 whether the support component through a start exponent closes off into a
 finite support, escapes the window or meets a resonant collision; only a
-support that closes, or a series table, gets coefficients.  Atomic strip
+support that closes, or a series table, gets coefficients.  A closed
+support is filled in Python ints and handed on as Fractions; a table is
+filled in exact `Decimal` integers, which print in linear time.  Atomic strip
 solutions and the full system's persistent solutions grow at
 `default_window`, the harvest at the window it is given.
 
@@ -38,12 +40,14 @@ not prove are walked.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import (MAX_PREC, Context, Decimal, DivisionByZero, Inexact, InvalidOperation,
+                     Rounded, localcontext)
 from fractions import Fraction
 from math import gcd
 
 from .lattice import QVec, inverse_times, qvec
 from .operators import ClassKey, Offset, _class_exponent, _class_residual, _ClassFactors
-from .puiseux import PuiseuxPolynomial
+from .puiseux import PuiseuxPolynomial, _parse_int
 from .system import AtomicSystem, HornSystem, enumerate_atomic
 from .counting import ConeQ
 
@@ -89,9 +93,10 @@ def grow_component(ev: _ClassFactors, radius: int, early_exit: bool = True,
     alpha0 + Z^2 is an integer, so the walk tests those rows alone, in small
     integers (`_ClassFactors.p_int`/`q_int`), and builds no coefficient.
 
-    The fill assigns each point its value along the walk's spanning tree,
-    one big-rational product per point, and compares the two ends of every
-    other live relation once.  Two paths never disagree.  With
+    The fill (`_fill`, here on Python ints) assigns each point its value
+    along the walk's spanning tree, one big-rational product per point, and
+    compares the two ends of every other live relation once; each value is
+    returned as a `Fraction`.  Two paths never disagree.  With
     Phi(beta) = prod_i Gamma(<A_i, beta> + c_i), the functional equation of
     Gamma gives, as rational functions of beta,
 
@@ -125,7 +130,8 @@ def grow_component(ev: _ClassFactors, radius: int, early_exit: bool = True,
     edges, exceeded = _walk_support(ev, start, radius, early_exit)
     if exceeded and early_exit:
         return GrowResult({}, True)
-    return GrowResult(_fill(ev, start, edges), exceeded)
+    values = _fill(ev, start, edges, 1)
+    return GrowResult({d: Fraction(n, m) for d, (n, m) in values.items()}, exceeded)
 
 
 def _walk_support(ev: _ClassFactors, start: Offset, radius: int,
@@ -264,15 +270,32 @@ def _staircase_in(rows: set, w: Offset, radius: int) -> bool:
     return True
 
 
-def _fill(ev: _ClassFactors, start: Offset, edges: list[_Edge]) -> dict[Offset, Fraction]:
-    """Coefficients over a walked support, 1 at offset start, in walk order."""
+def _fill(ev: _ClassFactors, start: Offset, edges: list[_Edge], one) -> dict[Offset, tuple]:
+    """Coefficients over a walked support, 1 at offset start, in walk order,
+    as reduced pairs (numerator, denominator > 0) of the type of one: Python
+    ints, or `Decimal` integers inside the `_EXACT` context.
+
+    Each relation's step ratio p/q is reduced in small ints.  With n/d and
+    p/q in lowest terms, gcd(n*p, d*q) = gcd(n, q) * gcd(p, d), and both
+    gcds are taken after a big value is reduced modulo a small one.  So a
+    step costs a few products, exact quotients and remainders of a big
+    integer by a small one, linear in its digits for either type; no two
+    big values are ever divided.  Two pairs in lowest terms are equal
+    exactly when their rationals are, so the guard on the non-tree
+    relations compares pairs.
+    """
     p_num, q_num, p_den, q_den = ev.p_num, ev.q_num, ev.p_den, ev.q_den
-    values: dict[Offset, Fraction] = {start: Fraction(1)}
+    values: dict[Offset, tuple] = {start: (one, one)}
     for a, b, j, forward in edges:
         if forward:
-            v = values[a] * Fraction(p_num(j, a) * q_den[j], q_num(j, b) * p_den[j])
+            p, q = p_num(j, a) * q_den[j], q_num(j, b) * p_den[j]
         else:
-            v = values[a] * Fraction(q_num(j, a) * p_den[j], p_num(j, b) * q_den[j])
+            p, q = q_num(j, a) * p_den[j], p_num(j, b) * q_den[j]
+        g = gcd(p, q) if q > 0 else -gcd(p, q)
+        p, q = p // g, q // g
+        n, d = values[a]
+        g1, g2 = gcd(int(n % q), q), gcd(p, int(d % p))
+        v = (n // g1 * (p // g2), d // g2 * (q // g1))
         if b not in values:
             values[b] = v
         elif values[b] != v:
@@ -384,18 +407,36 @@ def support_cone(s: HornSystem, indices: tuple[int, int]) -> ConeQ:
 # -- windowed series tables ---------------------------------------------------
 
 
+# Decimal integers stay exact in this context: a result that would need
+# rounding raises Rounded or Inexact instead.
+_EXACT = Context(prec=MAX_PREC, traps=[Inexact, Rounded, InvalidOperation, DivisionByZero])
+
+
 @dataclass
 class TruncatedSeries:
+    """A windowed series table.  Each nonzero coefficient, keyed by its
+    offset from alpha0, is a reduced pair (numerator, denominator > 0) of
+    `Decimal` integers, which print in time linear in their digits;
+    `_as_fraction` turns one into a `Fraction`."""
     indices: tuple[int, int]
     branch: int
     alpha0: QVec
-    coeffs: dict[Offset, Fraction]  # nonzero coefficients, offsets from alpha0
+    coeffs: dict[Offset, tuple[Decimal, Decimal]]
     window: int
 
     def polynomial(self) -> PuiseuxPolynomial:
         return PuiseuxPolynomial(
-            {(self.alpha0[0] + d[0], self.alpha0[1] + d[1]): v for d, v in self.coeffs.items()}
+            {(self.alpha0[0] + d[0], self.alpha0[1] + d[1]): _as_fraction(v)
+             for d, v in self.coeffs.items()}
         )
+
+
+def _as_fraction(pair) -> Fraction:
+    """The rational n/d of a coefficient pair of `TruncatedSeries`, read
+    through its digits: past a few hundred digits, `int(Decimal)` is
+    several times slower than `_parse_int` of the text."""
+    n, d = pair
+    return Fraction(_parse_int(str(n)), _parse_int(str(d)))
 
 
 def series_from_submatrix(s: HornSystem, indices: tuple[int, int], branch: int,
@@ -405,15 +446,23 @@ def series_from_submatrix(s: HornSystem, indices: tuple[int, int], branch: int,
 
     Coefficients are generated by the two-term ratio recurrences on the
     exponent lattice, normalized to 1 at the branch's initial exponent; only
-    ratios of factor products are ever computed.
+    ratios of factor products are ever computed.  The support is walked
+    without the early exit and filled in `Decimal` integers inside the
+    `_EXACT` context, which is left again on return, so the table prints
+    in time linear in its digits, where `str` of a Python int is quadratic.
+    Tables skip `grow_component`, whose `GrowResult.values` stay Fractions
+    for every other caller (`bench/tracer.py` reads their bit lengths).
     """
     sub = _atomic_pair(s, indices)
     bases = branch_base_points(sub)
     if not 0 <= branch < len(bases):
         raise ValueError(f"branch {branch} out of range 0..{len(bases) - 1}")
     alpha0 = branch_initial_exponent(sub, bases[branch])
-    res = grow_component(_ClassFactors(s, alpha0), window, early_exit=False)
-    return TruncatedSeries(sub.indices, branch, alpha0, res.values, window)
+    ev = _ClassFactors(s, alpha0)
+    edges, _ = _walk_support(ev, (0, 0), window, early_exit=False)
+    with localcontext(_EXACT):
+        coeffs = _fill(ev, (0, 0), edges, Decimal(1))
+    return TruncatedSeries(sub.indices, branch, alpha0, coeffs, window)
 
 
 def verify_truncated(t: TruncatedSeries, s: HornSystem) -> bool:
@@ -423,8 +472,9 @@ def verify_truncated(t: TruncatedSeries, s: HornSystem) -> bool:
     (`operators._class_residual`)."""
     ev = _ClassFactors(s, qvec(t.alpha0[0], t.alpha0[1]))
     w = t.window
+    coeffs = {d: _as_fraction(v) for d, v in t.coeffs.items()}
     for j, (s1, s2) in _STEPS:
-        for b1, b2 in _class_residual(ev, j, t.coeffs):
+        for b1, b2 in _class_residual(ev, j, coeffs):
             if max(abs(b1), abs(b2), abs(b1 - s1), abs(b2 - s2)) <= w:
                 return False
     return True

@@ -1,5 +1,6 @@
 import json
 import random
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +20,13 @@ def load_system(name: str) -> HornSystem:
 def load_expected(name: str) -> dict:
     with open(FIXTURES / "expected" / f"{name}.expected.json") as fh:
         return json.load(fh)
+
+
+def as_pair(q) -> tuple[Decimal, Decimal]:
+    """A rational as a `TruncatedSeries` coefficient: a reduced pair of
+    Decimal integers, the inverse of `series._as_fraction`."""
+    q = Fraction(q)
+    return Decimal(q.numerator), Decimal(q.denominator)
 
 
 def random_nonconfluent_system(rng: random.Random, max_m: int = 7,

@@ -203,26 +203,46 @@ def test_series_listing_and_table():
     r = run("series", EX21, "--submatrix", "1,1")
     assert r.exit_code == 2 and "degenerate" in json.loads(r.stderr)["error"]
 
+    # --branch and --window select a table: without --submatrix they are
+    # refused, not ignored
+    for extra in (["--branch", "7"], ["--window", "3"], ["--branch", "0", "--window", "8"]):
+        r = run("series", EX21, *extra)
+        assert r.exit_code == 2 and r.stdout == ""
+        error = json.loads(r.stderr)["error"]
+        assert "--submatrix" in error and all(x in error for x in extra if x.startswith("--"))
+
 
 def test_series_table_past_the_digit_limit():
     # at window 60 the quadrilateral's coefficients pass 4,300 digits, the
     # default limit of int/str conversion
-    from hornkit.puiseux import parse_rational
-    from hornkit.series import TruncatedSeries, verify_truncated
+    import decimal
+
+    from conftest import as_pair
+    from hornkit.operators import _ClassFactors
+    from hornkit.puiseux import format_rational, parse_rational
+    from hornkit.series import TruncatedSeries, grow_component, verify_truncated
     from hornkit.system import HornSystem
 
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    context = decimal.getcontext()
+    prec, traps = context.prec, dict(context.traps)
     r = run("series", QUAD, "--submatrix", "0,1", "--branch", "0", "--window", "60")
     assert r.exit_code == 0, r.output[-300:]
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    assert decimal.getcontext().prec == prec and dict(decimal.getcontext().traps) == traps
     d = json.loads(r.output)
     assert max(len(c["value"]) for c in d["coefficients"]) > 4300
-    t = TruncatedSeries(tuple(d["subsystem"]), d["branch"],
-                        tuple(parse_rational(x) for x in d["initial_exponent"]),
-                        {tuple(c["offset"]): parse_rational(c["value"])
+    alpha0 = tuple(parse_rational(x) for x in d["initial_exponent"])
+    t = TruncatedSeries(tuple(d["subsystem"]), d["branch"], alpha0,
+                        {tuple(c["offset"]): as_pair(parse_rational(c["value"]))
                          for c in d["coefficients"]}, d["window"])
     with open(QUAD) as fh:
-        assert verify_truncated(t, HornSystem.from_json(json.load(fh)))
+        s = HornSystem.from_json(json.load(fh))
+    assert verify_truncated(t, s)
+    # the text is format_rational of the value the Fraction grower gives
+    grown = grow_component(_ClassFactors(s, alpha0), 60, early_exit=False)
+    assert [(tuple(c["offset"]), c["value"]) for c in d["coefficients"]] == \
+        [(p, format_rational(v)) for p, v in sorted(grown.values.items())]
 
 
 def test_series_listing_large_determinant(tmp_path):

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import factor_product, load_expected, load_system, random_nonconfluent_system
+from conftest import as_pair, factor_product, load_expected, load_system, random_nonconfluent_system
 from hornkit.counting import fully_supported_count
 from hornkit.lattice import qvec
 from hornkit.operators import _ClassFactors, is_solution
@@ -13,6 +13,7 @@ from hornkit.puiseux import PuiseuxPolynomial
 from hornkit.series import (
     HarvestResult,
     ResonantCollisionError,
+    _as_fraction,
     _Quotient,
     _escape_certified,
     _walk_support,
@@ -53,7 +54,7 @@ def test_series_normalized_at_base():
     s = ex21_system()
     t = series_from_submatrix(s, (1, 2), 0, 4)
     assert t.alpha0 == (F(-1, 3), F(-1, 5))
-    assert t.coeffs[(0, 0)] == 1
+    assert _as_fraction(t.coeffs[(0, 0)]) == 1
 
 
 def test_series_matches_multinomial_oracle():
@@ -62,7 +63,7 @@ def test_series_matches_multinomial_oracle():
     for k1 in range(0, 9):
         for k2 in range(0, 9):
             want = closed_form_coefficient(k1, k2) * (-1) ** (k1 + k2)
-            assert t.coeffs.get((k1, k2), F(0)) == want
+            assert _as_fraction(t.coeffs.get((k1, k2), (0, 1))) == want
     assert verify_truncated(t, s)
 
 
@@ -71,21 +72,22 @@ def test_series_order_independence():
     s = ex21_system()
     t = series_from_submatrix(s, (1, 2), 0, 8)
     x0, y0 = t.alpha0
-    for (d1, d2), v in t.coeffs.items():
+    coeffs = {d: _as_fraction(v) for d, v in t.coeffs.items()}
+    for (d1, d2), v in coeffs.items():
         for j, step in ((1, (1, 0)), (2, (0, 1))):
             prev = (d1 - step[0], d2 - step[1])
-            if prev in t.coeffs:
+            if prev in coeffs:
                 num = factor_product(s, j, "p", (x0 + prev[0], y0 + prev[1]))
                 den = factor_product(s, j, "q", (x0 + d1, y0 + d2))
                 assert den != 0
-                assert v == t.coeffs[prev] * num / den
+                assert v == coeffs[prev] * num / den
 
 
 def test_verify_truncated_detects_fault():
     s = ex21_system()
     t = series_from_submatrix(s, (1, 2), 0, 5)
     assert verify_truncated(t, s)
-    t.coeffs[(2, 1)] = t.coeffs[(2, 1)] + 1
+    t.coeffs[(2, 1)] = as_pair(_as_fraction(t.coeffs[(2, 1)]) + 1)
     assert not verify_truncated(t, s)
 
     # generic parameters: the factor products have nontrivial denominators
@@ -93,7 +95,7 @@ def test_verify_truncated_detects_fault():
     t = series_from_submatrix(s, enumerate_atomic(s)[0].indices, 0, 3)
     assert verify_truncated(t, s)
     d = max(t.coeffs)
-    t.coeffs[d] = t.coeffs[d] * 2
+    t.coeffs[d] = as_pair(_as_fraction(t.coeffs[d]) * 2)
     assert not verify_truncated(t, s)
 
 
@@ -116,7 +118,7 @@ def test_perturbed_simplicial_series_matches_closed_form():
                   cf.prefactor[1] + F(2 * m + n, 3))] = coeff
     for d, v in t.coeffs.items():
         expt = (t.alpha0[0] + d[0], t.alpha0[1] + d[1])
-        assert want.get(expt, F(0)) == v
+        assert want.get(expt, F(0)) == _as_fraction(v)
 
 
 def test_support_cone():
@@ -210,15 +212,16 @@ def box_verify_truncated(t, s):
     the (2w+1)^2 window box, absent points read as zeros."""
     ev = _ClassFactors(s, qvec(t.alpha0[0], t.alpha0[1]))
     w = t.window
+    coeffs = {d: _as_fraction(v) for d, v in t.coeffs.items()}
     for d1 in range(-w, w + 1):
         for d2 in range(-w, w + 1):
             d = (d1, d2)
-            u = t.coeffs.get(d, 0)
+            u = coeffs.get(d, 0)
             for j, (s1, s2) in ((1, (1, 0)), (2, (0, 1))):
                 nxt = (d1 + s1, d2 + s2)
                 if max(abs(nxt[0]), abs(nxt[1])) > w:
                     continue
-                v = t.coeffs.get(nxt, 0)
+                v = coeffs.get(nxt, 0)
                 lhs = ev.p_num(j, d) * ev.q_den[j] * u.numerator * v.denominator
                 rhs = ev.q_num(j, nxt) * ev.p_den[j] * v.numerator * u.denominator
                 if lhs != rhs:
@@ -247,7 +250,7 @@ def test_verify_truncated_agrees_with_box_loop():
         tables += 1
         w = table.window
         for kind in ("grown", "changed", "deleted", "edge", "corner", "inside", "outside"):
-            coeffs = dict(table.coeffs)
+            coeffs = {d: _as_fraction(v) for d, v in table.coeffs.items()}
             d = rng.choice(sorted(coeffs))
             e = rng.randint(-w, w)
             if kind == "changed":
@@ -260,7 +263,8 @@ def test_verify_truncated_agrees_with_box_loop():
                          "inside": (rng.randint(-w, w), rng.randint(-w, w)),
                          "outside": rng.choice(((w + 1, e), (e, -w - 1)))}[kind]
                 coeffs[point] = F(rng.randint(1, 9), rng.randint(1, 9))
-            t = TruncatedSeries(table.indices, 0, table.alpha0, coeffs, w)
+            t = TruncatedSeries(table.indices, 0, table.alpha0,
+                                {d: as_pair(v) for d, v in coeffs.items()}, w)
             want = box_verify_truncated(t, s)
             assert verify_truncated(t, s) is want, (s, kind, coeffs)
             verdicts[kind, want] += 1
@@ -277,7 +281,7 @@ def test_verify_truncated_on_finite_support(triangle_simplex):
     alpha0 = (F(-1), F(-1))
     grown = grow_component(_ClassFactors(triangle_simplex, alpha0), 10, early_exit=True)
     assert not grown.exceeded
-    t = TruncatedSeries((1, 2), 0, alpha0, grown.values, 10)
+    t = TruncatedSeries((1, 2), 0, alpha0, {d: as_pair(v) for d, v in grown.values.items()}, 10)
     assert verify_truncated(t, triangle_simplex)
     assert is_solution(t.polynomial(), triangle_simplex)
 
@@ -444,9 +448,10 @@ def test_residual_guard_raises(axis, monkeypatch, zonotope, atomic_32_43):
 
     fill = series._fill
 
-    def corrupted(ev, start, edges):
-        values = fill(ev, start, edges)
-        return {d: v * 2 if d[axis] != start[axis] else v for d, v in values.items()}
+    def corrupted(ev, start, edges, one):
+        values = fill(ev, start, edges, one)
+        return {d: (n * 2, m) if d[axis] != start[axis] else (n, m)
+                for d, (n, m) in values.items()}
 
     monkeypatch.setattr(series, "_fill", corrupted)
     (pair,) = enumerate_atomic(atomic_32_43)
@@ -612,7 +617,7 @@ def test_tables_agree_with_coefficient_walk():
             for branch, k0 in enumerate(branch_base_points(sub)):
                 t = series_from_submatrix(s, sub.indices, branch, 8)
                 values, _ = coefficient_walk(s, t.alpha0, 8, early_exit=False)
-                assert list(t.coeffs.items()) == list(values.items())
+                assert [(d, _as_fraction(v)) for d, v in t.coeffs.items()] == list(values.items())
 
 
 def test_branch_base_points_match_shell_scan():
@@ -625,3 +630,78 @@ def test_branch_base_points_match_shell_scan():
         sub = enumerate_atomic(HornSystem.make(rows, [0, 0]))[0]
         assert branch_base_points(sub) == shell_scan_base_points(sub), rows
         pairs += 1
+
+
+@pytest.mark.parametrize("window", (0, 1, 5, 12))
+def test_tables_match_the_fraction_grower(window, tmp_path):
+    """Every table coefficient, as a Fraction, is the value that
+    `grow_component` gives it without the early exit, in the same order,
+    and `series` prints it as `format_rational` prints that value: on the
+    series-tables fixtures and on seeded systems."""
+    import json
+
+    from click.testing import CliRunner
+
+    from hornkit.cli import main
+    from hornkit.puiseux import format_rational
+
+    rng = random.Random(71)
+    systems = [load_system(name) for name in
+               ("quadrilateral", "simplicial22", "example21", "example31")]
+    systems += [random_nonconfluent_system(rng, max_m=5) for _ in range(3)]
+    seen = Counter()
+    for k, s in enumerate(systems):
+        path = tmp_path / f"system{k}.json"
+        path.write_text(json.dumps(s.to_json()))
+        for sub in enumerate_atomic(s):
+            for branch, k0 in enumerate(branch_base_points(sub)):
+                grown = grow_component(_ClassFactors(s, branch_initial_exponent(sub, k0)),
+                                       window, early_exit=False)
+                t = series_from_submatrix(s, sub.indices, branch, window)
+                assert [(d, _as_fraction(v)) for d, v in t.coeffs.items()] == \
+                    list(grown.values.items())
+                r = CliRunner().invoke(main, ["series", str(path),
+                                              "--submatrix", "{},{}".format(*sub.indices),
+                                              "--branch", str(branch), "--window", str(window)])
+                assert r.exit_code == 0, r.output
+                printed = [(tuple(c["offset"]), c["value"])
+                           for c in json.loads(r.stdout)["coefficients"]]
+                assert printed == [(d, format_rational(v)) for d, v in sorted(grown.values.items())]
+                seen["tables"] += 1
+                for v in grown.values.values():
+                    seen["negative" if v < 0 else "positive"] += 1
+                    seen["integer" if v.denominator == 1 else "fraction"] += 1
+    assert seen["tables"] > 40 and seen["integer"] >= seen["tables"], seen
+    if window:  # both signs and both printed forms occur
+        assert seen["negative"] and seen["fraction"], seen
+
+
+def test_tables_fill_exactly_and_leave_the_context_alone(quadrilateral, monkeypatch):
+    """The table fill runs in the exact Decimal context: cut to 50 digits,
+    a table whose coefficients are longer raises instead of rounding, and
+    one whose coefficients fit is filled as before.  The caller's context
+    keeps its precision and traps either way."""
+    import decimal
+
+    import hornkit.series as series
+
+    def context_state():
+        context = decimal.getcontext()
+        return context.prec, dict(context.traps)
+
+    before = context_state()
+    example21 = ex21_system()
+    long_table = series_from_submatrix(quadrilateral, (0, 1), 0, 3)
+    short_table = series_from_submatrix(example21, (1, 2), 0, 3)
+    assert max(len(str(n)) for n, _ in long_table.coeffs.values()) > 50
+    assert max(len(str(x)) for v in short_table.coeffs.values() for x in v) < 50
+    assert context_state() == before
+
+    short = series._EXACT.copy()
+    short.prec = 50
+    monkeypatch.setattr(series, "_EXACT", short)
+    with pytest.raises((decimal.Rounded, decimal.Inexact)):
+        series_from_submatrix(quadrilateral, (0, 1), 0, 3)
+    assert context_state() == before
+    assert series_from_submatrix(example21, (1, 2), 0, 3) == short_table
+    assert context_state() == before
