@@ -73,12 +73,15 @@ def _resolve_window(s: HornSystem, window: int | None) -> int:
 
 
 def _emit(payload, out: str | None):
-    text = json.dumps(payload, indent=1)
+    _write(json.dumps(payload, indent=1) + "\n", out)
+
+
+def _write(text: str, out: str | None):
     if out:
         with open(out, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        click.echo(text)
+        click.echo(text, nl=False)
 
 
 def _require_nonconfluent(s: HornSystem, allow: bool):
@@ -283,17 +286,39 @@ def series(input_path, submatrix, branch, window, out):
         _fail(3, f"resonant collision at {exc.point}")
     except ValueError as exc:
         _fail(2, str(exc))
-    _emit({
+    frame = json.dumps({
         "name": s.name,
         "subsystem": list(t.indices),
         "branch": branch,
         "initial_exponent": [format_rational(t.alpha0[0]), format_rational(t.alpha0[1])],
         "window": window,
-        "coefficients": [
-            {"offset": [d1, d2], "value": str(num) if den == 1 else f"{num}/{den}"}
-            for (d1, d2), (num, den) in sorted(t.coeffs.items())
-        ],
-    }, out)
+        "coefficients": [],
+    }, indent=1)
+    _write(_table_text(frame, t.coeffs), out)
+
+
+def _table_text(frame: str, coeffs: dict) -> str:
+    """The report of a series table: the indent-1 JSON text `frame`, whose
+    last key is an empty "coefficients" list, with one record per
+    coefficient written into that list in offset order.
+
+    The text is byte for byte what `json.dumps(..., indent=1)` gives for the
+    report with the records {"offset": [d1, d2], "value": "n" or "n/d"}, but
+    it skips the encoder, which `indent` sends down its pure-Python path
+    before Python 3.13.  A value holds only digits, "-" and "/", which JSON
+    escaping leaves as they are.  The list is never empty (1 at offset
+    (0, 0)), and the one join at the end makes the only full-size copy of
+    the text.
+    """
+    parts = [frame[:-len("]\n}")]]
+    sep = "\n"
+    for (d1, d2), (num, den) in sorted(coeffs.items()):
+        value = str(num) if den == 1 else f"{num}/{den}"
+        parts.append(f'{sep}  {{\n   "offset": [\n    {d1},\n    {d2}\n   ],\n'
+                     f'   "value": "{value}"\n  }}')
+        sep = ",\n"
+    parts.append("\n ]\n}\n")
+    return "".join(parts)
 
 
 @main.command()

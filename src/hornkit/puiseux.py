@@ -4,6 +4,7 @@ coefficients, with exact arithmetic and a canonical serialized form.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -187,27 +188,30 @@ def _int_str(n: int) -> str:
         return ("-" if n < 0 else "") + _int_str(hi) + _int_str(lo).zfill(k)
 
 
+_INT = re.compile(r"[+-]?[0-9]+")
+
+
 def _parse_int(text: str) -> int:
-    """int(text), also for a signed digit string past the interpreter's digit
-    limit, which is read in two halves.  A malformed string of any length
-    raises int()'s "invalid literal" error, with a long one cut short."""
+    """The integer of an ASCII digit string with an optional sign, also past
+    the interpreter's digit limit, where it is read in two halves.  Anything
+    else raises int()'s "invalid literal" error, with a long string cut
+    short: int() alone would read "1_0", spaces and non-ASCII digits."""
+    if not _INT.fullmatch(text):
+        shown = repr(text) if len(text) <= 60 else f"{text[:60]!r}... ({len(text)} characters)"
+        raise ValueError(f"invalid literal for int() with base 10: {shown}")
     try:
         return int(text)
-    except ValueError:
-        s = text.strip()
-        sign = s[:1] if s[:1] in ("+", "-") else ""
-        digits = s[len(sign):]
-        if not (digits.isascii() and digits.isdigit()):
-            shown = repr(text) if len(text) <= 60 else f"{text[:60]!r}... ({len(text)} characters)"
-            raise ValueError(f"invalid literal for int() with base 10: {shown}") from None
+    except ValueError:  # past the digit limit
+        digits = text.lstrip("+-")
         k = len(digits) // 2
         v = _parse_int(digits[:-k]) * 10 ** k + _parse_int(digits[-k:])
-        return -v if sign == "-" else v
+        return -v if text[0] == "-" else v
 
 
 def parse_rational(text) -> Fraction:
     """Parse 'p/q' or bare integers (str or int); decimal forms and booleans
-    are rejected."""
+    are rejected.  Each of p and q is an ASCII [+-]?[0-9]+ (`_parse_int`),
+    and only JSON's whitespace may surround the whole."""
     if isinstance(text, bool):
         raise ValueError(f"not a rational: {text!r}")
     if isinstance(text, int):
@@ -215,7 +219,7 @@ def parse_rational(text) -> Fraction:
     if isinstance(text, Fraction):
         return text
     if isinstance(text, str):
-        s = text.strip()
+        s = text.strip(" \t\n\r")
         if "/" in s:
             num, den = (_parse_int(x) for x in s.split("/", 1))
             if den == 0:

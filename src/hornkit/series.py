@@ -450,6 +450,8 @@ def series_from_submatrix(s: HornSystem, indices: tuple[int, int], branch: int,
     without the early exit and filled in `Decimal` integers inside the
     `_EXACT` context, which is left again on return, so the table prints
     in time linear in its digits, where `str` of a Python int is quadratic.
+    `cli.series` writes each pair's digits into the report text directly
+    (`cli._table_text`), without the JSON encoder.
     Tables skip `grow_component`, whose `GrowResult.values` stay Fractions
     for every other caller (`bench/tracer.py` reads their bit lengths).
     """

@@ -79,6 +79,25 @@ def test_malformed_input_exit_2(tmp_path):
         assert "zero polynomial" in json.loads(r.stderr)["error"]
 
 
+def test_no_python_only_integer_spellings(tmp_path):
+    # "1_0", an Arabic-Indic three and full-width 1/2 read as 10, 3 and 1/2
+    # through int(); in a system's parameters and in a solution's terms they
+    # are refused with exit 2
+    system, sol = tmp_path / "system.json", tmp_path / "sol.json"
+    for bad in ("1_0", "\u0663", "\uff11/\uff12"):
+        system.write_text(json.dumps({"matrix": [[1, 0], [0, 1], [-1, -1]],
+                                      "parameters": [bad, "0", "0"]}))
+        r = run("analyze", str(system))
+        assert r.exit_code == 2 and r.stdout == ""
+        assert "invalid literal" in json.loads(r.stderr)["error"]
+        for term in ({"exponent": [bad, "0"], "coefficient": "1"},
+                     {"exponent": ["0", "0"], "coefficient": bad}):
+            sol.write_text(json.dumps({"terms": [term]}))
+            r = run("verify", SIMPLEX, "--solution", str(sol))
+            assert r.exit_code == 2 and r.stdout == ""
+            assert "invalid literal" in json.loads(r.stderr)["error"]
+
+
 def test_confluent_exit_3(tmp_path):
     conf = tmp_path / "confluent.json"
     conf.write_text(json.dumps({"matrix": [[3, 2], [-4, -3]], "parameters": [0, 0]}))
@@ -212,6 +231,59 @@ def test_series_listing_and_table():
         assert "--submatrix" in error and all(x in error for x in extra if x.startswith("--"))
 
 
+def _table_oracle(path, pair, branch, window) -> str:
+    """The report of a series table as `json.dumps` wrote it before the
+    table text was written record by record."""
+    from hornkit.puiseux import format_rational
+    from hornkit.series import series_from_submatrix
+    from hornkit.system import HornSystem
+
+    with open(path) as fh:
+        s = HornSystem.from_json(json.load(fh))
+    t = series_from_submatrix(s, pair, branch, window)
+    return json.dumps({
+        "name": s.name,
+        "subsystem": list(t.indices),
+        "branch": branch,
+        "initial_exponent": [format_rational(t.alpha0[0]), format_rational(t.alpha0[1])],
+        "window": window,
+        "coefficients": [
+            {"offset": [d1, d2], "value": str(num) if den == 1 else f"{num}/{den}"}
+            for (d1, d2), (num, den) in sorted(t.coeffs.items())
+        ],
+    }, indent=1) + "\n"
+
+
+def test_series_table_text_is_the_json_encoders():
+    # every table of the series-tables benchmark fixtures, at small windows
+    tables = 0
+    for name in ("quadrilateral", "simplicial22", "example21", "example31"):
+        path = str(FIXTURES / f"{name}.json")
+        rows = json.loads(Path(path).read_text())["matrix"]
+        for i in range(len(rows)):
+            for j in range(i + 1, len(rows)):
+                det = abs(rows[i][0] * rows[j][1] - rows[i][1] * rows[j][0])
+                for branch in range(det):
+                    for window in (0, 1, 8):
+                        r = run("series", path, "--submatrix", f"{i},{j}",
+                                "--branch", str(branch), "--window", str(window))
+                        assert r.exit_code == 0, r.output
+                        assert r.stdout == _table_oracle(path, (i, j), branch, window)
+                        tables += 1
+    assert tables == 3 * 40
+
+
+def test_out_file_matches_stdout(tmp_path):
+    out = tmp_path / "out.json"
+    for args in (["series", QUAD, "--submatrix", "0,1", "--branch", "1"], ["analyze", EX21]):
+        r = run(*args)
+        assert r.exit_code == 0, r.output
+        r_out = run(*args, "--out", str(out))
+        assert r_out.exit_code == 0 and r_out.stdout_bytes == b""
+        assert out.read_bytes() == r.stdout_bytes
+        out.unlink()
+
+
 def test_series_table_past_the_digit_limit():
     # at window 60 the quadrilateral's coefficients pass 4,300 digits, the
     # default limit of int/str conversion
@@ -230,6 +302,7 @@ def test_series_table_past_the_digit_limit():
     assert r.exit_code == 0, r.output[-300:]
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
     assert decimal.getcontext().prec == prec and dict(decimal.getcontext().traps) == traps
+    assert r.stdout == _table_oracle(QUAD, (0, 1), 0, 60)
     d = json.loads(r.output)
     assert max(len(c["value"]) for c in d["coefficients"]) > 4300
     alpha0 = tuple(parse_rational(x) for x in d["initial_exponent"])

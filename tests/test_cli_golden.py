@@ -26,9 +26,13 @@ COMMANDS = {
     "classify": ["classify"],
     "rank": ["rank"],
     "series": ["series"],
+    "series-table": ["series"],
     "render-polygon": ["render", "--what", "polygon"],
     "render-supports": ["render", "--what", "supports"],
 }
+# The table of "series-table" is branch 0 of the first nondegenerate row pair
+# at the default window; rows 0 and 1 are parallel on these two fixtures.
+TABLE_PAIRS = {"triangle_sides": "0,3", "zonotope": "0,2"}
 CASES = [f"{f.stem} {cmd}" for f in sorted(FIXTURES.glob("*.json")) for cmd in COMMANDS]
 
 
@@ -42,6 +46,8 @@ def digest(case: str, workdir: Path) -> dict:
     svg = workdir / "out.svg"
     if cmd.startswith("render"):
         args += ["--out", str(svg)]
+    if cmd == "series-table":
+        args += ["--submatrix", TABLE_PAIRS.get(fixture, "0,1")]
     svg.unlink(missing_ok=True)
     r = CliRunner().invoke(main, args)
     out = {"exit_code": r.exit_code, "stdout": _sha(r.stdout_bytes),

@@ -52,6 +52,21 @@ def test_parse_rational():
     assert format_rational(F(-1, 3)) == "-1/3"
 
 
+def test_parse_rational_reads_ascii_digits_only():
+    # int() reads underscores, surrounding spaces and any Unicode decimal digit;
+    # each part of a rational must be an ASCII [+-]?[0-9]+
+    assert parse_rational("+3/-6") == F(-1, 2)
+    for bad in ("1_0", "\u0663", "\uff11/\uff12", "1/\u0663", "1 /2", "1/ 2", "+-1",
+                "1/", "/2", "1/2/3", "", "-", "\u00a03", "3\u3000"):
+        with pytest.raises(ValueError, match="invalid literal"):
+            parse_rational(bad)
+    # past the digit limit too
+    with pytest.raises(ValueError, match="invalid literal"):
+        parse_rational("1_" + "1" * 5000)
+    with pytest.raises(ValueError, match="invalid literal"):
+        parse_rational("1" * 5000 + "\u0663")
+
+
 def test_rationals_past_the_digit_limit():
     # 5,000 digits pass the default int/str conversion limit of 4,300; the
     # zeros inside the numerator check that each half keeps its width
