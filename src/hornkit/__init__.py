@@ -27,6 +27,7 @@ from .polygon import (
 from .counting import (
     ComponentRef,
     ConeQ,
+    atomic_rank,
     component_ref,
     convergent_count_S,
     convergent_dim_by_cone,
@@ -35,7 +36,6 @@ from .counting import (
     persistent_dim,
 )
 from .atomic import (
-    atomic_rank,
     persistent_monomials,
     persistent_polynomials,
     polynomial_exponents,

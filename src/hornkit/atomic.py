@@ -1,6 +1,6 @@
 """Atomic subsystems (nondegenerate 2x2 row pairs, `system.AtomicSystem`):
-their rank, the full exponent lattice of their polynomial solutions, and the
-persistent solutions themselves: monomials, and essentially polynomial
+the full exponent lattice of their polynomial solutions, `is_generic`, and
+the persistent solutions themselves: monomials, and essentially polynomial
 solutions grown as finite components (`series.grow_starts`).
 """
 
@@ -9,12 +9,7 @@ from __future__ import annotations
 from .lattice import QVec
 from .puiseux import PuiseuxPolynomial
 from .series import branch_initial_exponent, default_window, grow_starts
-from .system import AtomicSystem
-
-
-def atomic_rank(a: AtomicSystem) -> int:
-    """|det M| + nu(M): fully supported count plus persistent count."""
-    return abs(a.det) + a.nu
+from .system import AtomicSystem, HornSystem, detect_resonance, enumerate_atomic
 
 
 def _index_rects(a: AtomicSystem) -> tuple[list[tuple[int, int]], set[tuple[int, int]]]:
@@ -47,6 +42,19 @@ def polynomial_exponents(a: AtomicSystem) -> set[QVec]:
     if a.nu == 0:
         return set()
     return {branch_initial_exponent(a, uv) for uv in _index_rects(a)[0]}
+
+
+def is_generic(s: HornSystem) -> bool:
+    """Effective surrogate for 'generic parameters': no resonant circuit and
+    no collision among atomic initial exponents of distinct subsystems."""
+    if detect_resonance(s).is_resonant:
+        return False
+    seen = {}
+    for a in enumerate_atomic(s):
+        for e in polynomial_exponents(a):
+            if seen.setdefault(e, a.indices) != a.indices:
+                return False
+    return True
 
 
 def persistent_monomials(a: AtomicSystem) -> list[PuiseuxPolynomial]:

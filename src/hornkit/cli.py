@@ -18,6 +18,7 @@ from .counting import (
     fully_supported_count,
     holonomic_rank,
     persistent_dim,
+    system_rank,
 )
 from .operators import apply_horn
 from .polygon import Kind, build_polygon, classify, vertex_count
@@ -35,7 +36,6 @@ from .solver import (
     SUGGEST_WINDOW,
     check_constructive,
     suggest_polynomial_parameters,
-    system_rank,
     validate_persistence,
 )
 from .system import HornSystem, check_nonconfluent, detect_resonance, enumerate_atomic
@@ -77,11 +77,12 @@ def _emit(payload, out: str | None):
 
 
 def _write(text: str, out: str | None):
+    # not click.echo, whose scan for ANSI codes never changes JSON text
     if out:
         with open(out, "w") as fh:
             fh.write(text)
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
 
 
 def _require_nonconfluent(s: HornSystem, allow: bool):
@@ -100,7 +101,23 @@ def _solution_json(p: PuiseuxPolynomial, persistent: bool) -> dict:
     return {"terms": p.to_json(), "persistent": persistent, "verified": True}
 
 
-@click.group()
+class _JsonErrorGroup(click.Group):
+    """Click's own usage errors exit 2 with a JSON error, as every other error
+    does; bare `hornkit` shows the help and an interrupt exits 1, as in click."""
+
+    def main(self, *args, **kwargs):
+        try:
+            return super().main(*args, **{**kwargs, "standalone_mode": False})
+        except click.exceptions.NoArgsIsHelpError as exc:
+            exc.show()
+            sys.exit(exc.exit_code)
+        except click.ClickException as exc:
+            _fail(2, exc.format_message())
+        except click.Abort:
+            sys.exit("Aborted!")
+
+
+@click.group(cls=_JsonErrorGroup)
 def main():
     """Exact analysis of bivariate nonconfluent Horn hypergeometric systems."""
 
@@ -140,7 +157,7 @@ def analyze(input_path, window, out, allow_confluent):
         "rank": report.rank,
         "persistent_dim": persistent_dim(s),
         "fully_supported_count": fully_supported_count(s),
-        "S_per_vertex": [convergent_count_S(s, i) for i in range(vertex_count(p))],
+        "S_per_vertex": [convergent_count_S(p, i) for i in range(vertex_count(p))],
         "polygon": _polygon_json(p),
         "classification": _classification_json(classify(p)),
         "resonance": _resonance_json(detect_resonance(s)),

@@ -1,6 +1,7 @@
-"""Closed-form counts for a nonconfluent system: holonomic rank, persistent
-dimension, fully supported series count, and the per-vertex dimension of
-convergent fully supported solutions, computed two independent ways.
+"""Closed-form counts: the rank rules (`holonomic_rank`, `atomic_rank` and
+`system_rank`), persistent dimension, fully supported series count, and the
+per-vertex dimension of convergent fully supported solutions, computed two
+independent ways.
 
 Vertices of the polygon index the components of the singular amoeba's
 complement; the count attached to a vertex is evaluated both through the
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import RelAngle, Vec2, cross, index_nu
-from .polygon import OreSatoPolygon, build_polygon
-from .system import HornSystem, check_nonconfluent, enumerate_atomic
+from .polygon import OreSatoPolygon
+from .system import AtomicSystem, HornSystem, check_nonconfluent, enumerate_atomic
 
 
 @dataclass(frozen=True)
@@ -102,6 +103,21 @@ def holonomic_rank(s: HornSystem) -> int:
     return pos1 * pos2 - correction
 
 
+def atomic_rank(a: AtomicSystem) -> int:
+    """|det M| + nu(M): fully supported count plus persistent count."""
+    return abs(a.det) + a.nu
+
+
+def system_rank(s: HornSystem) -> int:
+    """Holonomic rank: the closed formula for nonconfluent systems, and
+    |det M| + nu(M) for a bare atomic (two-row) system."""
+    if check_nonconfluent(s):
+        return holonomic_rank(s)
+    if s.m == 2 and (pairs := enumerate_atomic(s)):
+        return atomic_rank(pairs[0])
+    raise ValueError("rank formula requires nonconfluency or an atomic system")
+
+
 def persistent_dim(s: HornSystem) -> int:
     """Sum of pair indices over linearly independent row pairs, on the rows
     as given (see `holonomic_rank` for why this equals the normalized
@@ -121,21 +137,15 @@ def fully_supported_count(s: HornSystem) -> int:
 # -- per-vertex counts -------------------------------------------------------
 
 
-def _grouped_normals(s: HornSystem) -> tuple[list[Vec2], list[int]]:
-    """Distinct primitive normals in ccw polygon order with multiplicities."""
-    p = build_polygon(s)
-    return [e.normal for e in p.edges], [e.length for e in p.edges]
+def convergent_count_S(p: OreSatoPolygon, i: int) -> int:
+    """Angular double sum over p's normals for the vertex between edges i-1 and i.
 
-
-def convergent_count_S(s: HornSystem, i: int) -> int:
-    """Angular double sum over normals for the vertex between edges i-1 and i.
-
-    With B_t the distinct normals in ccw order and the angle branch based at
-    the ray opposite B_{next}: sum det(B_k, B_l) * mult_k * mult_l over
-    k with 0 < arg B_k <= arg B_prev and l with arg B_next <= arg B_l
-    < arg(-B_k).  Every summand determinant is positive.
+    With B_t the distinct normals (p's edges) in ccw order and the angle
+    branch based at the ray opposite B_{next}: sum det(B_k, B_l) * mult_k *
+    mult_l over k with 0 < arg B_k <= arg B_prev and l with arg B_next <=
+    arg B_l < arg(-B_k).  Every summand determinant is positive.
     """
-    normals, mults = _grouped_normals(s)
+    normals, mults = [e.normal for e in p.edges], [e.length for e in p.edges]
     q = len(normals)
     if not 0 <= i < q:
         raise ValueError(f"vertex index {i} out of range 0..{q - 1}")

@@ -8,6 +8,7 @@ Q_j the same for rows with A_{i,j} < 0 and l = 0..|A_{i,j}|-1.  Operators
 stay factored; theta acts on x^alpha by the scalar alpha.  Growth, series
 checks and operator application evaluate the factors on one exponent class
 at a time, in integers (`_ClassFactors`), the one evaluator of P_j and Q_j.
+Classes and offsets are those of `puiseux` (`PuiseuxPolynomial.class_parts`).
 Residuals are computed class by class (`_class_residual`), which lets the
 harvest verify a support on the evaluator it grew it with.
 """
@@ -18,13 +19,8 @@ from fractions import Fraction
 from math import gcd
 
 from .lattice import QVec, dot
-from .puiseux import PuiseuxPolynomial
+from .puiseux import Offset, PuiseuxPolynomial, _class_exponent
 from .system import HornSystem
-
-Offset = tuple[int, int]
-# An exponent class mod Z^2, (r1, q1, r2, q2) for the class of
-# (r1/q1, r2/q2), with 0 <= r_i < q_i and gcd(r_i, q_i) = 1.
-ClassKey = tuple[int, int, int, int]
 
 
 class _ClassFactors:
@@ -95,24 +91,11 @@ def _product(rows: list, d: Offset) -> int:
     return out
 
 
-def _class_exponent(key: ClassKey, d: Offset) -> QVec:
-    """The exponent (r1/q1 + d1, r2/q2 + d2) of offset d on the class key."""
-    r1, q1, r2, q2 = key
-    return (Fraction(r1 + d[0] * q1, q1), Fraction(r2 + d[1] * q2, q2))
-
-
 def _by_class(f: PuiseuxPolynomial, s: HornSystem) -> list[tuple[_ClassFactors, dict]]:
-    """f's terms split by exponent class mod Z^2: per class, its evaluator,
-    anchored at the class point in [0, 1)^2, and its terms by offset."""
-    classes: dict = {}
-    for (x, y), c in f.terms.items():
-        xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
-        cls = (xn % xd, xd, yn % yd, yd)
-        part = classes.get(cls)
-        if part is None:
-            part = classes[cls] = (_ClassFactors(s, _class_exponent(cls, (0, 0))), {})
-        part[1][(xn // xd, yn // yd)] = c
-    return list(classes.values())
+    """f's class parts (`PuiseuxPolynomial.class_parts`), each with its
+    evaluator anchored at the class point in [0, 1)^2."""
+    return [(_ClassFactors(s, _class_exponent(key, (0, 0))), terms)
+            for key, terms in f.class_parts().items()]
 
 
 def _class_residual(ev: _ClassFactors, j: int, terms: dict) -> dict[Offset, Fraction]:

@@ -1,5 +1,6 @@
 """Puiseux polynomials: finite maps from rational exponent pairs to rational
-coefficients, with exact arithmetic and a canonical serialized form.
+coefficients, with exact arithmetic and a canonical serialized form, and
+their one split by exponent class mod Z^2 (`PuiseuxPolynomial.class_parts`).
 """
 
 from __future__ import annotations
@@ -11,6 +12,10 @@ from typing import Iterable, Mapping
 from .lattice import QVec, qvec
 
 Expt = QVec  # (Fraction, Fraction) exponent pair
+Offset = tuple[int, int]
+# An exponent class mod Z^2, (r1, q1, r2, q2) for the class of
+# (r1/q1, r2/q2), with 0 <= r_i < q_i and gcd(r_i, q_i) = 1.
+ClassKey = tuple[int, int, int, int]
 
 
 class PuiseuxPolynomial:
@@ -123,20 +128,26 @@ class PuiseuxPolynomial:
             return self
         return self.scale(1 / self.terms[self.leading_exponent()])
 
+    def class_parts(self) -> dict[ClassKey, dict[Offset, Fraction]]:
+        """The coefficients by class key and integer offset d, the exponent
+        being (r1/q1 + d1, r2/q2 + d2) (`_class_exponent`); classes in the
+        order of their first term, offsets in term order."""
+        parts: dict[ClassKey, dict[Offset, Fraction]] = {}
+        for (x, y), c in self.terms.items():
+            xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+            parts.setdefault((xn % xd, xd, yn % yd, yd), {})[(xn // xd, yn // yd)] = c
+        return parts
+
     def is_pure(self) -> tuple[bool, tuple[Expt, Expt] | None]:
         """A polynomial is pure when all exponents agree mod Z^2.
 
-        Returns (True, None) or (False, (e, f)) with a witnessing pair.
+        Returns (True, None) or (False, (e, f)) with a witnessing pair: the
+        first term, and the first term outside its class.
         """
-        it = iter(self.terms)
-        try:
-            first = next(it)
-        except StopIteration:
+        parts = list(self.class_parts().items())
+        if len(parts) < 2:
             return True, None
-        for e in it:
-            if (e[0] - first[0]).denominator != 1 or (e[1] - first[1]).denominator != 1:
-                return False, (first, e)
-        return True, None
+        return False, tuple(_class_exponent(key, next(iter(terms))) for key, terms in parts[:2])
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PuiseuxPolynomial) and self.terms == other.terms
@@ -168,6 +179,12 @@ class PuiseuxPolynomial:
             e1, e2 = (parse_rational(x) for x in item["exponent"])
             terms[(e1, e2)] = parse_rational(item["coefficient"])
         return PuiseuxPolynomial(terms)
+
+
+def _class_exponent(key: ClassKey, d: Offset) -> Expt:
+    """The exponent (r1/q1 + d1, r2/q2 + d2) of offset d on the class key."""
+    r1, q1, r2, q2 = key
+    return (Fraction(r1 + d[0] * q1, q1), Fraction(r2 + d[1] * q2, q2))
 
 
 def _frac_str(q: Fraction) -> str:

@@ -45,11 +45,11 @@ from decimal import (MAX_PREC, Context, Decimal, DivisionByZero, Inexact, Invali
 from fractions import Fraction
 from math import gcd
 
+from .counting import ConeQ, system_rank
 from .lattice import QVec, inverse_times, qvec
-from .operators import ClassKey, Offset, _class_exponent, _class_residual, _ClassFactors
-from .puiseux import PuiseuxPolynomial, _parse_int
+from .operators import _class_residual, _ClassFactors
+from .puiseux import ClassKey, Offset, PuiseuxPolynomial, _class_exponent, _parse_int
 from .system import AtomicSystem, HornSystem, enumerate_atomic
-from .counting import ConeQ
 
 
 class ResonantCollisionError(ValueError):
@@ -365,7 +365,7 @@ def _branch_start(sub: AtomicSystem, k0: Offset) -> tuple[ClassKey, Offset]:
     With l the lcm of the denominators of c_I and D = l*|det A_I|, D*alpha0
     is the integer vector -sgn(det A_I) * adj(A_I) (l*k0 + l*c_I).  Each
     coordinate N/D is floor(N/D) plus (N mod D)/D, which in lowest terms r/q
-    gives the class key (r1, q1, r2, q2), the key `operators._by_class` uses.
+    gives the class key (r1, q1, r2, q2) of `PuiseuxPolynomial.class_parts`.
     """
     (a1, b1), (a2, b2) = sub.rows
     c1, c2 = sub.params
@@ -574,9 +574,7 @@ def grow_starts(s: HornSystem, starts: list[tuple[AtomicSystem, int, Offset]],
 
 def default_window(s: HornSystem) -> int:
     """The one growth radius: 4 * (rank + m * max |entry|), wide enough for
-    every fixture.  The rank is the holonomic rank, or the atomic rank of a
-    bare atomic pair; raises ValueError where neither is defined."""
-    from .solver import system_rank  # solver imports this module
-
+    every fixture.  The rank is `counting.system_rank`, which raises
+    ValueError on systems without a rank formula."""
     max_entry = max(max(abs(r.a), abs(r.b)) for r in s.rows)
     return 4 * (system_rank(s) + s.m * max_entry)

@@ -9,24 +9,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .atomic import _index_rects, atomic_rank
-from .counting import holonomic_rank
+from .atomic import _index_rects
+from .counting import system_rank
 from .lattice import QVec, Vec2, inverse_times, primitive
 from .operators import _by_class, is_solution
 from .polygon import Kind, build_polygon, classify
-from .puiseux import PuiseuxPolynomial
+from .puiseux import ClassKey, Offset, PuiseuxPolynomial
 from .series import HarvestResult, default_window, grow_starts, harvest_polynomials
-from .system import HornSystem, check_nonconfluent, enumerate_atomic
-
-
-def system_rank(s: HornSystem) -> int:
-    """Holonomic rank: the closed formula for nonconfluent systems, and
-    |det M| + nu(M) for a bare atomic (two-row) system."""
-    if check_nonconfluent(s):
-        return holonomic_rank(s)
-    if s.m == 2 and (pairs := enumerate_atomic(s)):
-        return atomic_rank(pairs[0])
-    raise ValueError("rank formula requires nonconfluency or an atomic system")
+from .system import HornSystem, enumerate_atomic
 
 
 def persistent_solutions(s: HornSystem) -> list[PuiseuxPolynomial]:
@@ -88,16 +78,20 @@ class MonodromyDiagonal:
     axis2: tuple[Fraction, ...]
 
 
+def _pure_part(f: PuiseuxPolynomial) -> tuple[ClassKey, dict[Offset, Fraction]] | None:
+    """f's one class part (`PuiseuxPolynomial.class_parts`), None if f is 0;
+    ValueError naming is_pure's witness if f mixes classes."""
+    parts = f.class_parts()
+    if len(parts) > 1:
+        _, witness = f.is_pure()
+        raise ValueError(f"element is not pure: exponents {witness[0]} and {witness[1]}")
+    return next(iter(parts.items()), None)
+
+
 def monodromy_exponents(basis: list[PuiseuxPolynomial]) -> MonodromyDiagonal:
-    ax1, ax2 = [], []
-    for f in basis:
-        pure, witness = f.is_pure()
-        if not pure:
-            raise ValueError(f"element is not pure: exponents {witness[0]} and {witness[1]}")
-        e = next(iter(f.terms))
-        ax1.append(e[0] - e[0].__floor__())
-        ax2.append(e[1] - e[1].__floor__())
-    return MonodromyDiagonal(tuple(ax1), tuple(ax2))
+    keys = [_pure_part(f)[0] for f in basis]
+    return MonodromyDiagonal(tuple(Fraction(r1, q1) for r1, q1, _, _ in keys),
+                             tuple(Fraction(r2, q2) for _, _, r2, q2 in keys))
 
 
 # -- closed forms -------------------------------------------------------------
@@ -199,42 +193,29 @@ class ConstructiveReport:
 
 def independent_dimension(polys: list[PuiseuxPolynomial]) -> int:
     """Dimension of the span of pure polynomials: distinct exponent classes
-    mod Z^2 are independent; within a class, exact row reduction of
-    coefficient vectors.  A polynomial mixing classes raises ValueError;
-    callers with mixed input split it into its class parts themselves."""
-    classes: dict[QVec, list[PuiseuxPolynomial]] = {}
+    mod Z^2 are independent, and within a class the coefficient vectors, by
+    integer offset, are row-reduced exactly.  A polynomial mixing classes
+    raises ValueError; callers with mixed input split it themselves."""
+    bases: dict[ClassKey, dict[Offset, dict[Offset, Fraction]]] = {}
     for p in polys:
-        pure, witness = p.is_pure()
-        if not pure:
-            raise ValueError(f"element is not pure: exponents {witness[0]} and {witness[1]}")
-        if p.is_zero():
+        part = _pure_part(p)
+        if part is None:
             continue
-        e = next(iter(p.terms))
-        key = (e[0] - e[0].__floor__(), e[1] - e[1].__floor__())
-        classes.setdefault(key, []).append(p)
-    total = 0
-    for group in classes.values():
-        support = sorted({e for p in group for e in p.terms})
-        pos = {e: i for i, e in enumerate(support)}
-        basis: dict[int, dict[int, Fraction]] = {}
-        for p in group:
-            vec = {pos[e]: c for e, c in p.terms.items()}
-            while vec:
-                pivot = min(vec)
-                if pivot in basis:
-                    row = basis[pivot]
-                    factor = vec[pivot] / row[pivot]
-                    for k, v in row.items():
-                        newv = vec.get(k, Fraction(0)) - factor * v
-                        if newv == 0:
-                            vec.pop(k, None)
-                        else:
-                            vec[k] = newv
+        basis, vec = bases.setdefault(part[0], {}), part[1]
+        while vec:
+            pivot = min(vec)
+            if pivot not in basis:
+                basis[pivot] = vec
+                break
+            row = basis[pivot]
+            factor = vec[pivot] / row[pivot]
+            for k, v in row.items():
+                newv = vec.get(k, Fraction(0)) - factor * v
+                if newv == 0:
+                    vec.pop(k, None)
                 else:
-                    basis[pivot] = vec
-                    total += 1
-                    break
-    return total
+                    vec[k] = newv
+    return sum(len(basis) for basis in bases.values())
 
 
 def check_constructive(s: HornSystem, window: int) -> ConstructiveReport:

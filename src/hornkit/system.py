@@ -1,5 +1,6 @@
 """The Horn system data model: an integer matrix of row vectors plus a
 rational parameter per row, with atomic row pairs and resonance detection.
+A pair's rank is in `counting`, its exponents and `is_generic` in `atomic`.
 
 A system is the data (A, c) of the coefficient prod_i Gamma(<A_i, s> + c_i);
 rows generate the operators, the polygon, and every count downstream.
@@ -171,19 +172,3 @@ def detect_resonance(s: HornSystem) -> ResonanceReport:
     any_res = any(c.resonant for c in circuits)
     all_res = bool(circuits) and all(c.resonant for c in circuits)
     return ResonanceReport(tuple(circuits), any_res, all_res)
-
-
-def is_generic(s: HornSystem) -> bool:
-    """Effective surrogate for 'generic parameters': no resonant circuit and
-    no collision among atomic initial exponents of distinct subsystems."""
-    if detect_resonance(s).is_resonant:
-        return False
-    from .atomic import polynomial_exponents  # atomic imports this module
-
-    seen = {}
-    for a in enumerate_atomic(s):
-        for e in polynomial_exponents(a):
-            if e in seen and seen[e] != a.indices:
-                return False
-            seen[e] = a.indices
-    return True

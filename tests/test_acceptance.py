@@ -193,7 +193,7 @@ def test_criterion_07_combinatorial_identities():
         s = random_nonconfluent_system(rng, max_m=7, bound=3)
         p = build_polygon(s)
         q = vertex_count(p)
-        svals = [convergent_count_S(s, i) for i in range(q)]
+        svals = [convergent_count_S(p, i) for i in range(q)]
         assert len(set(svals)) == 1
         cvals = [convergent_dim_by_cone(s, component_ref(p, i)) for i in range(q)]
         assert svals == cvals

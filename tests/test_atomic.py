@@ -5,11 +5,11 @@ import pytest
 
 from conftest import factor_product, load_expected
 from hornkit.atomic import (
-    atomic_rank,
     persistent_monomials,
     persistent_polynomials,
     polynomial_exponents,
 )
+from hornkit.counting import atomic_rank
 from hornkit.operators import is_solution
 from hornkit.puiseux import PuiseuxPolynomial
 from hornkit.lattice import Vec2, inverse_times, opposite_open_quadrants

@@ -1,9 +1,12 @@
+import io
 import json
 import sys
 import time
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -410,6 +413,49 @@ def test_render_deterministic(tmp_path):
 def test_render_unknown_what(tmp_path):
     r = run("render", ZONO, "--what", "amoeba", "--out", str(tmp_path / "x.svg"))
     assert r.exit_code == 2
+
+
+@pytest.mark.parametrize("args, message", [
+    (["analyze", ZONO, "--window", "abc"],
+     "Invalid value for '--window': 'abc' is not a valid integer."),
+    (["rank", ZONO, "--bogus"], "No such option '--bogus'"),
+    (["render", ZONO, "--what", "polygon"], "Missing option '--out'."),
+    (["bogus", ZONO], "No such command 'bogus'."),
+], ids=["window-not-an-integer", "unknown-option", "render-without-out", "unknown-command"])
+def test_click_usage_error_exits_2_with_json(args, message):
+    """Click's own usage errors exit 2 with a JSON error, like every other
+    error, and write nothing to stdout."""
+    r = run(*args)
+    assert r.exit_code == 2 and r.stdout == "", (args, r.output)
+    assert json.loads(r.stderr)["error"].startswith(message)
+
+
+def test_bare_command_and_help_print_help():
+    """Bare `hornkit` shows the help on stderr and exits 2, as click does;
+    `--help`, for the group or a command, shows it on stdout and exits 0."""
+    r = run()
+    assert r.exit_code == 2 and r.stdout == ""
+    assert r.stderr.startswith("Usage: ") and "Commands:" in r.stderr
+    for args in (["--help"], ["analyze", "--help"]):
+        r = run(*args)
+        assert r.exit_code == 0 and r.stderr == "", args
+        assert r.stdout.startswith("Usage: ") and "Options:" in r.stdout
+
+
+def test_main_called_in_process():
+    """`main(argv, prog_name=...)` with redirected streams, as an in-process
+    caller runs a command: a command returns, a usage error exits 2 with its
+    JSON error, and the commands stay reachable as `main.commands`."""
+    assert {"analyze", "rank", "render", "series", "solve"} <= set(main.commands)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        main(["rank", ZONO], prog_name="hornkit")
+    assert json.loads(out.getvalue())["rank"] == 31 and err.getvalue() == ""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(["rank", ZONO, "--bogus"], prog_name="hornkit")
+    assert exc.value.code == 2 and out.getvalue() == ""
+    assert "--bogus" in json.loads(err.getvalue())["error"]
 
 
 def test_suggest_params_cli():

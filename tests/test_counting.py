@@ -79,7 +79,7 @@ def test_convergent_counts_fixtures(zonotope, triangle_sides):
     for s, expect in ((zonotope, 25), (triangle_sides, 35)):
         p = build_polygon(s)
         for i in range(vertex_count(p)):
-            assert convergent_count_S(s, i) == expect
+            assert convergent_count_S(p, i) == expect
             assert convergent_dim_by_cone(s, component_ref(p, i)) == expect
 
 
@@ -87,16 +87,16 @@ def test_convergent_count_rank1_system():
     s = HornSystem.make([[1, 2], [-1, -1], [0, -1]], ["1/3", "1/5", "1/7"])
     p = build_polygon(s)
     for i in range(vertex_count(p)):
-        assert convergent_count_S(s, i) == 1
+        assert convergent_count_S(p, i) == 1
     tri = HornSystem.make([[1, 1], [-1, 0], [0, -1]], ["1/7", "-1/3", "-1/5"])
     p = build_polygon(tri)
     for i in range(vertex_count(p)):
-        assert convergent_count_S(tri, i) == 1
+        assert convergent_count_S(p, i) == 1
 
 
 def test_invalid_vertex_index(zonotope):
     with pytest.raises(ValueError):
-        convergent_count_S(zonotope, 8)
+        convergent_count_S(build_polygon(zonotope), 8)
     with pytest.raises(ValueError):
         component_ref(build_polygon(zonotope), -1)
 
@@ -107,7 +107,7 @@ def test_counting_identities_random():
         s = random_nonconfluent_system(rng)
         p = build_polygon(s)
         q = vertex_count(p)
-        svals = [convergent_count_S(s, i) for i in range(q)]
+        svals = [convergent_count_S(p, i) for i in range(q)]
         assert len(set(svals)) == 1  # constancy across vertices
         cvals = [convergent_dim_by_cone(s, component_ref(p, i)) for i in range(q)]
         assert svals == cvals  # oracle agreement

@@ -134,7 +134,7 @@ def test_walk_from_offset_matches_walk_from_anchor():
     the same outcome, the same collision exponent, and the same values once
     shifted by the offset.  At resonant parameters, from every branch base
     point of the system, with and without early exit."""
-    from hornkit.operators import _class_exponent
+    from hornkit.puiseux import _class_exponent
     from hornkit.series import _branch_start, branch_base_points
     from hornkit.system import enumerate_atomic
 

@@ -9,7 +9,7 @@ import pytest
 from conftest import load_expected, load_system, random_nonconfluent_system, reference_persistence
 from hornkit.atomic import polynomial_exponents
 from hornkit.operators import _ClassFactors, is_solution
-from hornkit.puiseux import PuiseuxPolynomial
+from hornkit.puiseux import PuiseuxPolynomial, _class_exponent
 from hornkit.series import ResonantCollisionError, default_window, grow_component
 from hornkit.solver import (
     check_constructive,
@@ -268,6 +268,53 @@ def _class_parts(f):
     for e, c in f.terms.items():
         parts.setdefault((e[0] - math.floor(e[0]), e[1] - math.floor(e[1])), {})[e] = c
     return [PuiseuxPolynomial(terms) for _, terms in sorted(parts.items())]
+
+
+def _is_pure_by_differences(f):
+    """`is_pure` by differences from the first term: the witness is the first
+    term and the first term whose exponent differs from it by a non-integer."""
+    it = iter(f.terms)
+    first = next(it, None)
+    for e in it:
+        if (e[0] - first[0]).denominator != 1 or (e[1] - first[1]).denominator != 1:
+            return False, (first, e)
+    return True, None
+
+
+def test_class_parts_match_the_floor_split():
+    """`PuiseuxPolynomial.class_parts` splits as the floor-based `_class_parts`
+    does, on seeded polynomials with negative exponents and denominators up
+    to 10^6.  Each key (r1, q1, r2, q2) has 0 <= r_i < q_i in lowest terms,
+    each offset maps back to its exponent, classes come in the order of
+    their first term and offsets in term order, and `is_pure` names the
+    witness it named before."""
+    rng = random.Random(15)
+    seen = Counter()
+    for _ in range(400):
+        dens = [rng.choice((1, 2, 7, 10**6)), rng.randint(1, 10**6)]
+        points = [(F(rng.randint(-10**6, 10**6), rng.choice(dens)),
+                   F(rng.randint(-10**6, 10**6), rng.choice(dens)))
+                  for _ in range(rng.randint(1, 3))]
+        terms = {}
+        for _ in range(rng.randint(0, 10)):
+            x, y = rng.choice(points)
+            coeff = F(rng.randint(-9, 9) or 1, rng.randint(1, 9))
+            terms[(x + rng.randint(-5, 5), y + rng.randint(-5, 5))] = coeff
+        f = PuiseuxPolynomial(terms)
+        parts = f.class_parts()
+        for r1, q1, r2, q2 in parts:
+            assert 0 <= r1 < q1 and 0 <= r2 < q2 and math.gcd(r1, q1) == math.gcd(r2, q2) == 1
+        by_class = sorted(parts.items(), key=lambda kv: (F(*kv[0][:2]), F(*kv[0][2:])))
+        assert [PuiseuxPolynomial({_class_exponent(key, d): c for d, c in part.items()})
+                for key, part in by_class] == _class_parts(f)
+        in_order = [(F(*key[:2]), F(*key[2:]), _class_exponent(key, d))
+                    for key, part in parts.items() for d in part]
+        floor_order = [(e[0] - math.floor(e[0]), e[1] - math.floor(e[1]), e) for e in f.terms]
+        first_seen = list(dict.fromkeys(t[:2] for t in floor_order))
+        assert in_order == sorted(floor_order, key=lambda t: first_seen.index(t[:2]))
+        assert f.is_pure() == _is_pure_by_differences(f)
+        seen[len(parts)] += 1
+    assert all(seen[n] for n in (0, 1, 2, 3)), seen
 
 
 def _closed_form_case(rng):

@@ -99,7 +99,7 @@ def test_generic_parameters_non_resonant():
 
 
 def test_is_generic_surrogate():
-    from hornkit.system import is_generic
+    from hornkit.atomic import is_generic
 
     rng = random.Random(12)
     for _ in range(10):
