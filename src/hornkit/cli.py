@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _escape
 
 import click
 from click.core import ParameterSource
@@ -73,7 +74,70 @@ def _resolve_window(s: HornSystem, window: int | None) -> int:
 
 
 def _emit(payload, out: str | None):
-    _write(json.dumps(payload, indent=1) + "\n", out)
+    """Write the report `payload` as indent-1 JSON text and a newline
+    (`_json_text`)."""
+    _write(_json_text(payload) + "\n", out)
+
+
+def _json_text(payload) -> str:
+    """`json.dumps(payload, indent=1)`, byte for byte, for a payload of
+    str, int, bool, None, list and dict with str keys; any other type
+    raises TypeError.  Before Python 3.13 `indent` selects the pure-Python
+    encoder, which this one walk into a list of pieces beats about 2.5
+    times; on 3.13, whose encoder is C, the writer is about twice as slow,
+    a millisecond or so on the largest reports.  Strings are escaped by the
+    encoder's own `encode_basestring_ascii`.  Payloads are trees, so cycles
+    are not checked."""
+    parts: list[str] = []
+    _put_json(payload, parts, "\n")
+    return "".join(parts)
+
+
+def _put_json(o, parts: list[str], nl: str):
+    """Append the pieces of o, at the depth whose line break and indent is
+    nl, to parts.  A str item, the common leaf, is written in place."""
+    if isinstance(o, list):
+        if not o:
+            parts.append("[]")
+            return
+        inner = nl + " "
+        sep = "[" + inner
+        for x in o:
+            if type(x) is str:
+                parts.append(sep + _escape(x))
+            else:
+                parts.append(sep)
+                _put_json(x, parts, inner)
+            sep = "," + inner
+        parts.append(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            parts.append("{}")
+            return
+        inner = nl + " "
+        sep = "{" + inner
+        for key, x in o.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            if type(x) is str:
+                parts.append(f"{sep}{_escape(key)}: {_escape(x)}")
+            else:
+                parts.append(f"{sep}{_escape(key)}: ")
+                _put_json(x, parts, inner)
+            sep = "," + inner
+        parts.append(nl + "}")
+    elif isinstance(o, str):
+        parts.append(_escape(o))
+    elif o is None:
+        parts.append("null")
+    elif o is True:
+        parts.append("true")
+    elif o is False:
+        parts.append("false")
+    elif isinstance(o, int):
+        parts.append(int.__repr__(o))
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def _write(text: str, out: str | None):
@@ -303,14 +367,14 @@ def series(input_path, submatrix, branch, window, out):
         _fail(3, f"resonant collision at {exc.point}")
     except ValueError as exc:
         _fail(2, str(exc))
-    frame = json.dumps({
+    frame = _json_text({
         "name": s.name,
         "subsystem": list(t.indices),
         "branch": branch,
         "initial_exponent": [format_rational(t.alpha0[0]), format_rational(t.alpha0[1])],
         "window": window,
         "coefficients": [],
-    }, indent=1)
+    })
     _write(_table_text(frame, t.coeffs), out)
 
 

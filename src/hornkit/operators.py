@@ -9,8 +9,9 @@ stay factored; theta acts on x^alpha by the scalar alpha.  Growth, series
 checks and operator application evaluate the factors on one exponent class
 at a time, in integers (`_ClassFactors`), the one evaluator of P_j and Q_j.
 Classes and offsets are those of `puiseux` (`PuiseuxPolynomial.class_parts`).
-Residuals are computed class by class (`_class_residual`), which lets the
-harvest verify a support on the evaluator it grew it with.
+Residuals are computed class by class, on coefficients given as integer
+pairs (`_class_residual`), which lets the harvest verify a support on the
+evaluator it grew it with and on the pairs its fill made.
 """
 
 from __future__ import annotations
@@ -93,34 +94,41 @@ def _product(rows: list, d: Offset) -> int:
 
 def _by_class(f: PuiseuxPolynomial, s: HornSystem) -> list[tuple[_ClassFactors, dict]]:
     """f's class parts (`PuiseuxPolynomial.class_parts`), each with its
-    evaluator anchored at the class point in [0, 1)^2."""
-    return [(_ClassFactors(s, _class_exponent(key, (0, 0))), terms)
+    evaluator anchored at the class point in [0, 1)^2 and its coefficients
+    as pairs (numerator, denominator), the input of `_class_residual`."""
+    return [(_ClassFactors(s, _class_exponent(key, (0, 0))),
+             {d: (c.numerator, c.denominator) for d, c in terms.items()})
             for key, terms in f.class_parts().items()]
 
 
 def _class_residual(ev: _ClassFactors, j: int, terms: dict) -> dict[Offset, Fraction]:
     """The nonzero terms of x_j P_j(theta) f - Q_j(theta) f, by offset, for
-    f = sum of terms[d] * x^(anchor + d) on the class of ev."""
+    f = sum of (n/m) * x^(anchor + d) over terms[d] = (n, m), m > 0, on the
+    class of ev.
+
+    The term at b is P_j(b - e_j) u(b - e_j) - Q_j(b) u(b), u = 0 off the
+    terms.  With a = b - e_j, u(a) = n_a/m_a, u(b) = n_b/m_b and P_j, Q_j
+    over p_den, q_den, it is decided on the one integer cross product
+    P_j(a)*n_a*m_b*q_den - Q_j(b)*n_b*m_a*p_den; only a nonzero one becomes
+    a `Fraction`, over m_a*m_b*p_den*q_den.  The nonzero terms lie at the
+    offsets of terms and one e_j-step past them.
+    """
     s1, s2 = (1, 0) if j == 1 else (0, 1)
+    p_num, q_num = ev.p_num, ev.q_num
     p_den, q_den = ev.p_den[j], ev.q_den[j]
     out: dict[Offset, Fraction] = {}
-    for (d1, d2), c in terms.items():
-        pv = ev.p_num(j, (d1, d2))
-        if pv:
-            key = (d1 + s1, d2 + s2)
-            v = out.get(key, 0) + c * Fraction(pv, p_den)
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-        qv = ev.q_num(j, (d1, d2))
-        if qv:
-            key = (d1, d2)
-            v = out.get(key, 0) - c * Fraction(qv, q_den)
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
+    for (b1, b2), (nb, mb) in terms.items():
+        a = (b1 - s1, b2 - s2)
+        na, ma = terms.get(a, (0, 1))
+        r = (p_num(j, a) * q_den * na * mb if na else 0) - q_num(j, (b1, b2)) * p_den * nb * ma
+        if r:
+            out[(b1, b2)] = Fraction(r, ma * mb * p_den * q_den)
+    for (a1, a2), (na, ma) in terms.items():
+        b = (a1 + s1, a2 + s2)
+        if b not in terms:
+            r = p_num(j, (a1, a2)) * q_den * na
+            if r:
+                out[b] = Fraction(r, ma * p_den * q_den)
     return out
 
 
@@ -129,8 +137,8 @@ def apply_horn(j: int, f: PuiseuxPolynomial, s: HornSystem) -> PuiseuxPolynomial
 
     A zero residual for both j means f solves the system; nonzero terms
     point at the offending support positions.  Each term is evaluated at its
-    integer offset on its exponent class mod Z^2 (`_class_residual`), so f
-    may mix classes.
+    integer offset on its exponent class mod Z^2 (`_class_residual`, on the
+    coefficients as integer pairs), so f may mix classes.
     """
     if j not in (1, 2):
         raise ValueError("j must be 1 or 2")

@@ -168,7 +168,8 @@ class PuiseuxPolynomial:
     def to_json(self) -> list[dict]:
         """Term list sorted lex by exponent, rationals as 'p/q' strings."""
         return [
-            {"exponent": [_frac_str(e1), _frac_str(e2)], "coefficient": _frac_str(c)}
+            {"exponent": [format_rational(e1), format_rational(e2)],
+             "coefficient": format_rational(c)}
             for (e1, e2), c in self.sorted_terms()
         ]
 
@@ -185,12 +186,6 @@ def _class_exponent(key: ClassKey, d: Offset) -> Expt:
     """The exponent (r1/q1 + d1, r2/q2 + d2) of offset d on the class key."""
     r1, q1, r2, q2 = key
     return (Fraction(r1 + d[0] * q1, q1), Fraction(r2 + d[1] * q2, q2))
-
-
-def _frac_str(q: Fraction) -> str:
-    q = Fraction(q)
-    num = _int_str(q.numerator)
-    return num if q.denominator == 1 else f"{num}/{_int_str(q.denominator)}"
 
 
 def _int_str(n: int) -> str:
@@ -247,4 +242,9 @@ def parse_rational(text) -> Fraction:
 
 
 def format_rational(q) -> str:
-    return _frac_str(Fraction(q))
+    """q as "n" or "n/d" in lowest terms, at any size (`_int_str`); a
+    Fraction is read as it is, anything else through Fraction(q)."""
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
+    num = _int_str(q.numerator)
+    return num if q.denominator == 1 else f"{num}/{_int_str(q.denominator)}"

@@ -14,8 +14,9 @@ coefficients second.  The walk decides, from integer zero tests alone,
 whether the support component through a start exponent closes off into a
 finite support, escapes the window or meets a resonant collision; only a
 support that closes, or a series table, gets coefficients.  A closed
-support is filled in Python ints and handed on as Fractions; a table is
-filled in exact `Decimal` integers, which print in linear time.  Atomic strip
+support is filled and checked as reduced pairs of Python ints, which become
+`Fraction`s only in the polynomial reported; a table is filled in exact
+`Decimal` integers, which print in linear time.  Atomic strip
 solutions and the full system's persistent solutions grow at
 `default_window`, the harvest at the window it is given.
 
@@ -43,6 +44,7 @@ from dataclasses import dataclass
 from decimal import (MAX_PREC, Context, Decimal, DivisionByZero, Inexact, InvalidOperation,
                      Rounded, localcontext)
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .counting import ConeQ, system_rank
@@ -70,15 +72,26 @@ _Edge = tuple[Offset, Offset, int, bool]
 
 @dataclass
 class GrowResult:
-    values: dict[Offset, Fraction]  # empty after an early exit at the window
+    """A grown component: each coefficient, keyed by its offset, as the
+    fill's reduced pair (numerator, denominator > 0) of Python ints, empty
+    after an early exit at the window.  `values` gives them as `Fraction`s,
+    built on first use: `grow_starts` reads the pairs, and the Fractions are
+    for tests and for `bench/tracer.py`, which reads their count and bit
+    lengths."""
+    pairs: dict[Offset, tuple[int, int]]
     exceeded: bool
+
+    @cached_property
+    def values(self) -> dict[Offset, Fraction]:
+        return {d: Fraction(n, m) for d, (n, m) in self.pairs.items()}
 
 
 def grow_component(ev: _ClassFactors, radius: int, early_exit: bool = True,
                    start: Offset = (0, 0)) -> GrowResult:
     """Grow the coupled component through offset start on the class of ev,
-    assigning it coefficient 1, within the radius box around start.  Values
-    are keyed by offsets on the class, like start.
+    assigning it coefficient 1, within the radius box around start.
+    Coefficients are keyed by offsets on the class, like start, and kept as
+    the fill's integer pairs (`GrowResult.pairs`).
 
     Growth walks the support, then fills its coefficients.  The walk follows
     every forced relation in all four lattice directions, depth first.  It
@@ -96,7 +109,7 @@ def grow_component(ev: _ClassFactors, radius: int, early_exit: bool = True,
     The fill (`_fill`, here on Python ints) assigns each point its value
     along the walk's spanning tree, one big-rational product per point, and
     compares the two ends of every other live relation once; each value is
-    returned as a `Fraction`.  Two paths never disagree.  With
+    returned as its reduced pair.  Two paths never disagree.  With
     Phi(beta) = prod_i Gamma(<A_i, beta> + c_i), the functional equation of
     Gamma gives, as rational functions of beta,
 
@@ -130,8 +143,7 @@ def grow_component(ev: _ClassFactors, radius: int, early_exit: bool = True,
     edges, exceeded = _walk_support(ev, start, radius, early_exit)
     if exceeded and early_exit:
         return GrowResult({}, True)
-    values = _fill(ev, start, edges, 1)
-    return GrowResult({d: Fraction(n, m) for d, (n, m) in values.items()}, exceeded)
+    return GrowResult(_fill(ev, start, edges, 1), exceeded)
 
 
 def _walk_support(ev: _ClassFactors, start: Offset, radius: int,
@@ -431,12 +443,17 @@ class TruncatedSeries:
         )
 
 
-def _as_fraction(pair) -> Fraction:
-    """The rational n/d of a coefficient pair of `TruncatedSeries`, read
-    through its digits: past a few hundred digits, `int(Decimal)` is
-    several times slower than `_parse_int` of the text."""
+def _int_pair(pair) -> tuple[int, int]:
+    """A coefficient pair of `TruncatedSeries` as Python ints, read through
+    its digits: past a few hundred digits, `int(Decimal)` is several times
+    slower than `_parse_int` of the text."""
     n, d = pair
-    return Fraction(_parse_int(str(n)), _parse_int(str(d)))
+    return _parse_int(str(n)), _parse_int(str(d))
+
+
+def _as_fraction(pair) -> Fraction:
+    """The rational n/d of a coefficient pair of `TruncatedSeries`."""
+    return Fraction(*_int_pair(pair))
 
 
 def series_from_submatrix(s: HornSystem, indices: tuple[int, int], branch: int,
@@ -452,8 +469,7 @@ def series_from_submatrix(s: HornSystem, indices: tuple[int, int], branch: int,
     in time linear in its digits, where `str` of a Python int is quadratic.
     `cli.series` writes each pair's digits into the report text directly
     (`cli._table_text`), without the JSON encoder.
-    Tables skip `grow_component`, whose `GrowResult.values` stay Fractions
-    for every other caller (`bench/tracer.py` reads their bit lengths).
+    Tables skip `grow_component`, whose `GrowResult` keeps Python int pairs.
     """
     sub = _atomic_pair(s, indices)
     bases = branch_base_points(sub)
@@ -474,7 +490,7 @@ def verify_truncated(t: TruncatedSeries, s: HornSystem) -> bool:
     (`operators._class_residual`)."""
     ev = _ClassFactors(s, qvec(t.alpha0[0], t.alpha0[1]))
     w = t.window
-    coeffs = {d: _as_fraction(v) for d, v in t.coeffs.items()}
+    coeffs = {d: _int_pair(v) for d, v in t.coeffs.items()}
     for j, (s1, s2) in _STEPS:
         for b1, b2 in _class_residual(ev, j, coeffs):
             if max(abs(b1), abs(b2), abs(b1 - s1), abs(b2 - s2)) <= w:
@@ -520,9 +536,13 @@ def grow_starts(s: HornSystem, starts: list[tuple[AtomicSystem, int, Offset]],
     Starts are taken in integers, as a class key and an offset on it
     (`_branch_start`).  Each exponent class gets one evaluator, built at its
     class point, and every walk on the class starts at its offset on it.  A
-    finite support is checked once, on the evaluator it was grown with
-    (`operators._class_residual`); a nonzero residual raises AssertionError,
-    a guard that `grow_component` shows cannot fire.  Only a reported polynomial gets rational exponents.
+    finite support is checked once, on the evaluator it was grown with and
+    on the fill's integer pairs (`operators._class_residual`); a nonzero
+    residual raises AssertionError, a guard that `grow_component` shows
+    cannot fire.  Only a reported polynomial gets rationals: each exponent
+    is read off the class key (`_class_exponent`), and each coefficient
+    n/m, over the pair n0/m0 at the lex-smallest offset, is one
+    Fraction(n*m0, m*n0).
 
     The finite outcomes are distinct solutions.  A start inside a harvested
     support S is not explored when S fits its window box: the walk from it
@@ -543,7 +563,7 @@ def grow_starts(s: HornSystem, starts: list[tuple[AtomicSystem, int, Offset]],
         ev = classes.get(key)
         if ev is None:
             ev = classes[key] = _ClassFactors(s, _class_exponent(key, (0, 0)))
-        alpha0 = ev.exponent(o)
+        alpha0 = _class_exponent(key, o)
         try:
             res = grow_component(ev, window, start=o)
         except ResonantCollisionError as exc:
@@ -557,15 +577,16 @@ def grow_starts(s: HornSystem, starts: list[tuple[AtomicSystem, int, Offset]],
                 "exceeds_window", sub.indices, label, alpha0,
             ))
             continue
-        values = res.values
-        if _class_residual(ev, 1, values) or _class_residual(ev, 2, values):
+        pairs = res.pairs
+        if _class_residual(ev, 1, pairs) or _class_residual(ev, 2, pairs):
             raise AssertionError(
                 f"the finite support through ({alpha0[0]}, {alpha0[1]}) fails the operators")
-        support = list(values)
+        support = list(pairs)
         covered.update(dict.fromkeys(((key, p) for p in support), support))
-        scale = 1 / values[min(values)]  # 1 at the lex-smallest exponent
+        n0, m0 = pairs[min(pairs)]  # 1 at the lex-smallest exponent
         poly = PuiseuxPolynomial.zero()
-        poly.terms = {ev.exponent(d): v * scale for d, v in values.items()}
+        poly.terms = {_class_exponent(key, d): Fraction(n * m0, m * n0)
+                      for d, (n, m) in pairs.items()}
         results.append(HarvestResult(
             "finite", sub.indices, label, alpha0, polynomial=poly,
         ))

@@ -55,19 +55,22 @@ class HornSystem:
 
     @staticmethod
     def from_json(data: dict) -> "HornSystem":
-        """Parse the wire format.  Rows must be nonzero pairs of JSON integers
-        and parameters rationals; anything else raises ValueError, KeyError
-        or TypeError rather than being coerced."""
-        matrix, params = data["matrix"], data["parameters"]
+        """Parse the wire format.  Rows must be nonzero pairs of JSON integers,
+        parameters rationals and the name, "" when absent, a string; anything
+        else raises ValueError, KeyError or TypeError rather than being
+        coerced."""
+        matrix, params, name = data["matrix"], data["parameters"], data.get("name", "")
         if not isinstance(matrix, list) or not isinstance(params, list):
             raise ValueError("matrix and parameters must be JSON lists")
+        if not isinstance(name, str):
+            raise ValueError(f"name must be a JSON string, got {type(name).__name__}")
         for row in matrix:
             if not (isinstance(row, list) and len(row) == 2
                     and all(type(x) is int for x in row)):
                 raise ValueError(f"matrix row {row!r} is not a pair of integers")
             if row == [0, 0]:
                 raise ValueError("matrix has a zero row")
-        return HornSystem.make(matrix, params, data.get("name", ""))
+        return HornSystem.make(matrix, params, name)
 
 
 @dataclass(frozen=True)

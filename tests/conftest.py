@@ -89,6 +89,34 @@ def factor_product(s: HornSystem, j: int, side: str, alpha) -> Fraction:
     return out
 
 
+def reference_class_residual(ev, j: int, terms: dict) -> dict:
+    """`operators._class_residual` as it was on `Fraction` coefficients: the
+    nonzero terms of x_j P_j(theta) f - Q_j(theta) f, by offset, for
+    f = sum of terms[d] * x^(anchor + d) on the class of ev, summed term by
+    term in Fractions."""
+    s1, s2 = (1, 0) if j == 1 else (0, 1)
+    p_den, q_den = ev.p_den[j], ev.q_den[j]
+    out: dict = {}
+    for (d1, d2), c in terms.items():
+        pv = ev.p_num(j, (d1, d2))
+        if pv:
+            key = (d1 + s1, d2 + s2)
+            v = out.get(key, 0) + c * Fraction(pv, p_den)
+            if v:
+                out[key] = v
+            else:
+                out.pop(key, None)
+        qv = ev.q_num(j, (d1, d2))
+        if qv:
+            key = (d1, d2)
+            v = out.get(key, 0) - c * Fraction(qv, q_den)
+            if v:
+                out[key] = v
+            else:
+                out.pop(key, None)
+    return out
+
+
 def reference_persistence(f, s: HornSystem) -> bool:
     """Persistence of the solution f, worked out in `Fraction`s: every
     boundary cut of f's support (a point whose neighbour along e_j is

@@ -4,6 +4,7 @@ import sys
 import time
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -274,6 +275,101 @@ def test_series_table_text_is_the_json_encoders():
                         assert r.stdout == _table_oracle(path, (i, j), branch, window)
                         tables += 1
     assert tables == 3 * 40
+
+
+def test_reports_are_the_json_encoders(monkeypatch, tmp_path):
+    """Every JSON report, of every command on every fixture, is byte for
+    byte `json.dumps(payload, indent=1)` and a newline: on Python 3.13 the
+    encoder's C path, before it the pure-Python one."""
+    import hornkit.cli as cli
+
+    payloads = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda payload, out: (payloads.append(payload),
+                                                            emit(payload, out)))
+    names = sorted(path.stem for path in FIXTURES.glob("*.json"))
+    assert len(names) == 8
+    reports = Counter()
+    for name in names:
+        path = str(FIXTURES / f"{name}.json")
+        commands = [("analyze", path), ("analyze", path, "--allow-confluent"), ("solve", path),
+                    ("rank", path), ("classify", path), ("series", path),
+                    ("suggest-params", path, "--bound", "1", "--window", "6")]
+        while commands:
+            args = commands.pop(0)
+            payloads.clear()
+            r = run(*args)
+            if r.exit_code:
+                assert r.exit_code == 3 and not payloads, (args, r.output)
+                continue
+            (payload,) = payloads
+            assert r.stdout == json.dumps(payload, indent=1) + "\n", args
+            label = args[0] if args[0] != "verify" else f"verify {payload['is_solution']}"
+            reports[label] += 1
+            if args[0] == "solve":
+                # a solution found, if any, and one that fails
+                terms = payload["solutions"][0]["terms"] if payload["solutions"] else []
+                for kind, extra in (("good", []), ("bad", [
+                        {"exponent": ["1/7", "2/7"], "coefficient": "-3/5"}])):
+                    if terms or extra:
+                        sol = tmp_path / f"{name}.{kind}.json"
+                        sol.write_text(json.dumps({"terms": terms + extra}))
+                        commands.append(("verify", path, "--solution", str(sol)))
+    assert reports["verify False"] == reports["solve"] == 8, reports
+    assert reports["verify True"] == 6, reports
+    assert all(reports[c] for c in ("analyze", "rank", "classify", "series", "suggest-params"))
+
+
+_WRITER_CASES = [
+    {"name": 'a "quoted" name'}, {"name": "back\\slash\\"},
+    {"name": "".join(map(chr, range(32))) + "\x7f"}, {"name": "d\u00e9j\u00e0 \u6f22\u5b57 \U0001f600"},
+    {"name": "lone \ud800 surrogate"}, [], {}, [[]], {"a": [], "b": {}, "c": [[], [{}], {"d": []}]},
+    [None, True, False, 0, -12, 10**40, ""], {"": {"": ""}}, "top-level string", 7, None,
+]
+
+
+@pytest.mark.parametrize("payload", _WRITER_CASES)
+def test_json_writer_edge_cases(payload):
+    from hornkit.cli import _json_text
+
+    assert _json_text(payload) == json.dumps(payload, indent=1)
+
+
+@pytest.mark.parametrize("payload", [1.5, float("inf"), (1, 2), {"a": (1,)}, {1: "a"},
+                                     [b"x"], {"a": {1, 2}}, [Fraction(1, 2)]])
+def test_json_writer_rejects_other_types(payload):
+    from hornkit.cli import _json_text
+
+    with pytest.raises(TypeError):
+        _json_text(payload)
+
+
+def test_names_are_escaped_as_the_encoder_does(tmp_path):
+    path = tmp_path / "system.json"
+    doc = json.loads(Path(ZONO).read_text())
+    for case in _WRITER_CASES[:5]:
+        path.write_text(json.dumps({**doc, **case}))
+        r = run("rank", str(path))
+        assert r.exit_code == 0, r.output
+        assert r.stdout == json.dumps({"name": case["name"], "rank": 31}, indent=1) + "\n"
+
+
+def test_system_name_must_be_a_string(tmp_path):
+    """A name that is no JSON string exits 2 with a JSON error, where it
+    was echoed into the report: 1.5e400, which JSON reads as infinity, came
+    out as `"name": Infinity`, which is no JSON.  An absent name is ""."""
+    path = tmp_path / "system.json"
+    doc = json.loads(Path(ZONO).read_text())
+    for raw in ("1.5e400", "7", '{"a": 1}', '["x"]', "true", "null"):
+        path.write_text(json.dumps({**doc, "name": "@"}).replace('"@"', raw))
+        for cmd in ("rank", "analyze", "solve"):
+            r = run(cmd, str(path))
+            assert r.exit_code == 2, (raw, cmd, r.output)
+            assert "name must be a JSON string" in json.loads(r.stderr)["error"]
+    del doc["name"]
+    path.write_text(json.dumps(doc))
+    r = run("rank", str(path))
+    assert r.exit_code == 0 and json.loads(r.stdout) == {"name": "", "rank": 31}
 
 
 def test_out_file_matches_stdout(tmp_path):

@@ -175,6 +175,46 @@ def test_apply_horn_matches_reference(system_anchor, terms, other_anchor):
         assert apply_horn(j, f, s) == reference_residual(j, f, s)
 
 
+def test_class_residual_matches_fraction_oracle(zonotope, triangle_sides):
+    """The residual on integer pairs returns the dict that the Fraction body
+    returned (`reference_class_residual`), and `apply_horn` assembles it.
+    Seeded polynomials mix two classes, with negative coefficients and
+    denominators up to 10^6; on the fixtures they are added to persistent
+    solutions, so that some residual terms cancel and others do not."""
+    from conftest import reference_class_residual
+    from hornkit.operators import _by_class, _class_residual
+    from hornkit.solver import persistent_solutions
+
+    rng = random.Random(1601)
+
+    def rational():
+        return F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+
+    cases = [(s, f) for s in (zonotope, triangle_sides) for f in persistent_solutions(s)[:4]]
+    cases += [(random_nonconfluent_system(rng), PuiseuxPolynomial.zero()) for _ in range(30)]
+    checked = Counter()
+    for s, base in cases:
+        anchors = [(rational(), rational()) for _ in range(2)] + list(base.terms)[:2]
+        noise = PuiseuxPolynomial({
+            (a[0] + rng.randint(-3, 3), a[1] + rng.randint(-3, 3)): rational()
+            for a in (rng.choice(anchors) for _ in range(rng.randint(1, 6)))})
+        for f in (base.scale(rational()), base + noise, noise):
+            if f.is_zero():
+                continue
+            parts = _by_class(f, s)
+            for j in (1, 2):
+                want = PuiseuxPolynomial.zero()
+                for ev, pairs in parts:
+                    got = _class_residual(ev, j, pairs)
+                    ref = reference_class_residual(ev, j, {d: F(n, m) for d, (n, m) in pairs.items()})
+                    assert got == ref, (s, f, j)
+                    want.terms.update((ev.exponent(d), v) for d, v in ref.items())
+                    checked["zero" if not ref else "nonzero"] += 1
+                assert apply_horn(j, f, s) == want
+            checked["mixed"] += len(parts) > 1
+    assert checked["zero"] and checked["nonzero"] and checked["mixed"], checked
+
+
 def test_apply_horn_zero_residual_on_known_solution(triangle_sides):
     f = PuiseuxPolynomial.monomial(1, 1)
     assert apply_horn(1, f, triangle_sides).is_zero()

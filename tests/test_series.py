@@ -462,6 +462,45 @@ def test_residual_guard_raises(axis, monkeypatch, zonotope, atomic_32_43):
             call()
 
 
+@pytest.mark.parametrize("j", [1, 2])
+def test_residual_guard_raises_on_a_dropped_point(j, monkeypatch, zonotope, atomic_32_43):
+    """A fill that drops one support point, an end of a walked e_j relation,
+    breaks equation j where the point was and one e_j step past it, the
+    terms that the residual reads off the support.  Every route to a
+    solution raises AssertionError on it.  For j = 2 the point has no e_1
+    neighbour in the support, so equation 1, which the guard checks first,
+    still holds there."""
+    import hornkit.series as series
+    from hornkit.atomic import persistent_polynomials
+    from hornkit.operators import _class_residual
+    from hornkit.solver import persistent_solutions
+
+    fill = series._fill
+    dropped = []
+
+    def corrupted(ev, start, edges, one):
+        values = fill(ev, start, edges, one)
+        ends = [p for a, b, step, _ in edges if step == j for p in (a, b)]
+        if j == 2:
+            ends = [(x, y) for x, y in ends if (x - 1, y) not in values and (x + 1, y) not in values]
+        if ends:
+            del values[ends[0]]
+            dropped.append(ends[0])
+            assert _class_residual(ev, j, values)
+            assert j == 1 or not _class_residual(ev, 1, values)
+        return values
+
+    monkeypatch.setattr(series, "_fill", corrupted)
+    (pair,) = enumerate_atomic(atomic_32_43)
+    for call in (lambda: harvest_polynomials(zonotope, 20),
+                 lambda: persistent_solutions(atomic_32_43),
+                 lambda: persistent_polynomials(pair)):
+        dropped.clear()
+        with pytest.raises(AssertionError, match="fails the operators"):
+            call()
+        assert dropped
+
+
 def test_default_window_formula(zonotope):
     from hornkit.counting import holonomic_rank
 
