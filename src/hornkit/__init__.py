@@ -21,21 +21,17 @@ from .polygon import (
     build_polygon,
     classify,
     is_maximally_reducible,
-    minkowski_decompose,
     vertex_count,
 )
 from .counting import (
-    ComponentRef,
-    ConeQ,
     atomic_rank,
-    component_ref,
     convergent_count_S,
-    convergent_dim_by_cone,
     fully_supported_count,
     holonomic_rank,
     persistent_dim,
 )
 from .atomic import (
+    is_generic,
     persistent_monomials,
     persistent_polynomials,
     polynomial_exponents,
@@ -46,7 +42,6 @@ from .series import (
     TruncatedSeries,
     harvest_polynomials,
     series_from_submatrix,
-    support_cone,
     verify_truncated,
 )
 from .solver import (
@@ -56,8 +51,10 @@ from .solver import (
     expand_closed_form,
     monodromy_exponents,
     parallelepipedal_closed_form,
+    parallelepipedal_system,
     persistent_solutions,
     simplicial_closed_form,
+    simplicial_system,
     suggest_polynomial_parameters,
     validate_persistence,
 )

@@ -53,7 +53,7 @@ def _load_system(path: str) -> HornSystem:
         with open(path) as fh:
             data = json.load(fh, parse_int=_parse_int)
         return HornSystem.from_json(data)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         _fail(2, f"cannot parse system file {path}: {exc}")
 
 
@@ -417,7 +417,7 @@ def verify(input_path, solution_path, out):
         f = PuiseuxPolynomial.from_json(terms)
         if f.is_zero():
             raise ValueError("the zero polynomial is no candidate solution")
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         _fail(2, f"cannot parse solution file {solution_path}: {exc}")
     r1 = apply_horn(1, f, s)
     r2 = apply_horn(2, f, s)

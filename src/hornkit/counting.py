@@ -1,77 +1,18 @@
 """Closed-form counts: the rank rules (`holonomic_rank`, `atomic_rank` and
 `system_rank`), persistent dimension, fully supported series count, and the
-per-vertex dimension of convergent fully supported solutions, computed two
-independent ways.
+per-vertex dimension of convergent fully supported solutions.
 
 Vertices of the polygon index the components of the singular amoeba's
-complement; the count attached to a vertex is evaluated both through the
-angular double sum over normals and through the recession-cone inclusion
-test, and the two must agree.
+complement; the count attached to a vertex is the angular double sum over
+the polygon's normals (`convergent_count_S`).  The tests check it against
+the recession-cone inclusion count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
-from .lattice import RelAngle, Vec2, cross, index_nu
+from .lattice import RelAngle, cross, index_nu
 from .polygon import OreSatoPolygon
 from .system import AtomicSystem, HornSystem, check_nonconfluent, enumerate_atomic
-
-
-@dataclass(frozen=True)
-class ConeQ:
-    """A strongly convex 2D cone spanned by two independent generators,
-    stored in counterclockwise order."""
-
-    gen1: tuple[Fraction, Fraction]
-    gen2: tuple[Fraction, Fraction]
-
-    def __post_init__(self):
-        d = self.gen1[0] * self.gen2[1] - self.gen1[1] * self.gen2[0]
-        if d == 0:
-            raise ValueError("cone generators must be linearly independent")
-        if d < 0:
-            g1, g2 = self.gen1, self.gen2
-            object.__setattr__(self, "gen1", g2)
-            object.__setattr__(self, "gen2", g1)
-
-    def contains(self, v: tuple[Fraction, Fraction]) -> bool:
-        """Membership via Cramer coordinates, exact."""
-        g1, g2 = self.gen1, self.gen2
-        det = g1[0] * g2[1] - g1[1] * g2[0]
-        a = (v[0] * g2[1] - v[1] * g2[0]) / det
-        b = (g1[0] * v[1] - g1[1] * v[0]) / det
-        return a >= 0 and b >= 0
-
-    def contains_cone(self, other: "ConeQ") -> bool:
-        return self.contains(other.gen1) and self.contains(other.gen2)
-
-
-@dataclass(frozen=True)
-class ComponentRef:
-    """A complement component named by its polygon vertex; the recession cone
-    is spanned by the two outer normals adjacent to the vertex."""
-
-    vertex_index: int
-    normal_cone: ConeQ
-
-
-def cone_from_vectors(u: Vec2, v: Vec2) -> ConeQ:
-    if cross(u, v) > 0:
-        return ConeQ((Fraction(u.a), Fraction(u.b)), (Fraction(v.a), Fraction(v.b)))
-    return ConeQ((Fraction(v.a), Fraction(v.b)), (Fraction(u.a), Fraction(u.b)))
-
-
-def component_ref(p: OreSatoPolygon, i: int) -> ComponentRef:
-    """Vertex i sits between edges i-1 and i; its normal cone is spanned by
-    those two outer normals."""
-    q = len(p.edges)
-    if not 0 <= i < q:
-        raise ValueError(f"vertex index {i} out of range 0..{q - 1}")
-    n_prev = p.edges[(i - 1) % q].normal
-    n_next = p.edges[i].normal
-    return ComponentRef(i, cone_from_vectors(n_prev, n_next))
 
 
 # -- global counts ----------------------------------------------------------
@@ -171,13 +112,3 @@ def convergent_count_S(p: OreSatoPolygon, i: int) -> int:
             total += mults[k] * mults[ell] * d
     return total
 
-
-def convergent_dim_by_cone(s: HornSystem, comp: ComponentRef) -> int:
-    """Sum |det| over row pairs whose spanned cone contains the component's
-    recession cone; the independent oracle for convergent_count_S.  On the
-    rows as given: |det(g*d, h*e)| = g*h * |det(d, e)|, the sum over the g*h
-    pairs of Gauss-normalized copies, and the spanned cone is unchanged."""
-    if not check_nonconfluent(s):
-        raise ValueError("count requires nonconfluency")
-    return sum(abs(a.det) for a in enumerate_atomic(s)
-               if cone_from_vectors(*a.rows).contains_cone(comp.normal_cone))

@@ -1,7 +1,8 @@
 """The polygon attached to a nonconfluent system: outer normals are the
 (primitivized) rows, side lattice lengths their multiplicities.  Includes the
-zonotope / triangle-plus-segments classification and the matching Minkowski
-decomposition that witnesses maximal reducibility.
+zonotope / triangle-plus-segments classification, which decides maximal
+reducibility; a `Classification` carries the summands of the matching
+Minkowski decomposition (`segments` and `triangle`).
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .lattice import Vec2, ccw_sort, dot, primitive, rot90
+from .lattice import Vec2, ccw_sort, primitive, rot90
 from .system import HornSystem, check_nonconfluent
 
 
@@ -138,48 +139,6 @@ def classify(p: OreSatoPolygon) -> Classification:
     )
 
 
-def minkowski_decompose(p: OreSatoPolygon) -> Classification:
-    """Return the witness decomposition; its edge multiset re-sums to p's."""
-    c = classify(p)
-    if c.kind is Kind.OTHER:
-        raise ValueError("no decomposition of the required shape")
-    return c
-
-
-def witness_edge_multiset(c: Classification) -> dict[Vec2, int]:
-    """Edge multiset of the Minkowski sum of the witness summands."""
-    out: dict[Vec2, int] = {}
-    for seg in c.segments:
-        for d in (seg.direction, -seg.direction):
-            out[d] = out.get(d, 0) + seg.length
-    if c.triangle is not None:
-        for seg in c.triangle.edges:
-            out[seg.direction] = out.get(seg.direction, 0) + seg.length
-    return out
-
-
-def polygon_edge_multiset(p: OreSatoPolygon) -> dict[Vec2, int]:
-    return {e.direction: e.length for e in p.edges}
-
-
-def is_centrally_symmetric(p: OreSatoPolygon) -> bool:
-    """Direct symmetry test p == -p up to translation, as an independent
-    cross-check of the zonotope branch."""
-    ms = polygon_edge_multiset(p)
-    return all(ms.get(-d, 0) == length for d, length in ms.items())
-
-
 def is_maximally_reducible(s: HornSystem) -> bool:
     return classify(build_polygon(s)).kind is not Kind.OTHER
 
-
-def outer_normal_holds(p: OreSatoPolygon) -> bool:
-    """Every edge's normal attains its maximum over vertices on that edge."""
-    for i, e in enumerate(p.edges):
-        vals = [dot(e.normal, v) for v in p.vertices]
-        edge_val = vals[i]
-        if vals[(i + 1) % len(p.vertices)] != edge_val:
-            return False
-        if any(v > edge_val for v in vals):
-            return False
-    return True

@@ -153,7 +153,9 @@ class PuiseuxPolynomial:
         return isinstance(other, PuiseuxPolynomial) and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        # Equal polynomials have equal exponent sets; hashing the exponents
+        # alone skips the big coefficients.
+        return hash(frozenset(self.terms))
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -47,8 +47,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
-from .counting import ConeQ, system_rank
-from .lattice import QVec, inverse_times, qvec
+from .counting import system_rank
+from .lattice import QVec, qvec
 from .operators import _class_residual, _ClassFactors
 from .puiseux import ClassKey, Offset, PuiseuxPolynomial, _class_exponent, _parse_int
 from .system import AtomicSystem, HornSystem, enumerate_atomic
@@ -74,10 +74,10 @@ _Edge = tuple[Offset, Offset, int, bool]
 class GrowResult:
     """A grown component: each coefficient, keyed by its offset, as the
     fill's reduced pair (numerator, denominator > 0) of Python ints, empty
-    after an early exit at the window.  `values` gives them as `Fraction`s,
-    built on first use: `grow_starts` reads the pairs, and the Fractions are
-    for tests and for `bench/tracer.py`, which reads their count and bit
-    lengths."""
+    when the component reaches past the window.  `values` gives them as
+    `Fraction`s, built on first use: `grow_starts` reads the pairs, and the
+    Fractions are for tests and for `bench/tracer.py`, which reads their
+    count and bit lengths."""
     pairs: dict[Offset, tuple[int, int]]
     exceeded: bool
 
@@ -86,8 +86,7 @@ class GrowResult:
         return {d: Fraction(n, m) for d, (n, m) in self.pairs.items()}
 
 
-def grow_component(ev: _ClassFactors, radius: int, early_exit: bool = True,
-                   start: Offset = (0, 0)) -> GrowResult:
+def grow_component(ev: _ClassFactors, radius: int, start: Offset = (0, 0)) -> GrowResult:
     """Grow the coupled component through offset start on the class of ev,
     assigning it coefficient 1, within the radius box around start.
     Coefficients are keyed by offsets on the class, like start, and kept as
@@ -97,10 +96,10 @@ def grow_component(ev: _ClassFactors, radius: int, early_exit: bool = True,
     every forced relation in all four lattice directions, depth first.  It
     cuts a direction where the relevant numerator factor vanishes, raises
     ResonantCollisionError where a live relation meets a vanishing
-    denominator, and flags the result exceeded where the component reaches
-    the radius box boundary.  With early_exit, an exceeded walk returns at
-    once with no coefficients; otherwise the fill covers every walked point
-    inside the box.
+    denominator, and stops at the first step past the radius box boundary:
+    the result is then flagged exceeded and has no coefficients.  Series
+    tables walk the whole box instead (`_walk_support` without the early
+    exit, then `_fill`) and do not come through here.
 
     A factor product vanishes only through a row whose value on the class
     alpha0 + Z^2 is an integer, so the walk tests those rows alone, in small
@@ -135,15 +134,15 @@ def grow_component(ev: _ClassFactors, radius: int, early_exit: bool = True,
     it, the forward step from b - e_j was cut, so P_j vanishes there; where
     only b does, the backward step from b was cut, so Q_j vanishes there.
 
-    With early_exit, `_escape_certified` first tries to prove the escape
-    from the integer-valued rows alone; a proved escape skips the walk.
+    `_escape_certified` first tries to prove the escape from the
+    integer-valued rows alone; a proved escape skips the walk.
     """
-    if early_exit and _escape_certified(ev, start, radius):
+    if _escape_certified(ev, start, radius):
         return GrowResult({}, True)
-    edges, exceeded = _walk_support(ev, start, radius, early_exit)
-    if exceeded and early_exit:
+    edges, exceeded = _walk_support(ev, start, radius, True)
+    if exceeded:
         return GrowResult({}, True)
-    return GrowResult(_fill(ev, start, edges, 1), exceeded)
+    return GrowResult(_fill(ev, start, edges, 1), False)
 
 
 def _walk_support(ev: _ClassFactors, start: Offset, radius: int,
@@ -407,15 +406,6 @@ def _atomic_pair(s: HornSystem, indices: tuple[int, int]) -> AtomicSystem:
     raise ValueError(f"rows {tuple(indices)} are degenerate or out of range")
 
 
-def support_cone(s: HornSystem, indices: tuple[int, int]) -> ConeQ:
-    """Exponent-space cone of a branch's support: spanned by -A_I^{-1}e_1 and
-    -A_I^{-1}e_2."""
-    sub = _atomic_pair(s, indices)
-    g1 = inverse_times(sub.rows, (1, 0))
-    g2 = inverse_times(sub.rows, (0, 1))
-    return ConeQ((-g1[0], -g1[1]), (-g2[0], -g2[1]))
-
-
 # -- windowed series tables ---------------------------------------------------
 
 
@@ -429,18 +419,12 @@ class TruncatedSeries:
     """A windowed series table.  Each nonzero coefficient, keyed by its
     offset from alpha0, is a reduced pair (numerator, denominator > 0) of
     `Decimal` integers, which print in time linear in their digits;
-    `_as_fraction` turns one into a `Fraction`."""
+    `_int_pair` reads one as Python ints."""
     indices: tuple[int, int]
     branch: int
     alpha0: QVec
     coeffs: dict[Offset, tuple[Decimal, Decimal]]
     window: int
-
-    def polynomial(self) -> PuiseuxPolynomial:
-        return PuiseuxPolynomial(
-            {(self.alpha0[0] + d[0], self.alpha0[1] + d[1]): _as_fraction(v)
-             for d, v in self.coeffs.items()}
-        )
 
 
 def _int_pair(pair) -> tuple[int, int]:
@@ -449,11 +433,6 @@ def _int_pair(pair) -> tuple[int, int]:
     slower than `_parse_int` of the text."""
     n, d = pair
     return _parse_int(str(n)), _parse_int(str(d))
-
-
-def _as_fraction(pair) -> Fraction:
-    """The rational n/d of a coefficient pair of `TruncatedSeries`."""
-    return Fraction(*_int_pair(pair))
 
 
 def series_from_submatrix(s: HornSystem, indices: tuple[int, int], branch: int,

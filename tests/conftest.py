@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -7,7 +8,9 @@ from pathlib import Path
 import pytest
 
 from hornkit.lattice import Vec2, cross, dot, primitive
-from hornkit.system import HornSystem, enumerate_atomic
+from hornkit.polygon import Classification, OreSatoPolygon
+from hornkit.series import GrowResult, _fill, _int_pair, _walk_support
+from hornkit.system import HornSystem, check_nonconfluent, enumerate_atomic
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "hornkit" / "fixtures"
 
@@ -24,9 +27,130 @@ def load_expected(name: str) -> dict:
 
 def as_pair(q) -> tuple[Decimal, Decimal]:
     """A rational as a `TruncatedSeries` coefficient: a reduced pair of
-    Decimal integers, the inverse of `series._as_fraction`."""
+    Decimal integers, the inverse of `as_fraction`."""
     q = Fraction(q)
     return Decimal(q.numerator), Decimal(q.denominator)
+
+
+def as_fraction(pair) -> Fraction:
+    """The rational n/d of a `TruncatedSeries` coefficient pair."""
+    return Fraction(*_int_pair(pair))
+
+
+def grow_full(ev, radius: int, start=(0, 0)) -> GrowResult:
+    """`series.grow_component` without its early exit: the support walk
+    covers the whole radius box around start, and every walked point is
+    filled, as a series table is; `exceeded` says whether the component
+    reaches past the box."""
+    edges, exceeded = _walk_support(ev, start, radius, False)
+    return GrowResult(_fill(ev, start, edges, 1), exceeded)
+
+
+# -- polygon oracles ----------------------------------------------------------
+
+
+def witness_edge_multiset(c: Classification) -> dict[Vec2, int]:
+    """Edge multiset of the Minkowski sum of the witness summands."""
+    out: dict[Vec2, int] = {}
+    for seg in c.segments:
+        for d in (seg.direction, -seg.direction):
+            out[d] = out.get(d, 0) + seg.length
+    if c.triangle is not None:
+        for seg in c.triangle.edges:
+            out[seg.direction] = out.get(seg.direction, 0) + seg.length
+    return out
+
+
+def polygon_edge_multiset(p: OreSatoPolygon) -> dict[Vec2, int]:
+    return {e.direction: e.length for e in p.edges}
+
+
+def is_centrally_symmetric(p: OreSatoPolygon) -> bool:
+    """Direct symmetry test p == -p up to translation, as an independent
+    cross-check of the zonotope branch."""
+    ms = polygon_edge_multiset(p)
+    return all(ms.get(-d, 0) == length for d, length in ms.items())
+
+
+def outer_normal_holds(p: OreSatoPolygon) -> bool:
+    """Every edge's normal attains its maximum over vertices on that edge."""
+    for i, e in enumerate(p.edges):
+        vals = [dot(e.normal, v) for v in p.vertices]
+        edge_val = vals[i]
+        if vals[(i + 1) % len(p.vertices)] != edge_val:
+            return False
+        if any(v > edge_val for v in vals):
+            return False
+    return True
+
+
+# -- the recession-cone oracle for counting.convergent_count_S ---------------
+
+
+@dataclass(frozen=True)
+class ConeQ:
+    """A strongly convex 2D cone spanned by two independent generators,
+    stored in counterclockwise order."""
+
+    gen1: tuple[Fraction, Fraction]
+    gen2: tuple[Fraction, Fraction]
+
+    def __post_init__(self):
+        d = self.gen1[0] * self.gen2[1] - self.gen1[1] * self.gen2[0]
+        if d == 0:
+            raise ValueError("cone generators must be linearly independent")
+        if d < 0:
+            g1, g2 = self.gen1, self.gen2
+            object.__setattr__(self, "gen1", g2)
+            object.__setattr__(self, "gen2", g1)
+
+    def contains(self, v: tuple[Fraction, Fraction]) -> bool:
+        """Membership via Cramer coordinates, exact."""
+        g1, g2 = self.gen1, self.gen2
+        det = g1[0] * g2[1] - g1[1] * g2[0]
+        a = (v[0] * g2[1] - v[1] * g2[0]) / det
+        b = (g1[0] * v[1] - g1[1] * v[0]) / det
+        return a >= 0 and b >= 0
+
+    def contains_cone(self, other: "ConeQ") -> bool:
+        return self.contains(other.gen1) and self.contains(other.gen2)
+
+
+@dataclass(frozen=True)
+class ComponentRef:
+    """A complement component named by its polygon vertex; the recession cone
+    is spanned by the two outer normals adjacent to the vertex."""
+
+    vertex_index: int
+    normal_cone: ConeQ
+
+
+def cone_from_vectors(u: Vec2, v: Vec2) -> ConeQ:
+    if cross(u, v) > 0:
+        return ConeQ((Fraction(u.a), Fraction(u.b)), (Fraction(v.a), Fraction(v.b)))
+    return ConeQ((Fraction(v.a), Fraction(v.b)), (Fraction(u.a), Fraction(u.b)))
+
+
+def component_ref(p: OreSatoPolygon, i: int) -> ComponentRef:
+    """Vertex i sits between edges i-1 and i; its normal cone is spanned by
+    those two outer normals."""
+    q = len(p.edges)
+    if not 0 <= i < q:
+        raise ValueError(f"vertex index {i} out of range 0..{q - 1}")
+    n_prev = p.edges[(i - 1) % q].normal
+    n_next = p.edges[i].normal
+    return ComponentRef(i, cone_from_vectors(n_prev, n_next))
+
+
+def convergent_dim_by_cone(s: HornSystem, comp: ComponentRef) -> int:
+    """Sum |det| over row pairs whose spanned cone contains the component's
+    recession cone; the independent oracle for convergent_count_S.  On the
+    rows as given: |det(g*d, h*e)| = g*h * |det(d, e)|, the sum over the g*h
+    pairs of Gauss-normalized copies, and the spanned cone is unchanged."""
+    if not check_nonconfluent(s):
+        raise ValueError("count requires nonconfluency")
+    return sum(abs(a.det) for a in enumerate_atomic(s)
+               if cone_from_vectors(*a.rows).contains_cone(comp.normal_cone))
 
 
 def random_nonconfluent_system(rng: random.Random, max_m: int = 7,

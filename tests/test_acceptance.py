@@ -11,36 +11,27 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import (
+    as_fraction,
+    component_ref,
+    convergent_dim_by_cone,
     factor_product,
     load_expected,
     load_system,
     normalize_rows,
+    polygon_edge_multiset,
     random_nonconfluent_system,
+    witness_edge_multiset,
 )
 from hornkit.atomic import (
     persistent_monomials,
     persistent_polynomials,
     polynomial_exponents,
 )
-from hornkit.counting import (
-    component_ref,
-    convergent_count_S,
-    convergent_dim_by_cone,
-    holonomic_rank,
-    persistent_dim,
-)
+from hornkit.counting import convergent_count_S, holonomic_rank, persistent_dim
 from hornkit.operators import apply_horn, apply_intertwiner, is_solution
-from hornkit.polygon import (
-    Kind,
-    build_polygon,
-    classify,
-    minkowski_decompose,
-    polygon_edge_multiset,
-    vertex_count,
-    witness_edge_multiset,
-)
+from hornkit.polygon import Kind, build_polygon, classify, vertex_count
 from hornkit.puiseux import PuiseuxPolynomial
-from hornkit.series import _as_fraction, harvest_polynomials, series_from_submatrix, verify_truncated
+from hornkit.series import harvest_polynomials, series_from_submatrix, verify_truncated
 from hornkit.solver import check_constructive, persistent_solutions
 from hornkit.system import HornSystem, detect_resonance, enumerate_atomic
 
@@ -163,7 +154,8 @@ def test_criterion_05_classification():
     assert classify(build_polygon(quad)).kind is Kind.OTHER
     for s in (ZONO, TRI):
         p = build_polygon(s)
-        c = minkowski_decompose(p)
+        c = classify(p)
+        assert c.kind is not Kind.OTHER
         assert witness_edge_multiset(c) == polygon_edge_multiset(p)
 
 
@@ -213,7 +205,7 @@ def test_criterion_08_series_oracle():
     e = c1 + c2 - c3
     t = series_from_submatrix(EX21, (1, 2), 0, 8)
     assert t.alpha0 == (-c1, -c2)
-    coeffs = {d: _as_fraction(v) for d, v in t.coeffs.items()}
+    coeffs = {d: as_fraction(v) for d, v in t.coeffs.items()}
 
     def falling(a, k):
         out = F(1)

@@ -83,6 +83,28 @@ def test_malformed_input_exit_2(tmp_path):
         assert "zero polynomial" in json.loads(r.stderr)["error"]
 
 
+NESTED = "[" * 100000 + "]" * 100000  # past the JSON decoder's recursion limit
+
+
+@pytest.mark.parametrize("cmd", (["analyze"], ["rank"], ["classify"], ["solve"], ["series"],
+                                 ["suggest-params"], ["verify", "--solution", ZONO],
+                                 ["render", "--what", "polygon", "--out", "unused.svg"]))
+def test_deeply_nested_system_exits_2(cmd, tmp_path):
+    path = tmp_path / "nested.json"
+    path.write_text(NESTED)
+    r = run(cmd[0], str(path), *cmd[1:])
+    assert r.exit_code == 2 and r.stdout == "", r.output[-300:]
+    assert "recursion" in json.loads(r.stderr)["error"]
+
+
+def test_deeply_nested_solution_exits_2(tmp_path):
+    sol = tmp_path / "nested.json"
+    sol.write_text(NESTED)
+    r = run("verify", SIMPLEX, "--solution", str(sol))
+    assert r.exit_code == 2 and r.stdout == "", r.output[-300:]
+    assert "recursion" in json.loads(r.stderr)["error"]
+
+
 def test_no_python_only_integer_spellings(tmp_path):
     # "1_0", an Arabic-Indic three and full-width 1/2 read as 10, 3 and 1/2
     # through int(); in a system's parameters and in a solution's terms they
@@ -388,10 +410,10 @@ def test_series_table_past_the_digit_limit():
     # default limit of int/str conversion
     import decimal
 
-    from conftest import as_pair
+    from conftest import as_pair, grow_full
     from hornkit.operators import _ClassFactors
     from hornkit.puiseux import format_rational, parse_rational
-    from hornkit.series import TruncatedSeries, grow_component, verify_truncated
+    from hornkit.series import TruncatedSeries, verify_truncated
     from hornkit.system import HornSystem
 
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
@@ -412,7 +434,7 @@ def test_series_table_past_the_digit_limit():
         s = HornSystem.from_json(json.load(fh))
     assert verify_truncated(t, s)
     # the text is format_rational of the value the Fraction grower gives
-    grown = grow_component(_ClassFactors(s, alpha0), 60, early_exit=False)
+    grown = grow_full(_ClassFactors(s, alpha0), 60)
     assert [(tuple(c["offset"]), c["value"]) for c in d["coefficients"]] == \
         [(p, format_rational(v)) for p, v in sorted(grown.values.items())]
 

@@ -4,15 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import normalize_rows, random_nonconfluent_system
-from hornkit.counting import (
-    component_ref,
-    convergent_count_S,
-    convergent_dim_by_cone,
-    fully_supported_count,
-    holonomic_rank,
-    persistent_dim,
-)
+from conftest import component_ref, convergent_dim_by_cone, normalize_rows, random_nonconfluent_system
+from hornkit.counting import convergent_count_S, fully_supported_count, holonomic_rank, persistent_dim
 from hornkit.polygon import build_polygon, vertex_count
 from hornkit.system import HornSystem
 

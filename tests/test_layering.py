@@ -1,7 +1,8 @@
 """The module layering of hornkit, read from the source with `ast`: every
 import of one hornkit module by another sits at module level, and the
 imports between modules form no cycle, so each module's dependencies can be
-read off its header."""
+read off its header.  Every public function or class is used in the package
+or exported by it."""
 
 import ast
 from pathlib import Path
@@ -88,3 +89,54 @@ def test_cycle_finder_and_level_check_catch_faults():
     assert _imported(ast.parse("from . import series, solver").body[0]) == ["series", "solver"]
     assert _imported(ast.parse("from hornkit.puiseux import Offset").body[0]) == ["puiseux"]
     assert _imported(ast.parse("from fractions import Fraction").body[0]) == []
+
+
+def _public_definitions(tree: ast.Module) -> list[ast.AST]:
+    """The public top-level functions and classes of a module."""
+    return [node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")]
+
+
+def _unreached(trees: dict[str, ast.Module], exported: set[str]) -> list[str]:
+    """module.name of each public top-level function or class, outside `cli`
+    and `__init__`, that `__init__` does not export and no code in the
+    package refers to outside its own definition."""
+    out = []
+    for module, tree in trees.items():
+        if module in ("cli", "__init__"):
+            continue
+        for node in _public_definitions(tree):
+            if node.name in exported:
+                continue
+            inside = {id(n) for n in ast.walk(node)}
+            used = any((isinstance(n, ast.Name) and n.id == node.name
+                        or isinstance(n, ast.Attribute) and n.attr == node.name)
+                       and id(n) not in inside
+                       for other in trees.values() for n in ast.walk(other))
+            if not used:
+                out.append(f"{module}.{node.name}")
+    return out
+
+
+def test_no_dead_public_code():
+    """Every public function or class is used inside the package or is part
+    of its exported API: code only the tests call lives in the tests."""
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    exported = {alias.asname or alias.name for node in trees["__init__"].body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert {"classify", "harvest_polynomials"} <= exported  # the exports are read
+    assert _unreached(trees, exported) == []
+
+
+def test_dead_code_finder_catches_faults():
+    """The check above fails on an unused public function or class, and
+    counts neither a self-reference nor a private name."""
+    trees = {"__init__": ast.parse("from .m import exported\n"),
+             "m": ast.parse("def exported():\n    return used()\n\n"
+                            "def used():\n    return 1\n\n"
+                            "def recursive(n):\n    return recursive(n - 1)\n\n"
+                            "class Unused:\n    pass\n\n"
+                            "def _private():\n    pass\n"),
+             "cli": ast.parse("def command():\n    pass\n")}
+    assert _unreached(trees, {"exported"}) == ["m.recursive", "m.Unused"]

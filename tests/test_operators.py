@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import factor_product, random_nonconfluent_system
+from conftest import factor_product, grow_full, random_nonconfluent_system
 from hornkit.operators import _ClassFactors, apply_horn, apply_intertwiner, is_solution
 from hornkit.puiseux import PuiseuxPolynomial
 from hornkit.system import HornSystem
@@ -122,7 +122,10 @@ def _grown(ev, start, radius, early_exit):
     from hornkit.series import ResonantCollisionError, grow_component
 
     try:
-        res = grow_component(ev, radius, early_exit, start=start)
+        if early_exit:
+            res = grow_component(ev, radius, start=start)
+        else:
+            res = grow_full(ev, radius, start)
     except ResonantCollisionError as exc:
         return "collision", exc.point
     return ("exceeds" if res.exceeded else "finite"), res.values

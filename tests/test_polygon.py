@@ -2,20 +2,15 @@ import random
 
 import pytest
 
-from conftest import random_nonconfluent_system
-from hornkit.lattice import Vec2, cross
-from hornkit.polygon import (
-    Kind,
-    build_polygon,
-    classify,
+from conftest import (
     is_centrally_symmetric,
-    is_maximally_reducible,
-    minkowski_decompose,
     outer_normal_holds,
     polygon_edge_multiset,
-    vertex_count,
+    random_nonconfluent_system,
     witness_edge_multiset,
 )
+from hornkit.lattice import Vec2, cross
+from hornkit.polygon import Kind, build_polygon, classify, is_maximally_reducible, vertex_count
 from hornkit.system import HornSystem
 
 
@@ -80,7 +75,7 @@ def test_pure_triangle_classifies_as_triangle():
 
 def test_parallelogram_decomposes_into_two_segments():
     s = HornSystem.make([[1, 2], [3, -1], [-1, -2], [-3, 1]], [0, 0, 0, 0])
-    c = minkowski_decompose(build_polygon(s))
+    c = classify(build_polygon(s))
     assert c.kind is Kind.ZONOTOPE
     assert len(c.segments) == 2
 
@@ -88,12 +83,13 @@ def test_parallelogram_decomposes_into_two_segments():
 def test_decomposition_resums(zonotope, triangle_sides):
     for s in (zonotope, triangle_sides):
         p = build_polygon(s)
-        c = minkowski_decompose(p)
+        c = classify(p)
+        assert c.kind is not Kind.OTHER
         assert witness_edge_multiset(c) == polygon_edge_multiset(p)
 
 
 def test_triangle_sides_decomposition_shape(triangle_sides):
-    c = minkowski_decompose(build_polygon(triangle_sides))
+    c = classify(build_polygon(triangle_sides))
     tri_dirs = {tuple(seg.direction) for seg in c.triangle.edges}
     assert tri_dirs == {(1, 2), (-3, -1), (2, -1)}
     assert all(seg.length == 1 for seg in c.triangle.edges)
@@ -102,8 +98,9 @@ def test_triangle_sides_decomposition_shape(triangle_sides):
 
 
 def test_decompose_other_rejected(quadrilateral):
-    with pytest.raises(ValueError):
-        minkowski_decompose(build_polygon(quadrilateral))
+    # no decomposition of the required shape: no witness summands
+    c = classify(build_polygon(quadrilateral))
+    assert c.kind is Kind.OTHER and c.segments == () and c.triangle is None
 
 
 def test_is_maximally_reducible(zonotope, triangle_sides, quadrilateral):

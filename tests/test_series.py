@@ -5,15 +5,24 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import as_pair, factor_product, load_expected, load_system, random_nonconfluent_system
+from conftest import (
+    ConeQ,
+    as_fraction,
+    as_pair,
+    factor_product,
+    grow_full,
+    load_expected,
+    load_system,
+    random_nonconfluent_system,
+)
 from hornkit.counting import fully_supported_count
-from hornkit.lattice import qvec
+from hornkit.lattice import inverse_times, qvec
 from hornkit.operators import _ClassFactors, is_solution
 from hornkit.puiseux import PuiseuxPolynomial
 from hornkit.series import (
     HarvestResult,
     ResonantCollisionError,
-    _as_fraction,
+    _atomic_pair,
     _Quotient,
     _escape_certified,
     _walk_support,
@@ -23,7 +32,6 @@ from hornkit.series import (
     grow_component,
     harvest_polynomials,
     series_from_submatrix,
-    support_cone,
     verify_truncated,
 )
 from hornkit.system import HornSystem, enumerate_atomic
@@ -54,7 +62,7 @@ def test_series_normalized_at_base():
     s = ex21_system()
     t = series_from_submatrix(s, (1, 2), 0, 4)
     assert t.alpha0 == (F(-1, 3), F(-1, 5))
-    assert _as_fraction(t.coeffs[(0, 0)]) == 1
+    assert as_fraction(t.coeffs[(0, 0)]) == 1
 
 
 def test_series_matches_multinomial_oracle():
@@ -63,7 +71,7 @@ def test_series_matches_multinomial_oracle():
     for k1 in range(0, 9):
         for k2 in range(0, 9):
             want = closed_form_coefficient(k1, k2) * (-1) ** (k1 + k2)
-            assert _as_fraction(t.coeffs.get((k1, k2), (0, 1))) == want
+            assert as_fraction(t.coeffs.get((k1, k2), (0, 1))) == want
     assert verify_truncated(t, s)
 
 
@@ -72,7 +80,7 @@ def test_series_order_independence():
     s = ex21_system()
     t = series_from_submatrix(s, (1, 2), 0, 8)
     x0, y0 = t.alpha0
-    coeffs = {d: _as_fraction(v) for d, v in t.coeffs.items()}
+    coeffs = {d: as_fraction(v) for d, v in t.coeffs.items()}
     for (d1, d2), v in coeffs.items():
         for j, step in ((1, (1, 0)), (2, (0, 1))):
             prev = (d1 - step[0], d2 - step[1])
@@ -87,7 +95,7 @@ def test_verify_truncated_detects_fault():
     s = ex21_system()
     t = series_from_submatrix(s, (1, 2), 0, 5)
     assert verify_truncated(t, s)
-    t.coeffs[(2, 1)] = as_pair(_as_fraction(t.coeffs[(2, 1)]) + 1)
+    t.coeffs[(2, 1)] = as_pair(as_fraction(t.coeffs[(2, 1)]) + 1)
     assert not verify_truncated(t, s)
 
     # generic parameters: the factor products have nontrivial denominators
@@ -95,7 +103,7 @@ def test_verify_truncated_detects_fault():
     t = series_from_submatrix(s, enumerate_atomic(s)[0].indices, 0, 3)
     assert verify_truncated(t, s)
     d = max(t.coeffs)
-    t.coeffs[d] = as_pair(_as_fraction(t.coeffs[d]) * 2)
+    t.coeffs[d] = as_pair(as_fraction(t.coeffs[d]) * 2)
     assert not verify_truncated(t, s)
 
 
@@ -118,7 +126,16 @@ def test_perturbed_simplicial_series_matches_closed_form():
                   cf.prefactor[1] + F(2 * m + n, 3))] = coeff
     for d, v in t.coeffs.items():
         expt = (t.alpha0[0] + d[0], t.alpha0[1] + d[1])
-        assert want.get(expt, F(0)) == _as_fraction(v)
+        assert want.get(expt, F(0)) == as_fraction(v)
+
+
+def support_cone(s: HornSystem, indices: tuple[int, int]) -> ConeQ:
+    """Exponent-space cone of a branch's support: spanned by -A_I^{-1}e_1 and
+    -A_I^{-1}e_2."""
+    sub = _atomic_pair(s, indices)
+    g1 = inverse_times(sub.rows, (1, 0))
+    g2 = inverse_times(sub.rows, (0, 1))
+    return ConeQ((-g1[0], -g1[1]), (-g2[0], -g2[1]))
 
 
 def test_support_cone():
@@ -212,7 +229,7 @@ def box_verify_truncated(t, s):
     the (2w+1)^2 window box, absent points read as zeros."""
     ev = _ClassFactors(s, qvec(t.alpha0[0], t.alpha0[1]))
     w = t.window
-    coeffs = {d: _as_fraction(v) for d, v in t.coeffs.items()}
+    coeffs = {d: as_fraction(v) for d, v in t.coeffs.items()}
     for d1 in range(-w, w + 1):
         for d2 in range(-w, w + 1):
             d = (d1, d2)
@@ -250,7 +267,7 @@ def test_verify_truncated_agrees_with_box_loop():
         tables += 1
         w = table.window
         for kind in ("grown", "changed", "deleted", "edge", "corner", "inside", "outside"):
-            coeffs = {d: _as_fraction(v) for d, v in table.coeffs.items()}
+            coeffs = {d: as_fraction(v) for d, v in table.coeffs.items()}
             d = rng.choice(sorted(coeffs))
             e = rng.randint(-w, w)
             if kind == "changed":
@@ -279,11 +296,13 @@ def test_verify_truncated_on_finite_support(triangle_simplex):
     from hornkit.series import TruncatedSeries, grow_component
 
     alpha0 = (F(-1), F(-1))
-    grown = grow_component(_ClassFactors(triangle_simplex, alpha0), 10, early_exit=True)
+    grown = grow_component(_ClassFactors(triangle_simplex, alpha0), 10)
     assert not grown.exceeded
     t = TruncatedSeries((1, 2), 0, alpha0, {d: as_pair(v) for d, v in grown.values.items()}, 10)
     assert verify_truncated(t, triangle_simplex)
-    assert is_solution(t.polynomial(), triangle_simplex)
+    poly = PuiseuxPolynomial({(alpha0[0] + d[0], alpha0[1] + d[1]): as_fraction(v)
+                              for d, v in t.coeffs.items()})
+    assert is_solution(poly, triangle_simplex)
 
 
 def test_resonant_collision_reported():
@@ -315,9 +334,9 @@ def test_resonant_collisions_are_zero_denominators():
         for sub in enumerate_atomic(s):
             for k0 in branch_base_points(sub):
                 alpha0 = branch_initial_exponent(sub, k0)
-                for early_exit in (True, False):
+                for grow in (grow_component, grow_full):
                     try:
-                        grow_component(_ClassFactors(s, alpha0), 8, early_exit=early_exit)
+                        grow(_ClassFactors(s, alpha0), 8)
                     except ResonantCollisionError as exc:
                         collisions += 1
                         assert zero_denominator_at(s, exc.point), (s, alpha0, exc.point)
@@ -656,7 +675,7 @@ def test_tables_agree_with_coefficient_walk():
             for branch, k0 in enumerate(branch_base_points(sub)):
                 t = series_from_submatrix(s, sub.indices, branch, 8)
                 values, _ = coefficient_walk(s, t.alpha0, 8, early_exit=False)
-                assert [(d, _as_fraction(v)) for d, v in t.coeffs.items()] == list(values.items())
+                assert [(d, as_fraction(v)) for d, v in t.coeffs.items()] == list(values.items())
 
 
 def test_branch_base_points_match_shell_scan():
@@ -673,8 +692,8 @@ def test_branch_base_points_match_shell_scan():
 
 @pytest.mark.parametrize("window", (0, 1, 5, 12))
 def test_tables_match_the_fraction_grower(window, tmp_path):
-    """Every table coefficient, as a Fraction, is the value that
-    `grow_component` gives it without the early exit, in the same order,
+    """Every table coefficient, as a Fraction, is the value that the
+    whole-box fill on Python ints (`grow_full`) gives it, in the same order,
     and `series` prints it as `format_rational` prints that value: on the
     series-tables fixtures and on seeded systems."""
     import json
@@ -694,10 +713,9 @@ def test_tables_match_the_fraction_grower(window, tmp_path):
         path.write_text(json.dumps(s.to_json()))
         for sub in enumerate_atomic(s):
             for branch, k0 in enumerate(branch_base_points(sub)):
-                grown = grow_component(_ClassFactors(s, branch_initial_exponent(sub, k0)),
-                                       window, early_exit=False)
+                grown = grow_full(_ClassFactors(s, branch_initial_exponent(sub, k0)), window)
                 t = series_from_submatrix(s, sub.indices, branch, window)
-                assert [(d, _as_fraction(v)) for d, v in t.coeffs.items()] == \
+                assert [(d, as_fraction(v)) for d, v in t.coeffs.items()] == \
                     list(grown.values.items())
                 r = CliRunner().invoke(main, ["series", str(path),
                                               "--submatrix", "{},{}".format(*sub.indices),
