@@ -142,9 +142,12 @@ def _put_json(o, parts: list[str], nl: str):
 
 def _write(text: str, out: str | None):
     # not click.echo, whose scan for ANSI codes never changes JSON text
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+    if out is not None:
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            _fail(2, f"cannot write {out}: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -473,8 +476,7 @@ def render(input_path, what, window, out):
         svg = polygon_svg(_polygon(s))
     else:
         svg = supports_svg(check_constructive(s, _resolve_window(s, window)).solutions)
-    with open(out, "w") as fh:
-        fh.write(svg)
+    _write(svg, out)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,9 @@ strip solutions alike.  Growth walks the support first and fills
 coefficients second.  The walk decides, from integer zero tests alone,
 whether the support component through a start exponent closes off into a
 finite support, escapes the window or meets a resonant collision; only a
-support that closes, or a series table, gets coefficients.  A closed
+support that closes, or a series table, gets coefficients.  One fill
+(`_fill`) carries big values along the walk's spanning tree alone and
+checks every other relation on unit squares, in small ints.  A closed
 support is filled and checked as reduced pairs of Python ints, which become
 `Fraction`s only in the polynomial reported; a table is filled in exact
 `Decimal` integers, which print in linear time.  Atomic strip
@@ -107,8 +109,7 @@ def grow_component(ev: _ClassFactors, radius: int, start: Offset = (0, 0)) -> Gr
 
     The fill (`_fill`, here on Python ints) assigns each point its value
     along the walk's spanning tree, one big-rational product per point, and
-    compares the two ends of every other live relation once; each value is
-    returned as its reduced pair.  Two paths never disagree.  With
+    returns each value as its reduced pair.  Two paths never disagree.  With
     Phi(beta) = prod_i Gamma(<A_i, beta> + c_i), the functional equation of
     Gamma gives, as rational functions of beta,
 
@@ -120,9 +121,37 @@ def grow_component(ev: _ClassFactors, radius: int, start: Offset = (0, 0)) -> Gr
     product around any closed lattice loop is identically 1, and two paths
     to one point give the same value wherever every step along them is
     defined.  The walk takes a step only where both factor products are
-    nonzero, so every step it takes is defined.  The comparison is kept as
-    a guard; every collision raised comes from the walk's zero-denominator
-    test.
+    nonzero, so every step it takes is defined; every collision raised comes
+    from the walk's zero-denominator test.
+
+    The fill still checks path agreement, exactly and in small ints, on unit
+    squares alone.  Lemma.  Let the walk end without collision, with support
+    S, walked edges E and v_i(d) the value at offset d of an integer-valued
+    row.
+    1. The edge between d and d + e_j is live (P_j(d) and Q_j(d + e_j) both
+       nonzero) exactly when no such row changes between v_i <= 0 and
+       v_i >= 1 across it: a row with A_ij > 0 that does makes P_j(d)
+       vanish, one with A_ij < 0 makes Q_j(d + e_j) vanish, one with
+       A_ij = 0 stays put.  From a found point the walk takes exactly the
+       live edges inside the box; one vanishing factor alone is a
+       collision.  So the rows' pattern of v_i <= 0 is constant on S, which
+       is the 4-connected component of the start among the lattice points
+       of K, the convex cell of that pattern cut by the box, and every unit
+       edge between two points of S is in E.
+    2. In the plane graph (S, E) no bounded face is bigger than a unit
+       square.  The closure of a bounded face lies in the convex hull of its
+       boundary, so in K.  A lattice point inside it would lie in K and join
+       the boundary along its lattice row through lattice points of K, by
+       live edges, so it would be a point of S.  A unit edge inside it would
+       join two lattice points of its boundary, points of S, so it would be
+       in E.  A face with neither inside is one open unit square.
+    3. (S, E) is connected, so by Euler's formula it has |E| - |S| + 1
+       bounded faces, and their boundaries generate its cycles.
+    4. So the identities r_1(c) r_2(c + e_1) = r_2(c) r_1(c + e_2) on the
+       step ratios around every unit square of (S, E) give path agreement
+       on every relation off the tree.  `_fill` checks them, and checks
+       that there are |E| - |S| + 1 such squares, which is step 2 at run
+       time: the proof assumes nothing that goes unchecked.
 
     A finite support grown without collision solves both equations, so the
     residual check of `grow_starts` is a guard that cannot fire.  The
@@ -286,31 +315,55 @@ def _fill(ev: _ClassFactors, start: Offset, edges: list[_Edge], one) -> dict[Off
     as reduced pairs (numerator, denominator > 0) of the type of one: Python
     ints, or `Decimal` integers inside the `_EXACT` context.
 
-    Each relation's step ratio p/q is reduced in small ints.  With n/d and
-    p/q in lowest terms, gcd(n*p, d*q) = gcd(n, q) * gcd(p, d), and both
-    gcds are taken after a big value is reduced modulo a small one.  So a
-    step costs a few products, exact quotients and remainders of a big
-    integer by a small one, linear in its digits for either type; no two
-    big values are ever divided.  Two pairs in lowest terms are equal
-    exactly when their rationals are, so the guard on the non-tree
-    relations compares pairs.
+    Each walked relation's step ratio is recorded as a pair of small ints
+    (p, q), keyed by its lower end c and its axis j: the forward ratio
+    r_j(c) = u(c + e_j)/u(c) = p/q.  Only the spanning tree's relations,
+    those that reach a point without a value, are carried into big values,
+    each with its ratio reduced first.  With n/d and p/q in lowest terms,
+    gcd(n*p, d*q) = gcd(n, q) * gcd(p, d), and both gcds are taken after a
+    big value is reduced modulo a small one.  So a tree step costs a few
+    products, exact quotients and remainders of a big integer by a small
+    one, linear in its digits for either type; no two big values are ever
+    divided.
+
+    The relations off the tree are checked on unit squares, in small ints:
+    every square c, c + e_1, c + e_2, c + e_1 + e_2 whose four relations
+    were walked must have r_1(c) r_2(c + e_1) = r_2(c) r_1(c + e_2), one
+    cross product, and there must be exactly as many such squares as
+    relations off the tree, len(edges) - len(values) + 1.  By
+    `grow_component`'s lemma the two checks together are path agreement on
+    every walked relation; either failure raises AssertionError.
     """
     p_num, q_num, p_den, q_den = ev.p_num, ev.q_num, ev.p_den, ev.q_den
     values: dict[Offset, tuple] = {start: (one, one)}
+    ratios: tuple[dict, dict, dict] = ({}, {}, {})  # r_j(c) by axis j; slot 0 is unused
     for a, b, j, forward in edges:
-        if forward:
-            p, q = p_num(j, a) * q_den[j], q_num(j, b) * p_den[j]
-        else:
-            p, q = q_num(j, a) * p_den[j], p_num(j, b) * q_den[j]
+        low, high = (a, b) if forward else (b, a)
+        p, q = p_num(j, low) * q_den[j], q_num(j, high) * p_den[j]
+        ratios[j][low] = (p, q)
+        if b in values:
+            continue
+        if not forward:
+            p, q = q, p
         g = gcd(p, q) if q > 0 else -gcd(p, q)
         p, q = p // g, q // g
         n, d = values[a]
         g1, g2 = gcd(int(n % q), q), gcd(p, int(d % p))
-        v = (n // g1 * (p // g2), d // g2 * (q // g1))
-        if b not in values:
-            values[b] = v
-        elif values[b] != v:
-            raise ResonantCollisionError(ev.exponent(b))
+        values[b] = (n // g1 * (p // g2), d // g2 * (q // g1))
+
+    right, up = ratios[1], ratios[2]
+    squares = 0
+    for (c1, c2), (p1, q1) in right.items():
+        r2, r2e, r1e = up.get((c1, c2)), up.get((c1 + 1, c2)), right.get((c1, c2 + 1))
+        if r2 is None or r2e is None or r1e is None:
+            continue
+        squares += 1
+        if p1 * r2e[0] * r2[1] * r1e[1] != r2[0] * r1e[0] * q1 * r2e[1]:
+            raise AssertionError(
+                f"the step ratios disagree around the unit square at {ev.exponent((c1, c2))}")
+    if squares != len(edges) - len(values) + 1:
+        raise AssertionError(f"complete unit squares: {squares}, relations off the "
+                             f"spanning tree: {len(edges) - len(values) + 1}")
     return values
 
 

@@ -3,13 +3,14 @@ import random
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
 
 from hornkit.lattice import Vec2, cross, dot, primitive
 from hornkit.polygon import Classification, OreSatoPolygon
-from hornkit.series import GrowResult, _fill, _int_pair, _walk_support
+from hornkit.series import GrowResult, ResonantCollisionError, _fill, _int_pair, _walk_support
 from hornkit.system import HornSystem, check_nonconfluent, enumerate_atomic
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "hornkit" / "fixtures"
@@ -44,6 +45,31 @@ def grow_full(ev, radius: int, start=(0, 0)) -> GrowResult:
     reaches past the box."""
     edges, exceeded = _walk_support(ev, start, radius, False)
     return GrowResult(_fill(ev, start, edges, 1), exceeded)
+
+
+def fill_pairwise(ev, start, edges, one) -> dict:
+    """`series._fill` as it was before its unit-square check: every walked
+    relation is carried in big values, and the two ends of each relation
+    off the spanning tree are compared as reduced pairs; a disagreement
+    raises ResonantCollisionError at its upper end.  Two pairs in lowest
+    terms are equal exactly when their rationals are."""
+    p_num, q_num, p_den, q_den = ev.p_num, ev.q_num, ev.p_den, ev.q_den
+    values = {start: (one, one)}
+    for a, b, j, forward in edges:
+        if forward:
+            p, q = p_num(j, a) * q_den[j], q_num(j, b) * p_den[j]
+        else:
+            p, q = q_num(j, a) * p_den[j], p_num(j, b) * q_den[j]
+        g = gcd(p, q) if q > 0 else -gcd(p, q)
+        p, q = p // g, q // g
+        n, d = values[a]
+        g1, g2 = gcd(int(n % q), q), gcd(p, int(d % p))
+        v = (n // g1 * (p // g2), d // g2 * (q // g1))
+        if b not in values:
+            values[b] = v
+        elif values[b] != v:
+            raise ResonantCollisionError(ev.exponent(b))
+    return values
 
 
 # -- polygon oracles ----------------------------------------------------------

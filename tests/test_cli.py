@@ -105,6 +105,26 @@ def test_deeply_nested_solution_exits_2(tmp_path):
     assert "recursion" in json.loads(r.stderr)["error"]
 
 
+@pytest.mark.parametrize("cmd", (["analyze", SIMPLEX], ["rank", ZONO], ["classify", ZONO],
+                                 ["solve", SIMPLEX], ["series", EX21],
+                                 ["series", EX21, "--submatrix", "0,1", "--window", "2"],
+                                 ["verify", SIMPLEX, "--solution", "SOLUTION"],
+                                 ["suggest-params", EX21, "--bound", "1", "--window", "2"],
+                                 ["render", EX21, "--what", "polygon"]))
+def test_unwritable_out_exits_2(cmd, tmp_path):
+    """Every command that takes --out exits 2 with a JSON error, and no
+    traceback, when the file cannot be opened for writing: in a missing
+    directory, or an empty path, which names no file rather than stdout."""
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps({"terms": [{"exponent": ["0", "0"], "coefficient": "1"}]}))
+    for out in (str(tmp_path / "missing" / "out.json"), ""):
+        r = run(*(str(sol) if x == "SOLUTION" else x for x in cmd), "--out", out)
+        assert r.exit_code == 2 and isinstance(r.exception, SystemExit), r.output[-300:]
+        assert r.stdout == ""
+        assert json.loads(r.stderr)["error"].startswith(f"cannot write {out}: ")
+    assert not (tmp_path / "missing").exists()
+
+
 def test_no_python_only_integer_spellings(tmp_path):
     # "1_0", an Arabic-Indic three and full-width 1/2 read as 10, 3 and 1/2
     # through int(); in a system's parameters and in a solution's terms they

@@ -1,6 +1,8 @@
+import itertools
 import math
 import random
 from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +12,7 @@ from conftest import (
     as_fraction,
     as_pair,
     factor_product,
+    fill_pairwise,
     grow_full,
     load_expected,
     load_system,
@@ -18,13 +21,16 @@ from conftest import (
 from hornkit.counting import fully_supported_count
 from hornkit.lattice import inverse_times, qvec
 from hornkit.operators import _ClassFactors, is_solution
-from hornkit.puiseux import PuiseuxPolynomial
+from hornkit.puiseux import PuiseuxPolynomial, _class_exponent
 from hornkit.series import (
+    _EXACT,
     HarvestResult,
     ResonantCollisionError,
     _atomic_pair,
     _Quotient,
+    _branch_start,
     _escape_certified,
+    _fill,
     _walk_support,
     branch_base_points,
     branch_initial_exponent,
@@ -518,6 +524,126 @@ def test_residual_guard_raises_on_a_dropped_point(j, monkeypatch, zonotope, atom
         with pytest.raises(AssertionError, match="fails the operators"):
             call()
         assert dropped
+
+
+# -- the fill's unit-square check ----------------------------------------------
+
+
+FIXTURE_NAMES = ("zonotope", "triangle_sides", "triangle_simplex", "atomic_32_43",
+                 "quadrilateral", "simplicial22", "example21", "example31")
+TABLE_FIXTURES = ("quadrilateral", "simplicial22", "example21", "example31")
+
+
+def table_walks():
+    """(ev, start, edges, one) of every series table of the series-tables
+    fixtures (40 tables) at windows 0, 1, 8 and 24, as
+    `series_from_submatrix` walks and fills them."""
+    for name in TABLE_FIXTURES:
+        s = load_system(name)
+        for sub in enumerate_atomic(s):
+            for k0 in branch_base_points(sub):
+                ev = _ClassFactors(s, branch_initial_exponent(sub, k0))
+                for window in (0, 1, 8, 24):
+                    yield ev, (0, 0), _walk_support(ev, (0, 0), window, False)[0], Decimal(1)
+
+
+def harvest_walks():
+    """(ev, start, edges, one) of every finite support that the harvest
+    fills: on all 8 fixtures at their default window, and on the systems of
+    seeds 0-59 with small-denominator parameters at window 10."""
+    systems = [(load_system(name), None) for name in FIXTURE_NAMES]
+    for seed in range(60):
+        rng = random.Random(seed)
+        rows = random_nonconfluent_system(rng, max_m=5).rows
+        systems.append((HornSystem.make(rows, [F(rng.randint(-9, 9), seed % 3 + 1)
+                                               for _ in rows]), 10))
+    for s, window in systems:
+        window = default_window(s) if window is None else window
+        for sub in enumerate_atomic(s):
+            for k0 in branch_base_points(sub):
+                key, o = _branch_start(sub, k0)
+                ev = _ClassFactors(s, _class_exponent(key, (0, 0)))
+                if _escape_certified(ev, o, window):
+                    continue
+                try:
+                    edges, exceeded = _walk_support(ev, o, window, True)
+                except ResonantCollisionError:
+                    continue
+                if not exceeded:
+                    yield ev, o, edges, 1
+
+
+def test_fill_matches_the_pairwise_oracle():
+    """The tree fill with its unit-square check returns the pairs, in the
+    same order, that the fill comparing both ends of every relation
+    (`fill_pairwise`) returns: on every series-tables table at windows 0, 1,
+    8 and 24, in `Decimal` integers, and on the finite harvest supports of
+    the fixtures and of seeded systems, in Python ints."""
+    seen = Counter()
+    for kind, walks in (("table", table_walks()), ("support", harvest_walks())):
+        for ev, start, edges, one in walks:
+            with localcontext(_EXACT):
+                got = _fill(ev, start, edges, one)
+                want = fill_pairwise(ev, start, edges, one)
+            assert list(got.items()) == list(want.items()), (ev.anchor, start)
+            seen[kind] += 1
+            seen[kind + " squares"] += len(edges) - len(got) + 1
+    assert seen["table"] == 160 and seen["support"] > 300, seen
+    assert seen["table squares"] > 15000 and seen["support squares"] > 500, seen
+
+
+def test_walked_supports_have_only_unit_square_faces():
+    """The premise of `grow_component`'s lemma, read off the walk alone:
+    every lattice edge between two walked points is a walked relation, and
+    the walked relations close exactly one unit square per relation off the
+    spanning tree."""
+    for ev, start, edges, _ in itertools.chain(table_walks(), harvest_walks()):
+        support = {start} | {b for _, b, _, _ in edges}
+        walked = {(a, j) if forward else (b, j) for a, b, j, forward in edges}
+        assert len(walked) == len(edges)
+        lattice = {((x, y), j) for x, y in support
+                   for j, nxt in ((1, (x + 1, y)), (2, (x, y + 1))) if nxt in support}
+        assert walked == lattice, (ev.anchor, start)
+        squares = sum(((x, y), 2) in walked and ((x + 1, y), 2) in walked
+                      and ((x, y + 1), 1) in walked
+                      for (x, y), j in walked if j == 1)
+        assert squares == len(edges) - len(support) + 1, (ev.anchor, start)
+
+
+@pytest.mark.parametrize("j", [1, 2])
+def test_square_check_catches_a_corrupted_step_ratio(j, quadrilateral, monkeypatch):
+    """Doubling P_j at one interior point of a quadrilateral table breaks
+    the unit squares on its relation, and the table fill raises.  That
+    point's e_1 relation is on the walk's spanning tree, its e_2 relation
+    off it."""
+    table = series_from_submatrix(quadrilateral, (0, 1), 0, 6)
+    x, y = next((x, y) for x, y in table.coeffs
+                if all((x + u, y + v) in table.coeffs for u in (-1, 0, 1) for v in (-1, 0, 1)))
+    p_num = _ClassFactors.p_num
+
+    def corrupted(self, jj, d):
+        return p_num(self, jj, d) * (2 if (jj, d) == (j, (x, y)) else 1)
+
+    monkeypatch.setattr(_ClassFactors, "p_num", corrupted)
+    with pytest.raises(AssertionError, match="step ratios disagree"):
+        series_from_submatrix(quadrilateral, (0, 1), 0, 6)
+
+
+def test_square_count_check_catches_a_ring():
+    """A walk of the eight points around a missing centre has one relation
+    off its spanning tree but no unit square with all four relations: the
+    ratios agree around the ring, as they telescope, yet the fill raises on
+    the count."""
+    ev = _ClassFactors(load_system("quadrilateral"), (F(1, 3), F(2, 7)))
+    ring = [(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1) if (x, y) != (0, 0)]
+    assert all(ev.p_num(j, d) and ev.q_num(j, d) for j in (1, 2) for d in ring)
+    edges = [((-1, -1), (0, -1), 1, True), ((0, -1), (1, -1), 1, True),
+             ((1, -1), (1, 0), 2, True), ((1, 0), (1, 1), 2, True),
+             ((1, 1), (0, 1), 1, False), ((0, 1), (-1, 1), 1, False),
+             ((-1, 1), (-1, 0), 2, False), ((-1, -1), (-1, 0), 2, True)]
+    assert fill_pairwise(ev, (-1, -1), edges, 1).keys() == set(ring)
+    with pytest.raises(AssertionError, match="unit squares: 0, relations off the spanning tree: 1"):
+        _fill(ev, (-1, -1), edges, 1)
 
 
 def test_default_window_formula(zonotope):
