@@ -189,8 +189,26 @@ def main():
     """Exact analysis of bivariate nonconfluent Horn hypergeometric systems."""
 
 
+class _AsciiInt(click.ParamType):
+    """An integer option, read as `parse_rational` reads one: ASCII digits
+    with an optional sign (`_parse_int`), where int() would also take "1_0",
+    spaces and non-ASCII digits."""
+    name = "integer"
+
+    def convert(self, value, param, ctx):
+        if isinstance(value, int):  # a default
+            return value
+        try:
+            return _parse_int(value)
+        except ValueError:
+            self.fail(f"{value!r} is not a valid integer.", param, ctx)
+
+
+_INT = _AsciiInt()
+
+
 def _window_option(default=None, **kwargs):
-    return click.option("--window", type=int, default=default,
+    return click.option("--window", type=_INT, default=default,
                         callback=lambda _ctx, _param, w: _check_window(w), **kwargs)
 
 
@@ -335,7 +353,7 @@ def solve(input_path, window, out):
 @_input_arg
 @click.option("--submatrix", default=None, metavar="I,J",
               help="row index pair (0-based) selecting the atomic subsystem")
-@click.option("--branch", type=int, default=0, show_default=True)
+@click.option("--branch", type=_INT, default=0, show_default=True)
 @_window_option(default=8, show_default=True)
 @_out_opt
 def series(input_path, submatrix, branch, window, out):
@@ -361,7 +379,7 @@ def series(input_path, submatrix, branch, window, out):
         _emit({"name": s.name, "branches": listing}, out)
         return
     try:
-        i, j = (int(x) for x in submatrix.split(","))
+        i, j = (_parse_int(x) for x in submatrix.split(","))
     except ValueError:
         _fail(2, f"--submatrix expects 'I,J', got {submatrix!r}")
     try:
@@ -443,7 +461,7 @@ def verify(input_path, solution_path, out):
 
 @main.command("suggest-params")
 @_input_arg
-@click.option("--bound", type=int, default=SUGGEST_BOUND, show_default=True,
+@click.option("--bound", type=_INT, default=SUGGEST_BOUND, show_default=True,
               callback=lambda _ctx, _param, b: _check_bound(b))
 @_window_option(default=SUGGEST_WINDOW, show_default=True)
 @_out_opt

@@ -35,37 +35,63 @@ class _ClassFactors:
     With gcd(n_i, q_i) = 1, a factor vanishes only where q_i = 1: `p_int` and
     `q_int` keep those rows of each side, as (n_i, a_i, b_i, |A_ij|, i) with
     i the row's index in s, so a zero test also names the row that vanishes.
+
+    The constructor builds `p_int`/`q_int` alone: a row is integer-valued
+    exactly when the denominator of its unreduced value divides the
+    numerator, so no gcd is taken.  The walk and the escape certificate read
+    nothing else, so a start that escapes or collides costs integer work
+    only.  The rational factor lists `pos`/`neg` and the denominators
+    `p_den`/`q_den` are built on their first use (`_factor_lists`), by the
+    first coefficient computed on the class.
     """
 
     def __init__(self, s: HornSystem, anchor):
         self.anchor = anchor
         xn, xd = anchor[0].numerator, anchor[0].denominator
         yn, yd = anchor[1].numerator, anchor[1].denominator
-        # rows of P_j (pos[j]) and Q_j (neg[j]) for column j = 1, 2, as
-        # (n_i, q_i*a_i, q_i*b_i, q_i, |A_ij|); slot 0 is unused
-        self.pos: tuple[list, list, list] = ([], [], [])
-        self.neg: tuple[list, list, list] = ([], [], [])
         self.p_int: tuple[list, list, list] = ([], [], [])
         self.q_int: tuple[list, list, list] = ([], [], [])
+        # each row (a, b) with its value n/q at the anchor, unreduced
+        self._values = []
+        for i, ((a, b), c) in enumerate(zip(s.rows, s.params)):
+            cn, cd = c.numerator, c.denominator
+            n = (a * xn * yd + b * yn * xd) * cd + cn * xd * yd
+            q = xd * yd * cd
+            self._values.append((a, b, n, q))
+            if n % q:
+                continue
+            n //= q
+            for j, entry in ((1, a), (2, b)):
+                if entry > 0:
+                    self.p_int[j].append((n, a, b, entry, i))
+                elif entry < 0:
+                    self.q_int[j].append((n, a, b, -entry, i))
+
+    def __getattr__(self, name: str):
+        # called only for attributes not set yet: the lazy factor lists
+        if name not in ("pos", "neg", "p_den", "q_den"):
+            raise AttributeError(f"'_ClassFactors' object has no attribute {name!r}")
+        self._factor_lists()
+        return self.__dict__[name]
+
+    def _factor_lists(self):
+        """Set the rows of P_j (pos[j]) and Q_j (neg[j]) for column j = 1, 2,
+        as (n_i, q_i*a_i, q_i*b_i, q_i, |A_ij|) with n_i/q_i in lowest terms,
+        and their denominators p_den[j], q_den[j]; slot 0 is unused."""
+        self.pos: tuple[list, list, list] = ([], [], [])
+        self.neg: tuple[list, list, list] = ([], [], [])
         self.p_den = [1, 1, 1]
         self.q_den = [1, 1, 1]
-        for i, (r, c) in enumerate(zip(s.rows, s.params)):
-            cn, cd = c.numerator, c.denominator
-            n = (r.a * xn * yd + r.b * yn * xd) * cd + cn * xd * yd
-            q = xd * yd * cd
+        for a, b, n, q in self._values:
             g = gcd(n, q)
             n, q = n // g, q // g
-            for j, entry in ((1, r.a), (2, r.b)):
+            for j, entry in ((1, a), (2, b)):
                 if entry > 0:
-                    self.pos[j].append((n, q * r.a, q * r.b, q, entry))
+                    self.pos[j].append((n, q * a, q * b, q, entry))
                     self.p_den[j] *= q ** entry
-                    if q == 1:
-                        self.p_int[j].append((n, r.a, r.b, entry, i))
                 elif entry < 0:
-                    self.neg[j].append((n, q * r.a, q * r.b, q, -entry))
+                    self.neg[j].append((n, q * a, q * b, q, -entry))
                     self.q_den[j] *= q ** -entry
-                    if q == 1:
-                        self.q_int[j].append((n, r.a, r.b, -entry, i))
 
     def p_num(self, j: int, d: Offset) -> int:
         """Numerator of P_j at offset d, over the denominator p_den[j]."""

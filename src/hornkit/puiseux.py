@@ -177,9 +177,15 @@ class PuiseuxPolynomial:
 
     @staticmethod
     def from_json(data: Iterable[Mapping]) -> "PuiseuxPolynomial":
+        """The inverse of `to_json`.  An exponent listed twice, compared
+        after parsing ("0" and "0/1" alike), raises ValueError: one of its
+        coefficients would be dropped."""
         terms = {}
         for item in data:
             e1, e2 = (parse_rational(x) for x in item["exponent"])
+            if (e1, e2) in terms:
+                raise ValueError(f"exponent ({format_rational(e1)}, {format_rational(e2)}) "
+                                 "is listed twice")
             terms[(e1, e2)] = parse_rational(item["coefficient"])
         return PuiseuxPolynomial(terms)
 

@@ -42,6 +42,7 @@ not prove are walked.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import (MAX_PREC, Context, Decimal, DivisionByZero, Inexact, InvalidOperation,
                      Rounded, localcontext)
@@ -295,18 +296,33 @@ def _staircase_in(rows: set, w: Offset, radius: int) -> bool:
     """Whether a monotone staircase from 0 to w stays in R up to w or up to
     its first point outside the radius box.  Each step goes along the axis
     that keeps the point nearer the line through w, or along the other axis
-    where that point leaves R."""
-    (w1, w2), x, y = w, 0, 0
+    where that point leaves R; on a tie, along the first axis.  The distance
+    is kept as e = x*w2 - y*w1, which a step changes by a constant."""
+    w1, w2 = w
     s1, s2 = (1 if w1 > 0 else -1), (1 if w2 > 0 else -1)
-    while (x, y) != w:
-        steps = ([(x + s1, y)] if x != w1 else []) + ([(x, y + s2)] if y != w2 else [])
-        steps.sort(key=lambda p: abs(p[0] * w2 - p[1] * w1))
-        inside = [p for p in steps if all(n + a * p[0] + b * p[1] <= 0 for n, a, b in rows)]
-        if not inside:
+    x = y = e = 0
+    ex, ey = s1 * w2, -s2 * w1  # the change of e per step along each axis
+    while x != w1 or y != w2:
+        can_x, can_y = x != w1, y != w2
+        first_x = can_x and (not can_y or abs(e + ex) <= abs(e + ey))
+        if first_x and _in_region(rows, x + s1, y):
+            x, e = x + s1, e + ex
+        elif can_y and _in_region(rows, x, y + s2):
+            y, e = y + s2, e + ey
+        elif can_x and not first_x and _in_region(rows, x + s1, y):
+            x, e = x + s1, e + ex
+        else:
             return False
-        x, y = inside[0]
-        if max(abs(x), abs(y)) > radius:
+        if abs(x) > radius or abs(y) > radius:
             return True
+    return True
+
+
+def _in_region(rows: set, x: int, y: int) -> bool:
+    """Whether the offset (x, y) lies in R: n + a*x + b*y <= 0 on every row."""
+    for n, a, b in rows:
+        if n + a * x + b * y > 0:
+            return False
     return True
 
 
@@ -402,24 +418,47 @@ def branch_base_points(sub: AtomicSystem) -> list[Offset]:
 
     The class of (r1, r2) is {(r1 + t*c1[0], r2 + t*c1[1] + u*c2[1])}, so
     its points in N^2 have t >= 0, and for each t the least is the one with
-    k2 = (r2 + t*c1[1]) mod c2[1].  Past t, no point beats the best found
-    once k1 reaches its max-coordinate, nor once k2 has run through its
-    period c2[1] / gcd(c1[1], c2[1]) in t.
+    k1 = r1 + t*c1[0] and k2 = (r2 + t*c1[1]) mod c2[1].  k2 has period
+    P = c2[1] / gcd(c1[1], c2[1]) in t, so the base point is the least key
+    (max(k1, k2), k1, k2) over 0 <= t < P.
+
+    The classes r2 = s_a = (rho + a*c1[1]) mod c2[1], a = 0..P-1, of one
+    orbit rho < gcd(c1[1], c2[1]) share one sequence: class s_a takes
+    k2 = s_(a+t) at t.  A point beats every later one of its class whose k2
+    is no smaller, so only the chain of strict prefix minima of s from a
+    competes, and s_P = s_0 = rho, the orbit's least value, ends it.  Along
+    the chain k1 rises and k2 falls, so the best is one of the two links
+    where k1 overtakes k2, found by bisection.  The chains for a = P-1..0
+    are one monotone stack, so the whole is O(|det A_I| log |det A_I|).
     """
     quo = _Quotient(sub)
     (step1, shift), mod = quo.c1, quo.c2[1]
-    period = mod // gcd(shift, mod)
+    orbits = gcd(shift, mod)
+    period = mod // orbits
     out = []
     for r1 in range(step1):
-        for r2 in range(mod):
-            best = (r1 if r1 > r2 else r2, r1, r2)
-            for t in range(1, period):
-                k1 = r1 + t * step1
-                if k1 >= best[0]:
-                    break
-                k2 = (r2 + t * shift) % mod
-                best = min(best, (k1 if k1 > k2 else k2, k1, k2))
-            out.append(best[1:])
+        best: list = [None] * mod
+        for rho in range(orbits):
+            # the chain from a, deepest link first, as (u, s_u), with the
+            # heights s_u - step1*u, which rise towards a
+            links, heights = [(period, rho)], [rho - step1 * period]
+            for a in range(period - 1, -1, -1):
+                s_a = (rho + a * shift) % mod
+                while links and links[-1][1] >= s_a:
+                    links.pop()
+                    heights.pop()
+                links.append((a, s_a))
+                heights.append(s_a - step1 * a)
+                # The i deepest links have k1 = r1 + step1*(u - a) >= k2 = s_u.
+                # Link i - 1 has the least such k1, link i the least k2 < k1;
+                # link i - 1 wins when its k1 is below link i's k2, as the
+                # deeper link has the larger k1.
+                i = bisect_right(heights, r1 - step1 * a)
+                if i == len(links) or (i and r1 + step1 * (links[i - 1][0] - a) < links[i][1]):
+                    i -= 1
+                u, k2 = links[i]
+                best[s_a] = (r1 + step1 * (u - a), k2)
+        out.extend(best)
     return out
 
 
@@ -430,16 +469,31 @@ def _branch_start(sub: AtomicSystem, k0: Offset) -> tuple[ClassKey, Offset]:
     is the integer vector -sgn(det A_I) * adj(A_I) (l*k0 + l*c_I).  Each
     coordinate N/D is floor(N/D) plus (N mod D)/D, which in lowest terms r/q
     gives the class key (r1, q1, r2, q2) of `PuiseuxPolynomial.class_parts`.
+    The pair's constants (`_pair_constants`) and the start's own part
+    (`_start_of`) are kept apart, so that a harvest takes the first once per
+    pair.
     """
+    return _start_of(_pair_constants(sub), k0)
+
+
+def _pair_constants(sub: AtomicSystem) -> tuple[int, int, int, int, int, int, int, int]:
+    """The row pair's part of `_branch_start`: l, l*c_I as integers, D, and
+    -sgn(det A_I) * adj(A_I), row by row."""
     (a1, b1), (a2, b2) = sub.rows
     c1, c2 = sub.params
     lcd = c1.denominator * c2.denominator // gcd(c1.denominator, c2.denominator)
-    v1 = lcd * k0[0] + c1.numerator * (lcd // c1.denominator)
-    v2 = lcd * k0[1] + c2.numerator * (lcd // c2.denominator)
     det = sub.det
-    den, sign = lcd * abs(det), (-1 if det > 0 else 1)
-    o1, r1 = divmod(sign * (b2 * v1 - b1 * v2), den)
-    o2, r2 = divmod(sign * (a1 * v2 - a2 * v1), den)
+    sign = -1 if det > 0 else 1
+    return (lcd, c1.numerator * (lcd // c1.denominator), c2.numerator * (lcd // c2.denominator),
+            lcd * abs(det), sign * b2, -sign * b1, -sign * a2, sign * a1)
+
+
+def _start_of(pair: tuple, k0: Offset) -> tuple[ClassKey, Offset]:
+    """The start of `_branch_start` at k0, from its pair's constants."""
+    lcd, u1, u2, den, m11, m12, m21, m22 = pair
+    v1, v2 = lcd * k0[0] + u1, lcd * k0[1] + u2
+    o1, r1 = divmod(m11 * v1 + m12 * v2, den)
+    o2, r2 = divmod(m21 * v1 + m22 * v2, den)
     g1, g2 = gcd(r1, den), gcd(r2, den)
     return (r1 // g1, den // g1, r2 // g2, den // g2), (o1, o2)
 
@@ -566,14 +620,17 @@ def grow_starts(s: HornSystem, starts: list[tuple[AtomicSystem, int, Offset]],
     numerator reports the offending point.
 
     Starts are taken in integers, as a class key and an offset on it
-    (`_branch_start`).  Each exponent class gets one evaluator, built at its
-    class point, and every walk on the class starts at its offset on it.  A
-    finite support is checked once, on the evaluator it was grown with and
-    on the fill's integer pairs (`operators._class_residual`); a nonzero
-    residual raises AssertionError, a guard that `grow_component` shows
-    cannot fire.  Only a reported polynomial gets rationals: each exponent
-    is read off the class key (`_class_exponent`), and each coefficient
-    n/m, over the pair n0/m0 at the lex-smallest offset, is one
+    (`_branch_start`, with its row pair's constants taken once for a run of
+    starts on one pair).  Each exponent class gets one evaluator, built at
+    its class point, and every walk on the class starts at its offset on
+    it; its rational factor lists are built only if a start on the class
+    reaches a finite support, so escapes and collisions cost integer work
+    only.  A finite support is checked once, on the evaluator it was grown
+    with and on the fill's integer pairs (`operators._class_residual`); a
+    nonzero residual raises AssertionError, a guard that `grow_component`
+    shows cannot fire.  Only a reported polynomial gets rationals: each
+    exponent is read off the class key (`_class_exponent`), and each
+    coefficient n/m, over the pair n0/m0 at the lex-smallest offset, is one
     Fraction(n*m0, m*n0).
 
     The finite outcomes are distinct solutions.  A start inside a harvested
@@ -585,9 +642,12 @@ def grow_starts(s: HornSystem, starts: list[tuple[AtomicSystem, int, Offset]],
     results: list[HarvestResult] = []
     classes: dict[ClassKey, _ClassFactors] = {}
     covered: dict[tuple[ClassKey, Offset], list[Offset]] = {}  # point -> harvested support
+    pair_sub, pair = None, None
 
     for sub, label, k0 in starts:
-        key, o = _branch_start(sub, k0)
+        if sub is not pair_sub:
+            pair_sub, pair = sub, _pair_constants(sub)
+        key, o = _start_of(pair, k0)
         done = covered.get((key, o))
         if done is not None and all(max(abs(x - o[0]), abs(y - o[1])) <= window
                                     for x, y in done):

@@ -10,7 +10,8 @@ import pytest
 
 from hornkit.lattice import Vec2, cross, dot, primitive
 from hornkit.polygon import Classification, OreSatoPolygon
-from hornkit.series import GrowResult, ResonantCollisionError, _fill, _int_pair, _walk_support
+from hornkit.series import (GrowResult, ResonantCollisionError, _fill, _int_pair, _Quotient,
+                            _walk_support)
 from hornkit.system import HornSystem, check_nonconfluent, enumerate_atomic
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "hornkit" / "fixtures"
@@ -70,6 +71,65 @@ def fill_pairwise(ev, start, edges, one) -> dict:
         elif values[b] != v:
             raise ResonantCollisionError(ev.exponent(b))
     return values
+
+
+def integer_rows_by_gcd(s: HornSystem, anchor) -> tuple[tuple, tuple]:
+    """`_ClassFactors.p_int` and `q_int` as the evaluator built them before
+    its lazy factor lists: each row's value at the anchor is reduced by its
+    gcd, and a row whose reduced denominator is 1 is kept, as
+    (n_i, a_i, b_i, |A_ij|, i), on each side it belongs to."""
+    p_int: tuple = ([], [], [])
+    q_int: tuple = ([], [], [])
+    for i, (r, c) in enumerate(zip(s.rows, s.params)):
+        v = r.a * Fraction(anchor[0]) + r.b * Fraction(anchor[1]) + c
+        g = gcd(v.numerator, v.denominator)
+        if v.denominator // g != 1:
+            continue
+        for j, entry in ((1, r.a), (2, r.b)):
+            if entry > 0:
+                p_int[j].append((v.numerator // g, r.a, r.b, entry, i))
+            elif entry < 0:
+                q_int[j].append((v.numerator // g, r.a, r.b, -entry, i))
+    return p_int, q_int
+
+
+def staircase_by_sorting(rows: set, w, radius: int) -> bool:
+    """`series._staircase_in` as it was, with a list of the possible steps
+    sorted by their distance from the line through w at every step."""
+    (w1, w2), x, y = w, 0, 0
+    s1, s2 = (1 if w1 > 0 else -1), (1 if w2 > 0 else -1)
+    while (x, y) != w:
+        steps = ([(x + s1, y)] if x != w1 else []) + ([(x, y + s2)] if y != w2 else [])
+        steps.sort(key=lambda p: abs(p[0] * w2 - p[1] * w1))
+        inside = [p for p in steps if all(n + a * p[0] + b * p[1] <= 0 for n, a, b in rows)]
+        if not inside:
+            return False
+        x, y = inside[0]
+        if max(abs(x), abs(y)) > radius:
+            return True
+    return True
+
+
+def period_scan_base_points(sub) -> list:
+    """`series.branch_base_points` as it was: for each class (r1, r2), every
+    t up to the period of k2 = (r2 + t*c1[1]) mod c2[1], cut off once k1
+    reaches the best max-coordinate.  Quadratic in |det A_I| when c1[0] = 1
+    and c1[1] is prime to c2[1]."""
+    quo = _Quotient(sub)
+    (step1, shift), mod = quo.c1, quo.c2[1]
+    period = mod // gcd(shift, mod)
+    out = []
+    for r1 in range(step1):
+        for r2 in range(mod):
+            best = (r1 if r1 > r2 else r2, r1, r2)
+            for t in range(1, period):
+                k1 = r1 + t * step1
+                if k1 >= best[0]:
+                    break
+                k2 = (r2 + t * shift) % mod
+                best = min(best, (k1 if k1 > k2 else k2, k1, k2))
+            out.append(best[1:])
+    return out
 
 
 # -- polygon oracles ----------------------------------------------------------

@@ -506,6 +506,65 @@ def test_verify_command(tmp_path):
     assert len(d["residuals"]) >= 1
 
 
+def test_verify_rejects_a_repeated_exponent(tmp_path):
+    """The solution of `test_verify_command` with (0, 0) listed twice, as
+    "0" and as "0/1", with coefficient 4 each time: the polynomial written
+    has 8 there and is no solution, and keeping either term alone would call
+    it one.  The file is refused, naming the exponent."""
+    sol = tmp_path / "sol.json"
+    terms = [{"exponent": ["0", "0"], "coefficient": "4"},
+             {"exponent": ["1", "0"], "coefficient": "2"},
+             {"exponent": ["0", "1"], "coefficient": "2"},
+             {"exponent": ["1", "1"], "coefficient": "6"},
+             {"exponent": ["2", "1"], "coefficient": "1"},
+             {"exponent": ["1", "2"], "coefficient": "1"},
+             {"exponent": ["0/1", "0"], "coefficient": "4"}]
+    sol.write_text(json.dumps({"terms": terms}))
+    r = run("verify", SIMPLEX, "--solution", str(sol))
+    assert r.exit_code == 2 and r.stdout == "", r.output
+    assert "exponent (0, 0) is listed twice" in json.loads(r.stderr)["error"]
+    # the polynomial written, with 8 at (0, 0), is no solution
+    sol.write_text(json.dumps({"terms": [{**terms[0], "coefficient": "8"}] + terms[1:-1]}))
+    r = run("verify", SIMPLEX, "--solution", str(sol))
+    assert r.exit_code == 0 and json.loads(r.output)["is_solution"] is False
+
+
+# Each integer option, as a value that makes a valid run and the arguments
+# of that run with the value in place of "{}".
+INTEGER_OPTIONS = {
+    "window": (3, ["solve", SIMPLEX, "--window", "{}"]),
+    "branch": (0, ["series", EX21, "--submatrix", "0,1", "--branch", "{}"]),
+    "bound": (1, ["suggest-params", SIMPLEX, "--bound", "{}", "--window", "4"]),
+    "submatrix-first": (0, ["series", EX21, "--submatrix", "{},1", "--window", "2"]),
+    "submatrix-second": (1, ["series", EX21, "--submatrix", "0,{}", "--window", "2"]),
+}
+# Spellings that int() reads as n but `parse_rational` refuses, such as
+# --window 1_0, --bound with an Arabic-Indic one, or --submatrix ' 0 , 1 '.
+COERCED_SPELLINGS = {
+    "arabic-indic-digits": lambda n: str(n).translate({48 + d: 0x660 + d for d in range(10)}),
+    "fullwidth-digits": lambda n: str(n).translate({48 + d: 0xFF10 + d for d in range(10)}),
+    "underscore": lambda n: f"0_{n}",
+    "spaces": lambda n: f" {n} ",
+}
+
+
+@pytest.mark.parametrize("spelling", sorted(COERCED_SPELLINGS))
+@pytest.mark.parametrize("option", sorted(INTEGER_OPTIONS))
+def test_integer_options_read_ascii_digits_only(option, spelling):
+    """--window, --branch, --bound and both halves of --submatrix read an
+    integer as `parse_rational` does, ASCII digits with an optional sign:
+    a spelling that int() would coerce exits 2 with a JSON error, where the
+    ASCII spelling of the same value runs."""
+    n, args = INTEGER_OPTIONS[option]
+    text = COERCED_SPELLINGS[spelling](n)
+    assert int(text) == n and text != str(n)
+    r = run(*(a.format(text) for a in args))
+    assert r.exit_code == 2 and r.stdout == "", (option, text, r.output)
+    assert text in json.loads(r.stderr)["error"]
+    r = run(*(a.format(n) for a in args))
+    assert r.exit_code == 0, (option, r.output)
+
+
 def test_json_numbers_past_the_digit_limit(tmp_path):
     # JSON number literals, not strings, past the 4,300-digit limit of
     # int/str conversion: a coefficient of the solution file and a parameter

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
@@ -14,9 +15,12 @@ from conftest import (
     factor_product,
     fill_pairwise,
     grow_full,
+    integer_rows_by_gcd,
     load_expected,
     load_system,
+    period_scan_base_points,
     random_nonconfluent_system,
+    staircase_by_sorting,
 )
 from hornkit.counting import fully_supported_count
 from hornkit.lattice import inverse_times, qvec
@@ -31,6 +35,7 @@ from hornkit.series import (
     _branch_start,
     _escape_certified,
     _fill,
+    _staircase_in,
     _walk_support,
     branch_base_points,
     branch_initial_exponent,
@@ -460,6 +465,73 @@ def test_harvest_builds_one_evaluator_per_class(monkeypatch):
     assert set(built) == classes
 
 
+def test_harvest_builds_factor_lists_only_for_finite_classes(monkeypatch):
+    """A class's rational factor lists are built once, exactly when one of
+    its starts reaches a finite support; a class whose starts all escape or
+    collide costs integer work only.  On the systems of `harvest_systems`,
+    every evaluator's `p_int`/`q_int` is the gcd-reduced one
+    (`integer_rows_by_gcd`), and every staircase of the escape certificate
+    decides as the sorting one did (`staircase_by_sorting`)."""
+    import hornkit.series as series
+
+    evaluators, lists_built, staircases = [], Counter(), Counter()
+    init, build, staircase = _ClassFactors.__init__, _ClassFactors._factor_lists, _staircase_in
+
+    def counted_init(self, system, anchor):
+        init(self, system, anchor)
+        evaluators.append((self, system))
+
+    def counted_build(self):
+        lists_built[self.anchor] += 1
+        build(self)
+
+    def checked_staircase(rows, w, radius):
+        got = staircase(rows, w, radius)
+        assert got == staircase_by_sorting(rows, w, radius), (rows, w, radius)
+        staircases[got] += 1
+        return got
+
+    monkeypatch.setattr(_ClassFactors, "__init__", counted_init)
+    monkeypatch.setattr(_ClassFactors, "_factor_lists", counted_build)
+    monkeypatch.setattr(series, "_staircase_in", checked_staircase)
+    seen = Counter()
+    for s, window in harvest_systems():
+        evaluators.clear()
+        lists_built.clear()
+        results = harvest_polynomials(s, window)
+        finite = {(x - math.floor(x), y - math.floor(y))
+                  for r in results if r.outcome == "finite" for x, y in [r.initial_exponent]}
+        assert set(lists_built) == finite and set(lists_built.values()) <= {1}, s
+        for ev, system in evaluators:
+            assert (ev.p_int, ev.q_int) == integer_rows_by_gcd(system, ev.anchor), ev.anchor
+        seen["classes"] += len(evaluators)
+        seen["finite classes"] += len(finite)
+        seen["escapes"] += sum(r.outcome == "exceeds_window" for r in results)
+        seen["collisions"] += sum(r.outcome == "resonant_collision" for r in results)
+    assert seen["classes"] - seen["finite classes"] > 500 and seen["finite classes"] > 100, seen
+    assert seen["escapes"] > 500 and seen["collisions"] > 20, seen
+    assert staircases[True] > 500 and staircases[False] > 100, staircases
+
+
+def test_staircase_matches_the_sorting_one_on_random_rows():
+    """`_staircase_in` decides as `staircase_by_sorting` on seeded rows,
+    directions and radii, beyond the recession directions the certificate
+    passes it: about one case in a thousand here turns on the tie rule, the
+    first axis first."""
+    rng = random.Random(97)
+    outcomes = Counter()
+    for _ in range(20000):
+        rows = {(rng.randint(-6, 0), rng.randint(-4, 4), rng.randint(-4, 4))
+                for _ in range(rng.randint(1, 4))}
+        w = (rng.randint(-5, 5), rng.randint(-5, 5))
+        radius = rng.randint(1, 8)
+        if w != (0, 0):
+            got = _staircase_in(rows, w, radius)
+            assert got == staircase_by_sorting(rows, w, radius), (rows, w, radius)
+            outcomes[got] += 1
+    assert min(outcomes.values()) > 1000, outcomes
+
+
 @pytest.mark.parametrize("axis", [0, 1])
 def test_residual_guard_raises(axis, monkeypatch, zonotope, atomic_32_43):
     """A finite support whose fill breaks a relation raises AssertionError
@@ -547,18 +619,23 @@ def table_walks():
                     yield ev, (0, 0), _walk_support(ev, (0, 0), window, False)[0], Decimal(1)
 
 
-def harvest_walks():
-    """(ev, start, edges, one) of every finite support that the harvest
-    fills: on all 8 fixtures at their default window, and on the systems of
-    seeds 0-59 with small-denominator parameters at window 10."""
-    systems = [(load_system(name), None) for name in FIXTURE_NAMES]
+def harvest_systems():
+    """(system, window) of all 8 fixtures at their default window, and of
+    the systems of seeds 0-59 with small-denominator parameters at window
+    10."""
+    for name in FIXTURE_NAMES:
+        s = load_system(name)
+        yield s, default_window(s)
     for seed in range(60):
         rng = random.Random(seed)
         rows = random_nonconfluent_system(rng, max_m=5).rows
-        systems.append((HornSystem.make(rows, [F(rng.randint(-9, 9), seed % 3 + 1)
-                                               for _ in rows]), 10))
-    for s, window in systems:
-        window = default_window(s) if window is None else window
+        yield HornSystem.make(rows, [F(rng.randint(-9, 9), seed % 3 + 1) for _ in rows]), 10
+
+
+def harvest_walks():
+    """(ev, start, edges, one) of every finite support that the harvest
+    fills, on the systems of `harvest_systems`."""
+    for s, window in harvest_systems():
         for sub in enumerate_atomic(s):
             for k0 in branch_base_points(sub):
                 key, o = _branch_start(sub, k0)
@@ -814,6 +891,37 @@ def test_branch_base_points_match_shell_scan():
         sub = enumerate_atomic(HornSystem.make(rows, [0, 0]))[0]
         assert branch_base_points(sub) == shell_scan_base_points(sub), rows
         pairs += 1
+
+
+def test_branch_base_points_match_the_period_scan():
+    """The chain of prefix minima gives the base points that scanning each
+    class's period gives (`period_scan_base_points`): on seeded pairs with
+    |det| up to a few thousand, and on the pairs where the scan is quadratic,
+    c1[0] = 1 with a shift prime to c2[1]."""
+    rng = random.Random(89)
+    pairs = [[[1, 0], [1, 1500]], [[1, 0], [-1, 1499]], [[1, 0], [-7, 1000]]]
+    while len(pairs) < 300:
+        bound = 7 if len(pairs) < 250 else 45
+        rows = [[rng.randint(-bound, bound), rng.randint(-bound, bound)] for _ in range(2)]
+        if rows[0][0] * rows[1][1] != rows[0][1] * rows[1][0]:
+            pairs.append(rows)
+    dets = Counter()
+    for rows in pairs:
+        sub = enumerate_atomic(HornSystem.make(rows, [0, 0]))[0]
+        assert branch_base_points(sub) == period_scan_base_points(sub), rows
+        dets[abs(sub.det) > 1000] += 1
+    assert dets[True] >= 10, dets
+
+
+def test_branch_base_points_large_determinant():
+    # |det| 3000, c1[0] = 1 and a shift prime to c2[1]: quadratic in the
+    # period scan, about a second
+    sub = enumerate_atomic(HornSystem.make([[1, 0], [1, 3000]], [0, 0]))[0]
+    start = time.perf_counter()
+    bases = branch_base_points(sub)
+    assert time.perf_counter() - start < 0.25
+    assert len(bases) == len(set(bases)) == 3000
+    assert bases[:3] == [(0, 0), (0, 1), (0, 2)] and bases[-1] == (1, 0)
 
 
 @pytest.mark.parametrize("window", (0, 1, 5, 12))
