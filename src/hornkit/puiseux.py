@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping
 
 from .lattice import QVec, qvec
@@ -177,17 +178,79 @@ class PuiseuxPolynomial:
 
     @staticmethod
     def from_json(data: Iterable[Mapping]) -> "PuiseuxPolynomial":
-        """The inverse of `to_json`.  An exponent listed twice, compared
-        after parsing ("0" and "0/1" alike), raises ValueError: one of its
-        coefficients would be dropped."""
+        """The inverse of `to_json`.  An exponent that is not a list of two
+        items raises ValueError naming its term, by position from 0; so does
+        an exponent listed twice, compared after parsing ("0" and "0/1"
+        alike), as one of its coefficients would be dropped."""
         terms = {}
-        for item in data:
-            e1, e2 = (parse_rational(x) for x in item["exponent"])
+        for k, item in enumerate(data):
+            exponent = item["exponent"]
+            if type(exponent) is not list or len(exponent) != 2:
+                got = (f"a list of {len(exponent)}" if type(exponent) is list
+                       else f"a {type(exponent).__name__}")
+                raise ValueError(f"term {k}: the exponent must be a list of two rationals, "
+                                 f"got {got}")
+            e1, e2 = (parse_rational(x) for x in exponent)
             if (e1, e2) in terms:
                 raise ValueError(f"exponent ({format_rational(e1)}, {format_rational(e2)}) "
                                  "is listed twice")
             terms[(e1, e2)] = parse_rational(item["coefficient"])
         return PuiseuxPolynomial(terms)
+
+
+class _GrownPolynomial(PuiseuxPolynomial):
+    """A grown solution on one exponent class, kept in integers: its class
+    key and, by offset, each coefficient as a reduced pair (numerator,
+    denominator > 0), 1 at the lex-smallest offset `lead`, which carries the
+    lex-smallest exponent since every term shares the class.
+
+    `to_json`, `class_parts` and `leading_exponent` answer from the pairs;
+    `terms`, the Fraction dict of a `PuiseuxPolynomial`, is built on its
+    first access (`_build_terms`), in the order of `coeffs`."""
+
+    __slots__ = ("key", "coeffs", "lead")
+
+    def __init__(self, key: ClassKey, pairs: Mapping[Offset, tuple[int, int]]):
+        """Scale the pairs (n, m) of a fill to 1 at their lex-smallest offset:
+        n/m over n0/m0 is (n*m0, m*n0), reduced, with its sign on top."""
+        self.key = key
+        self.lead = min(pairs)
+        n0, m0 = pairs[self.lead]
+        coeffs = {}
+        for d, (n, m) in pairs.items():
+            n, m = n * m0, m * n0
+            g = gcd(n, m) if m > 0 else -gcd(n, m)
+            coeffs[d] = (n // g, m // g)
+        self.coeffs = coeffs
+
+    def __getattr__(self, name: str):
+        # called only while the `terms` slot is unset
+        if name != "terms":
+            raise AttributeError(f"'_GrownPolynomial' object has no attribute {name!r}")
+        self._build_terms()
+        return self.terms
+
+    def _build_terms(self):
+        key = self.key
+        self.terms = {_class_exponent(key, d): Fraction(n, m) for d, (n, m) in self.coeffs.items()}
+
+    def leading_exponent(self) -> Expt:
+        return _class_exponent(self.key, self.lead)
+
+    def class_parts(self) -> dict[ClassKey, dict[Offset, Fraction]]:
+        # a new dict on every call: `solver.independent_dimension` reduces it in place
+        return {self.key: {d: Fraction(n, m) for d, (n, m) in self.coeffs.items()}}
+
+    def to_json(self) -> list[dict]:
+        """`PuiseuxPolynomial.to_json` from the integers.  Offsets sort as
+        their exponents do, and r/q + d is (r + d*q)/q in lowest terms."""
+        r1, q1, r2, q2 = self.key
+        return [
+            {"exponent": [str(d1) if q1 == 1 else f"{r1 + d1 * q1}/{q1}",
+                          str(d2) if q2 == 1 else f"{r2 + d2 * q2}/{q2}"],
+             "coefficient": _int_str(n) if m == 1 else f"{_int_str(n)}/{_int_str(m)}"}
+            for (d1, d2), (n, m) in sorted(self.coeffs.items())
+        ]
 
 
 def _class_exponent(key: ClassKey, d: Offset) -> Expt:

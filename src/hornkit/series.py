@@ -16,11 +16,12 @@ finite support, escapes the window or meets a resonant collision; only a
 support that closes, or a series table, gets coefficients.  One fill
 (`_fill`) carries big values along the walk's spanning tree alone and
 checks every other relation on unit squares, in small ints.  A closed
-support is filled and checked as reduced pairs of Python ints, which become
-`Fraction`s only in the polynomial reported; a table is filled in exact
-`Decimal` integers, which print in linear time.  Atomic strip
+support is filled and checked as reduced pairs of Python ints, which the
+polynomial reported keeps (`puiseux._GrownPolynomial`); a table is filled
+in exact `Decimal` integers, which print in linear time.  Atomic strip
 solutions and the full system's persistent solutions grow at
-`default_window`, the harvest at the window it is given.
+`default_window`, the harvest at the window it is given, reusing the
+persistent supports that fit its window (`grow_starts`).
 
 `grow_starts` runs on exponent classes in integers.  A start is a class
 key and an integer offset on it (`_branch_start`), each class gets one
@@ -43,6 +44,7 @@ not prove are walked.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from decimal import (MAX_PREC, Context, Decimal, DivisionByZero, Inexact, InvalidOperation,
                      Rounded, localcontext)
@@ -53,7 +55,8 @@ from math import gcd
 from .counting import system_rank
 from .lattice import QVec, qvec
 from .operators import _class_residual, _ClassFactors
-from .puiseux import ClassKey, Offset, PuiseuxPolynomial, _class_exponent, _parse_int
+from .puiseux import (ClassKey, Offset, PuiseuxPolynomial, _class_exponent, _GrownPolynomial,
+                      _parse_int)
 from .system import AtomicSystem, HornSystem, enumerate_atomic
 
 
@@ -597,16 +600,17 @@ class HarvestResult:
     collision_point: QVec | None = None
 
 
-def harvest_polynomials(s: HornSystem, window: int) -> list[HarvestResult]:
+def harvest_polynomials(s: HornSystem, window: int,
+                        known: Sequence[_GrownPolynomial] = ()) -> list[HarvestResult]:
     """Run one exploration per (row pair, residue class) start point: the
     branch base points of every row pair, labelled by branch
-    (`grow_starts`)."""
+    (`grow_starts`, which reuses the finite supports `known`)."""
     return grow_starts(s, [(sub, branch, k0) for sub in enumerate_atomic(s)
-                           for branch, k0 in enumerate(branch_base_points(sub))], window)
+                           for branch, k0 in enumerate(branch_base_points(sub))], window, known)
 
 
 def grow_starts(s: HornSystem, starts: list[tuple[AtomicSystem, int, Offset]],
-                window: int) -> list[HarvestResult]:
+                window: int, known: Sequence[_GrownPolynomial] = ()) -> list[HarvestResult]:
     """Grow the component of s through each start (sub, label, k0), whose
     exponent is -A_I^{-1}(k0 + c_I) for the row pair sub; the one route
     from a start to a Puiseux polynomial solution.
@@ -628,20 +632,29 @@ def grow_starts(s: HornSystem, starts: list[tuple[AtomicSystem, int, Offset]],
     only.  A finite support is checked once, on the evaluator it was grown
     with and on the fill's integer pairs (`operators._class_residual`); a
     nonzero residual raises AssertionError, a guard that `grow_component`
-    shows cannot fire.  Only a reported polynomial gets rationals: each
-    exponent is read off the class key (`_class_exponent`), and each
-    coefficient n/m, over the pair n0/m0 at the lex-smallest offset, is one
-    Fraction(n*m0, m*n0).
+    shows cannot fire.  The polynomial reported keeps the class key and the
+    pairs (`puiseux._GrownPolynomial`), and builds no Fraction until asked.
 
-    The finite outcomes are distinct solutions.  A start inside a harvested
-    support S is not explored when S fits its window box: the walk from it
-    would find S again, with no cut, collision or escape that the walk of S
-    did not meet.  When S does not fit, that walk leaves the box, so a
-    harvested polynomial is never found twice.
+    The finite outcomes are distinct solutions.  Let S be a support found
+    finite from some start, at any radius: the walk of S met no cut step
+    leaving S, no collision and no step past its box, so S is a whole
+    component of the live relations in the plane.  A walk from a start o
+    in S, at a window whose box around o holds S, therefore takes the same
+    tests at the same points and finds S again, with the same fill, as the
+    fill is scaled at the lex-smallest offset and not at the start.  So a
+    start on a support that fits its window box is not walked: on a support
+    of this run it is skipped, and on a support of `known`, the finite
+    outcomes of an earlier `grow_starts` on s at any radius, that same
+    object is reported finite at this start's label and initial exponent,
+    once, after which the support counts as found here.  When S does not
+    fit, the walk from o leaves the box, so no support is reported twice.
     """
     results: list[HarvestResult] = []
     classes: dict[ClassKey, _ClassFactors] = {}
-    covered: dict[tuple[ClassKey, Offset], list[Offset]] = {}  # point -> harvested support
+    covered: dict[tuple[ClassKey, Offset], _GrownPolynomial] = {}  # point -> its support
+    for p in known:
+        covered.update(dict.fromkeys(((p.key, d) for d in p.coeffs), p))
+    unreported = {id(p) for p in known}
     pair_sub, pair = None, None
 
     for sub, label, k0 in starts:
@@ -650,7 +663,11 @@ def grow_starts(s: HornSystem, starts: list[tuple[AtomicSystem, int, Offset]],
         key, o = _start_of(pair, k0)
         done = covered.get((key, o))
         if done is not None and all(max(abs(x - o[0]), abs(y - o[1])) <= window
-                                    for x, y in done):
+                                    for x, y in done.coeffs):
+            if id(done) in unreported:
+                unreported.remove(id(done))
+                results.append(HarvestResult("finite", sub.indices, label,
+                                             _class_exponent(key, o), polynomial=done))
             continue
         ev = classes.get(key)
         if ev is None:
@@ -673,12 +690,8 @@ def grow_starts(s: HornSystem, starts: list[tuple[AtomicSystem, int, Offset]],
         if _class_residual(ev, 1, pairs) or _class_residual(ev, 2, pairs):
             raise AssertionError(
                 f"the finite support through ({alpha0[0]}, {alpha0[1]}) fails the operators")
-        support = list(pairs)
-        covered.update(dict.fromkeys(((key, p) for p in support), support))
-        n0, m0 = pairs[min(pairs)]  # 1 at the lex-smallest exponent
-        poly = PuiseuxPolynomial.zero()
-        poly.terms = {_class_exponent(key, d): Fraction(n * m0, m * n0)
-                      for d, (n, m) in pairs.items()}
+        poly = _GrownPolynomial(key, pairs)
+        covered.update(dict.fromkeys(((key, d) for d in pairs), poly))
         results.append(HarvestResult(
             "finite", sub.indices, label, alpha0, polynomial=poly,
         ))

@@ -220,16 +220,19 @@ def independent_dimension(polys: list[PuiseuxPolynomial]) -> int:
 
 def check_constructive(s: HornSystem, window: int) -> ConstructiveReport:
     """Find the persistent and the harvested Puiseux polynomial solutions
-    once and count the independent ones against the rank (`system_rank`)."""
+    once and count the independent ones against the rank (`system_rank`).
+
+    The harvest reuses each persistent support that fits its window, as that
+    same object (`series.grow_starts`), and grows every other support it
+    finds once, so two equal solutions are one object: `solutions` drops
+    the persistent ones from the harvest by identity."""
     rank = system_rank(s)
     persistent = persistent_solutions(s)
-    harvest = harvest_polynomials(s, window)
+    harvest = harvest_polynomials(s, window, persistent)
     solutions = list(persistent)
-    seen = set(persistent)
-    for r in harvest:
-        if r.outcome == "finite" and r.polynomial not in seen:
-            seen.add(r.polynomial)
-            solutions.append(r.polynomial)
+    seen = {id(p) for p in persistent}
+    solutions.extend(r.polynomial for r in harvest
+                     if r.outcome == "finite" and id(r.polynomial) not in seen)
     independent = independent_dimension(solutions)
     return ConstructiveReport(rank, persistent, harvest, solutions, independent,
                               independent == rank)

@@ -10,11 +10,14 @@ import pytest
 
 from hornkit.lattice import Vec2, cross, dot, primitive
 from hornkit.polygon import Classification, OreSatoPolygon
+from hornkit.puiseux import PuiseuxPolynomial, _class_exponent
 from hornkit.series import (GrowResult, ResonantCollisionError, _fill, _int_pair, _Quotient,
                             _walk_support)
 from hornkit.system import HornSystem, check_nonconfluent, enumerate_atomic
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "hornkit" / "fixtures"
+FIXTURE_NAMES = ("zonotope", "triangle_sides", "triangle_simplex", "atomic_32_43",
+                 "quadrilateral", "simplicial22", "example21", "example31")
 
 
 def load_system(name: str) -> HornSystem:
@@ -46,6 +49,17 @@ def grow_full(ev, radius: int, start=(0, 0)) -> GrowResult:
     reaches past the box."""
     edges, exceeded = _walk_support(ev, start, radius, False)
     return GrowResult(_fill(ev, start, edges, 1), exceeded)
+
+
+def eager_polynomial(key, pairs: dict) -> PuiseuxPolynomial:
+    """The polynomial of a grown support as `series.grow_starts` built it
+    before it kept the fill's pairs (`puiseux._GrownPolynomial`): every
+    exponent and coefficient a Fraction at once, the pairs (n, m) taken
+    over the pair (n0, m0) at the lex-smallest offset, in fill order."""
+    n0, m0 = pairs[min(pairs)]
+    poly = PuiseuxPolynomial.zero()
+    poly.terms = {_class_exponent(key, d): Fraction(n * m0, m * n0) for d, (n, m) in pairs.items()}
+    return poly
 
 
 def fill_pairwise(ev, start, edges, one) -> dict:
@@ -262,6 +276,18 @@ def random_nonconfluent_system(rng: random.Random, max_m: int = 7,
         params = [Fraction(rng.randint(1, 10**7), 10**7 + rng.randint(1, 997))
                   for _ in rows]
         return HornSystem.make(rows, params)
+
+
+def constructive_systems():
+    """The 8 fixtures, each also dilated by 2 (rows 2*A, the same
+    parameters), and the systems `random_nonconfluent_system` draws from
+    seeds 0-59."""
+    for name in FIXTURE_NAMES:
+        s = load_system(name)
+        yield s
+        yield HornSystem.make([(2 * r.a, 2 * r.b) for r in s.rows], s.params, f"{name}x2")
+    for seed in range(60):
+        yield random_nonconfluent_system(random.Random(seed))
 
 
 def normalize_rows(s: HornSystem) -> HornSystem:

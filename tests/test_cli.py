@@ -204,6 +204,35 @@ def test_one_solution_pass_per_command(monkeypatch, tmp_path):
         assert calls == {"persistent_solutions": 1, "harvest_polynomials": 1}, args
 
 
+def test_solve_builds_fractions_for_persistent_solutions_alone(monkeypatch, tmp_path):
+    """`solve` on the zonotope, triangle_sides and triangle_simplex fixtures
+    and their dilations by 2 writes every grown solution from its integers:
+    the Fraction terms are built once per persistent solution at most (the
+    persistent sort reads them), and for no harvested one."""
+    from hornkit.puiseux import _GrownPolynomial
+
+    built = []
+    build = _GrownPolynomial._build_terms
+
+    def counted(self):
+        built.append(id(self))
+        build(self)
+
+    monkeypatch.setattr(_GrownPolynomial, "_build_terms", counted)
+    for name in ("zonotope", "triangle_sides", "triangle_simplex"):
+        system = json.loads((FIXTURES / f"{name}.json").read_text())
+        for k in (1, 2):
+            path = tmp_path / f"{name}x{k}.json"
+            path.write_text(json.dumps({**system, "matrix": [[k * a, k * b]
+                                                             for a, b in system["matrix"]]}))
+            built.clear()
+            r = run("solve", str(path))
+            assert r.exit_code == 0, r.output
+            solutions = json.loads(r.output)["solutions"]
+            npersistent = sum(sol["persistent"] for sol in solutions)
+            assert len(set(built)) == len(built) <= npersistent < len(solutions), (name, k)
+
+
 def test_solve_atomic_example():
     r = run("solve", ATOMIC, "--window", "16")
     assert r.exit_code == 0, r.output
@@ -527,6 +556,24 @@ def test_verify_rejects_a_repeated_exponent(tmp_path):
     sol.write_text(json.dumps({"terms": [{**terms[0], "coefficient": "8"}] + terms[1:-1]}))
     r = run("verify", SIMPLEX, "--solution", str(sol))
     assert r.exit_code == 0 and json.loads(r.output)["is_solution"] is False
+
+
+@pytest.mark.parametrize("exponent, got", [
+    ("12", "a str"),  # once read as the exponent (1, 2)
+    ({"1": 0, "2": 0}, "a dict"),  # once read as its keys, (1, 2)
+    (["1"], "a list of 1"),
+    (["1", "2", "3"], "a list of 3"),
+], ids=["string", "object", "one-item-list", "three-item-list"])
+def test_verify_rejects_an_exponent_not_a_pair(exponent, got, tmp_path):
+    """An exponent must be a JSON list of exactly two rationals: anything
+    else exits 2 with a JSON error naming the term, here the second."""
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps({"terms": [{"exponent": ["0", "0"], "coefficient": "1"},
+                                         {"exponent": exponent, "coefficient": "1"}]}))
+    r = run("verify", SIMPLEX, "--solution", str(sol))
+    assert r.exit_code == 2 and r.stdout == "", r.output
+    error = json.loads(r.stderr)["error"]
+    assert f"term 1: the exponent must be a list of two rationals, got {got}" in error
 
 
 # Each integer option, as a value that makes a valid run and the arguments

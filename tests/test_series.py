@@ -9,6 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import (
+    FIXTURE_NAMES,
     ConeQ,
     as_fraction,
     as_pair,
@@ -601,8 +602,6 @@ def test_residual_guard_raises_on_a_dropped_point(j, monkeypatch, zonotope, atom
 # -- the fill's unit-square check ----------------------------------------------
 
 
-FIXTURE_NAMES = ("zonotope", "triangle_sides", "triangle_simplex", "atomic_32_43",
-                 "quadrilateral", "simplicial22", "example21", "example31")
 TABLE_FIXTURES = ("quadrilateral", "simplicial22", "example21", "example31")
 
 

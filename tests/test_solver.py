@@ -6,11 +6,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import load_expected, load_system, random_nonconfluent_system, reference_persistence
+from conftest import (constructive_systems, load_expected, load_system, random_nonconfluent_system,
+                      reference_persistence)
+from hornkit import series, solver
 from hornkit.atomic import polynomial_exponents
 from hornkit.operators import _ClassFactors, is_solution
 from hornkit.puiseux import PuiseuxPolynomial, _class_exponent
-from hornkit.series import ResonantCollisionError, default_window, grow_component
+from hornkit.series import (ResonantCollisionError, default_window, grow_component,
+                            harvest_polynomials)
 from hornkit.solver import (
     check_constructive,
     expand_closed_form,
@@ -392,6 +395,83 @@ def test_check_constructive_other_class_fails():
         assert not detect_resonance(s).is_resonant
         rep = check_constructive(s, window=12)
         assert not rep.rank_attained
+
+
+def separate_passes(s, window, harvest_polynomials=harvest_polynomials):
+    """`check_constructive` as it was before the harvest reused the
+    persistent supports: two independent passes, and the harvest's finite
+    polynomials deduplicated against the persistent ones by equality."""
+    persistent = persistent_solutions(s)
+    harvest = harvest_polynomials(s, window)
+    solutions = list(persistent)
+    seen = set(persistent)
+    for r in harvest:
+        if r.outcome == "finite" and r.polynomial not in seen:
+            seen.add(r.polynomial)
+            solutions.append(r.polynomial)
+    return persistent, harvest, solutions, independent_dimension(solutions)
+
+
+def test_sharing_the_persistent_supports_changes_nothing(monkeypatch):
+    """At windows 4, 12, the default window and twice that, on every system
+    of `constructive_systems`, `check_constructive` reports what the two
+    separate passes do: persistent list, harvest outcomes, solutions in
+    order and independent count.  Its harvest walks exactly the starts
+    that the separate harvest walks, less those on a persistent support
+    that fits the window box around them.  Window 0 is checked too: only
+    there do starts lie on a persistent support that does not fit (9 of
+    them), and those must still be walked."""
+    walks = []  # (class key, start offset) of each walk inside a harvest
+    in_harvest = []
+    grow, harvest_alone = series.grow_component, series.harvest_polynomials
+
+    def recorded(ev, radius, start=(0, 0)):
+        if in_harvest:
+            x, y = ev.anchor  # the class point, in [0, 1)^2
+            walks.append(((x.numerator, x.denominator, y.numerator, y.denominator), start))
+        return grow(ev, radius, start)
+
+    def flagged(*args):
+        in_harvest.append(True)
+        try:
+            return harvest_alone(*args)
+        finally:
+            in_harvest.pop()
+
+    monkeypatch.setattr(series, "grow_component", recorded)
+    monkeypatch.setattr(solver, "harvest_polynomials", flagged)
+
+    def outcomes(harvest):
+        return [(r.outcome, r.subsystem, r.branch, r.initial_exponent, r.polynomial,
+                 r.collision_point) for r in harvest]
+
+    reused = runs = 0
+    for s in constructive_systems():
+        w0 = default_window(s)
+        for window in (0, 4, 12, w0, 2 * w0):
+            walks.clear()
+            persistent, harvest, solutions, independent = separate_passes(s, window, flagged)
+            separate_walks = list(walks)
+            walks.clear()
+            report = check_constructive(s, window)
+            assert report.persistent == persistent, (s, window)
+            assert outcomes(report.harvest) == outcomes(harvest), (s, window)
+            assert report.solutions == solutions, (s, window)
+            assert report.independent_count == independent, (s, window)
+
+            supports = [next(iter(p.class_parts().items())) for p in persistent]
+
+            def on_a_fitting_support(walk):
+                key, (o1, o2) = walk
+                return any(key == k and (o1, o2) in part
+                           and all(max(abs(x - o1), abs(y - o2)) <= window for x, y in part)
+                           for k, part in supports)
+
+            want = [w for w in separate_walks if not on_a_fitting_support(w)]
+            assert walks == want, (s, window)
+            reused += len(separate_walks) - len(want)
+            runs += 1
+    assert runs == 5 * 76 and reused > 1000, (runs, reused)
 
 
 def test_independent_dimension_within_class():
