@@ -164,6 +164,11 @@ def _polygon(s: HornSystem):
         _fail(3, str(exc))
 
 
+def _pair_json(v) -> list[str]:
+    """An exponent pair as its two rationals' text."""
+    return [format_rational(v[0]), format_rational(v[1])]
+
+
 def _solution_json(p: PuiseuxPolynomial, persistent: bool) -> dict:
     return {"terms": p.to_json(), "persistent": persistent, "verified": True}
 
@@ -341,8 +346,7 @@ def solve(input_path, window, out):
         "exceeds_window_count": sum(r.outcome == "exceeds_window" for r in report.harvest),
         "resonant_collisions": [
             {"subsystem": list(r.subsystem), "branch": r.branch,
-             "point": [format_rational(r.collision_point[0]),
-                       format_rational(r.collision_point[1])]}
+             "point": _pair_json(r.collision_point)}
             for r in report.harvest if r.outcome == "resonant_collision"
         ],
         "window": w,
@@ -370,11 +374,10 @@ def series(input_path, submatrix, branch, window, out):
         listing = []
         for sub in enumerate_atomic(s):
             for br, k0 in enumerate(branch_base_points(sub)):
-                a0 = branch_initial_exponent(sub, k0)
                 listing.append({
                     "subsystem": list(sub.indices), "branch": br,
                     "base_point": list(k0),
-                    "initial_exponent": [format_rational(a0[0]), format_rational(a0[1])],
+                    "initial_exponent": _pair_json(branch_initial_exponent(sub, k0)),
                 })
         _emit({"name": s.name, "branches": listing}, out)
         return
@@ -385,14 +388,14 @@ def series(input_path, submatrix, branch, window, out):
     try:
         t = series_from_submatrix(s, (i, j), branch, window)
     except ResonantCollisionError as exc:
-        _fail(3, f"resonant collision at {exc.point}")
+        _fail(3, str(exc))
     except ValueError as exc:
         _fail(2, str(exc))
     frame = _json_text({
         "name": s.name,
         "subsystem": list(t.indices),
         "branch": branch,
-        "initial_exponent": [format_rational(t.alpha0[0]), format_rational(t.alpha0[1])],
+        "initial_exponent": _pair_json(t.alpha0),
         "window": window,
         "coefficients": [],
     })

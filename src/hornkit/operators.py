@@ -19,14 +19,18 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .lattice import QVec, dot
-from .puiseux import Offset, PuiseuxPolynomial, _class_exponent
+from .lattice import dot
+from .puiseux import ClassKey, Offset, PuiseuxPolynomial, _class_exponent
 from .system import HornSystem
 
 
 class _ClassFactors:
-    """The operator factor products on one exponent class anchor + Z^2, in
-    integers, addressed by integer offsets d from the anchor.
+    """The operator factor products on one exponent class, in integers,
+    addressed by integer offsets d from an anchor on the class: the offset
+    `base` on the class `key` (`puiseux.ClassKey`), the class point when
+    base is (0, 0).  `on_class(d)` is d as an offset on the class, and
+    `puiseux._class_exponent(key, on_class(d))` its exponent, which the
+    evaluator never builds itself.
 
     Row i takes the value n_i/q_i at the anchor, so its l-th factor at d is
     (n_i + q_i*(<A_i, d> + l))/q_i.  The numerator of a side's product is a
@@ -36,19 +40,21 @@ class _ClassFactors:
     `q_int` keep those rows of each side, as (n_i, a_i, b_i, |A_ij|, i) with
     i the row's index in s, so a zero test also names the row that vanishes.
 
-    The constructor builds `p_int`/`q_int` alone: a row is integer-valued
-    exactly when the denominator of its unreduced value divides the
-    numerator, so no gcd is taken.  The walk and the escape certificate read
-    nothing else, so a start that escapes or collides costs integer work
-    only.  The rational factor lists `pos`/`neg` and the denominators
-    `p_den`/`q_den` are built on their first use (`_factor_lists`), by the
-    first coefficient computed on the class.
+    The constructor builds `p_int`/`q_int` alone, from the key's integers:
+    the anchor is (x1/q1, x2/q2) with x_k = r_k + base_k*q_k, and a row is
+    integer-valued exactly when the denominator of its unreduced value
+    divides the numerator, so no gcd is taken and no Fraction built.  The
+    walk and the escape certificate read nothing else, so a start that
+    escapes or collides costs integer work only.  The rational factor lists
+    `pos`/`neg` and the denominators `p_den`/`q_den` are built on their
+    first use (`_factor_lists`), by the first coefficient computed on the
+    class.
     """
 
-    def __init__(self, s: HornSystem, anchor):
-        self.anchor = anchor
-        xn, xd = anchor[0].numerator, anchor[0].denominator
-        yn, yd = anchor[1].numerator, anchor[1].denominator
+    def __init__(self, s: HornSystem, key: ClassKey, base: Offset = (0, 0)):
+        self.key, self.base = key, base
+        r1, xd, r2, yd = key
+        xn, yn = r1 + base[0] * xd, r2 + base[1] * yd
         self.p_int: tuple[list, list, list] = ([], [], [])
         self.q_int: tuple[list, list, list] = ([], [], [])
         # each row (a, b) with its value n/q at the anchor, unreduced
@@ -101,8 +107,9 @@ class _ClassFactors:
         """Numerator of Q_j at offset d, over the denominator q_den[j]."""
         return _product(self.neg[j], d)
 
-    def exponent(self, d: Offset) -> QVec:
-        return (self.anchor[0] + d[0], self.anchor[1] + d[1])
+    def on_class(self, d: Offset) -> Offset:
+        """The offset d from the anchor as an offset on the class."""
+        return (self.base[0] + d[0], self.base[1] + d[1])
 
 
 def _product(rows: list, d: Offset) -> int:
@@ -120,11 +127,9 @@ def _product(rows: list, d: Offset) -> int:
 
 def _by_class(f: PuiseuxPolynomial, s: HornSystem) -> list[tuple[_ClassFactors, dict]]:
     """f's class parts (`PuiseuxPolynomial.class_parts`), each with its
-    evaluator anchored at the class point in [0, 1)^2 and its coefficients
-    as pairs (numerator, denominator), the input of `_class_residual`."""
-    return [(_ClassFactors(s, _class_exponent(key, (0, 0))),
-             {d: (c.numerator, c.denominator) for d, c in terms.items()})
-            for key, terms in f.class_parts().items()]
+    evaluator at the class point and its coefficients as pairs (numerator,
+    denominator), the input of `_class_residual`."""
+    return [(_ClassFactors(s, key), pairs) for key, pairs in f.class_parts().items()]
 
 
 def _class_residual(ev: _ClassFactors, j: int, terms: dict) -> dict[Offset, Fraction]:
@@ -170,7 +175,8 @@ def apply_horn(j: int, f: PuiseuxPolynomial, s: HornSystem) -> PuiseuxPolynomial
         raise ValueError("j must be 1 or 2")
     res = PuiseuxPolynomial.zero()
     for ev, terms in _by_class(f, s):
-        res.terms.update((ev.exponent(d), v) for d, v in _class_residual(ev, j, terms).items())
+        res.terms.update((_class_exponent(ev.key, d), v)
+                         for d, v in _class_residual(ev, j, terms).items())
     return res
 
 

@@ -129,14 +129,16 @@ class PuiseuxPolynomial:
             return self
         return self.scale(1 / self.terms[self.leading_exponent()])
 
-    def class_parts(self) -> dict[ClassKey, dict[Offset, Fraction]]:
+    def class_parts(self) -> dict[ClassKey, dict[Offset, tuple[int, int]]]:
         """The coefficients by class key and integer offset d, the exponent
-        being (r1/q1 + d1, r2/q2 + d2) (`_class_exponent`); classes in the
-        order of their first term, offsets in term order."""
-        parts: dict[ClassKey, dict[Offset, Fraction]] = {}
-        for (x, y), c in self.terms.items():
-            xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
-            parts.setdefault((xn % xd, xd, yn % yd, yd), {})[(xn // xd, yn // yd)] = c
+        being (r1/q1 + d1, r2/q2 + d2) (`_class_of`), each as its reduced
+        pair (numerator, denominator > 0); classes in the order of their
+        first term, offsets in term order.  The dicts are new on every
+        call."""
+        parts: dict[ClassKey, dict[Offset, tuple[int, int]]] = {}
+        for e, c in self.terms.items():
+            key, d = _class_of(e)
+            parts.setdefault(key, {})[d] = (c.numerator, c.denominator)
         return parts
 
     def is_pure(self) -> tuple[bool, tuple[Expt, Expt] | None]:
@@ -237,9 +239,8 @@ class _GrownPolynomial(PuiseuxPolynomial):
     def leading_exponent(self) -> Expt:
         return _class_exponent(self.key, self.lead)
 
-    def class_parts(self) -> dict[ClassKey, dict[Offset, Fraction]]:
-        # a new dict on every call: `solver.independent_dimension` reduces it in place
-        return {self.key: {d: Fraction(n, m) for d, (n, m) in self.coeffs.items()}}
+    def class_parts(self) -> dict[ClassKey, dict[Offset, tuple[int, int]]]:
+        return {self.key: dict(self.coeffs)}
 
     def to_json(self) -> list[dict]:
         """`PuiseuxPolynomial.to_json` from the integers.  Offsets sort as
@@ -257,6 +258,13 @@ def _class_exponent(key: ClassKey, d: Offset) -> Expt:
     """The exponent (r1/q1 + d1, r2/q2 + d2) of offset d on the class key."""
     r1, q1, r2, q2 = key
     return (Fraction(r1 + d[0] * q1, q1), Fraction(r2 + d[1] * q2, q2))
+
+
+def _class_of(e: Expt) -> tuple[ClassKey, Offset]:
+    """The class key and offset of the exponent e, the inverse of
+    `_class_exponent`."""
+    xn, xd, yn, yd = e[0].numerator, e[0].denominator, e[1].numerator, e[1].denominator
+    return (xn % xd, xd, yn % yd, yd), (xn // xd, yn // yd)
 
 
 def _int_str(n: int) -> str:

@@ -23,12 +23,13 @@ solutions and the full system's persistent solutions grow at
 `default_window`, the harvest at the window it is given, reusing the
 persistent supports that fit its window (`grow_starts`).
 
-`grow_starts` runs on exponent classes in integers.  A start is a class
-key and an integer offset on it (`_branch_start`), each class gets one
-factor evaluator (`operators._ClassFactors`) at its class point, every walk
-on the class starts at its offset on that evaluator, the covered-start skip
-compares offsets, and a finite support is verified on the evaluator it was
-grown with.
+`grow_starts` runs on exponent classes in integers, from the start to the
+report.  A start is a class key and an integer offset on it
+(`_branch_start`), each class gets one factor evaluator
+(`operators._ClassFactors`) at its class point, every walk on the class
+starts at its offset on that evaluator, the covered-start skip compares
+offsets, a finite support is verified on the evaluator it was grown with,
+and a result keeps its start as integers (`HarvestResult`).
 
 Before a walk that may stop at the window, an escape certificate
 (`_escape_certified`) tries to prove the escape.  Let R be the offsets d
@@ -53,21 +54,30 @@ from functools import cached_property
 from math import gcd
 
 from .counting import system_rank
-from .lattice import QVec, qvec
+from .lattice import QVec
 from .operators import _class_residual, _ClassFactors
-from .puiseux import (ClassKey, Offset, PuiseuxPolynomial, _class_exponent, _GrownPolynomial,
-                      _parse_int)
+from .puiseux import (ClassKey, Offset, PuiseuxPolynomial, _class_exponent, _class_of,
+                      _GrownPolynomial, _parse_int, format_rational)
 from .system import AtomicSystem, HornSystem, enumerate_atomic
 
 
 class ResonantCollisionError(ValueError):
     """A recurrence denominator vanished against a nonvanishing numerator on
     a reachable point: the would-be pure solution degenerates (logarithmic
-    case, out of scope)."""
+    case, out of scope).  The point is kept as its class key and offset;
+    its exponent, `point`, and the message are built when read."""
 
-    def __init__(self, point: QVec, message: str = ""):
-        self.point = point
-        super().__init__(message or f"resonant collision at offset {point}")
+    def __init__(self, key: ClassKey, offset: Offset):
+        self.key, self.offset = key, offset
+        super().__init__(key, offset)
+
+    @property
+    def point(self) -> QVec:
+        return _class_exponent(self.key, self.offset)
+
+    def __str__(self) -> str:
+        x, y = self.point
+        return f"resonant collision at ({format_rational(x)}, {format_rational(y)})"
 
 
 _STEPS = ((1, (1, 0)), (2, (0, 1)))
@@ -204,7 +214,7 @@ def _walk_support(ev: _ClassFactors, start: Offset, radius: int,
             fwd = (d[0] + s1, d[1] + s2)
             if not _vanishes(p_int[j], d):
                 if _vanishes(q_int[j], fwd):
-                    raise ResonantCollisionError(ev.exponent(d))
+                    raise ResonantCollisionError(ev.key, ev.on_class(d))
                 if not (lo1 <= fwd[0] <= hi1 and lo2 <= fwd[1] <= hi2):
                     exceeded = True
                     if early_exit:
@@ -218,7 +228,7 @@ def _walk_support(ev: _ClassFactors, start: Offset, radius: int,
             bwd = (d[0] - s1, d[1] - s2)
             if not _vanishes(q_int[j], d):
                 if _vanishes(p_int[j], bwd):
-                    raise ResonantCollisionError(ev.exponent(d))
+                    raise ResonantCollisionError(ev.key, ev.on_class(d))
                 if not (lo1 <= bwd[0] <= hi1 and lo2 <= bwd[1] <= hi2):
                     exceeded = True
                     if early_exit:
@@ -378,8 +388,8 @@ def _fill(ev: _ClassFactors, start: Offset, edges: list[_Edge], one) -> dict[Off
             continue
         squares += 1
         if p1 * r2e[0] * r2[1] * r1e[1] != r2[0] * r1e[0] * q1 * r2e[1]:
-            raise AssertionError(
-                f"the step ratios disagree around the unit square at {ev.exponent((c1, c2))}")
+            x, y = _class_exponent(ev.key, ev.on_class((c1, c2)))
+            raise AssertionError(f"the step ratios disagree around the unit square at ({x}, {y})")
     if squares != len(edges) - len(values) + 1:
         raise AssertionError(f"complete unit squares: {squares}, relations off the "
                              f"spanning tree: {len(edges) - len(values) + 1}")
@@ -564,12 +574,12 @@ def series_from_submatrix(s: HornSystem, indices: tuple[int, int], branch: int,
     bases = branch_base_points(sub)
     if not 0 <= branch < len(bases):
         raise ValueError(f"branch {branch} out of range 0..{len(bases) - 1}")
-    alpha0 = branch_initial_exponent(sub, bases[branch])
-    ev = _ClassFactors(s, alpha0)
+    key, o = _branch_start(sub, bases[branch])
+    ev = _ClassFactors(s, key, o)
     edges, _ = _walk_support(ev, (0, 0), window, early_exit=False)
     with localcontext(_EXACT):
         coeffs = _fill(ev, (0, 0), edges, Decimal(1))
-    return TruncatedSeries(sub.indices, branch, alpha0, coeffs, window)
+    return TruncatedSeries(sub.indices, branch, _class_exponent(key, o), coeffs, window)
 
 
 def verify_truncated(t: TruncatedSeries, s: HornSystem) -> bool:
@@ -577,7 +587,7 @@ def verify_truncated(t: TruncatedSeries, s: HornSystem) -> bool:
     the window box, reading absent points as exact zeros.  The residual term
     of equation j at b is the relation between b - e_j and b
     (`operators._class_residual`)."""
-    ev = _ClassFactors(s, qvec(t.alpha0[0], t.alpha0[1]))
+    ev = _ClassFactors(s, *_class_of(t.alpha0))
     w = t.window
     coeffs = {d: _int_pair(v) for d, v in t.coeffs.items()}
     for j, (s1, s2) in _STEPS:
@@ -592,12 +602,24 @@ def verify_truncated(t: TruncatedSeries, s: HornSystem) -> bool:
 
 @dataclass
 class HarvestResult:
+    """One start's outcome.  The start is kept as its class key and offset
+    (`_branch_start`), and a collision as its offset on that class; their
+    exponents, `initial_exponent` and `collision_point`, are built when
+    read."""
     outcome: str  # "finite" | "exceeds_window" | "resonant_collision"
     subsystem: tuple[int, int]
     branch: int  # the start's label: its branch in a harvest
-    initial_exponent: QVec
+    start: tuple[ClassKey, Offset]
     polynomial: PuiseuxPolynomial | None = None
-    collision_point: QVec | None = None
+    collision: Offset | None = None
+
+    @property
+    def initial_exponent(self) -> QVec:
+        return _class_exponent(*self.start)
+
+    @property
+    def collision_point(self) -> QVec | None:
+        return None if self.collision is None else _class_exponent(self.start[0], self.collision)
 
 
 def harvest_polynomials(s: HornSystem, window: int,
@@ -625,15 +647,17 @@ def grow_starts(s: HornSystem, starts: list[tuple[AtomicSystem, int, Offset]],
 
     Starts are taken in integers, as a class key and an offset on it
     (`_branch_start`, with its row pair's constants taken once for a run of
-    starts on one pair).  Each exponent class gets one evaluator, built at
-    its class point, and every walk on the class starts at its offset on
-    it; its rational factor lists are built only if a start on the class
-    reaches a finite support, so escapes and collisions cost integer work
-    only.  A finite support is checked once, on the evaluator it was grown
-    with and on the fill's integer pairs (`operators._class_residual`); a
-    nonzero residual raises AssertionError, a guard that `grow_component`
-    shows cannot fire.  The polynomial reported keeps the class key and the
-    pairs (`puiseux._GrownPolynomial`), and builds no Fraction until asked.
+    starts on one pair).  Each exponent class gets one evaluator, built from
+    its key at its class point, and every walk on the class starts at its
+    offset on it; its rational factor lists are built only if a start on
+    the class reaches a finite support.  A finite support is checked once,
+    on the evaluator it was grown with and on the fill's integer pairs
+    (`operators._class_residual`); a nonzero residual raises AssertionError,
+    a guard that `grow_component` shows cannot fire.  The polynomial
+    reported keeps the class key and the pairs (`puiseux._GrownPolynomial`),
+    and each result its start and collision as integers (`HarvestResult`).
+    So the run builds no Fraction: a start that escapes or collides costs
+    integer work only, and so does a finite one until its terms are read.
 
     The finite outcomes are distinct solutions.  Let S be a support found
     finite from some start, at any radius: the walk of S met no cut step
@@ -666,35 +690,27 @@ def grow_starts(s: HornSystem, starts: list[tuple[AtomicSystem, int, Offset]],
                                     for x, y in done.coeffs):
             if id(done) in unreported:
                 unreported.remove(id(done))
-                results.append(HarvestResult("finite", sub.indices, label,
-                                             _class_exponent(key, o), polynomial=done))
+                results.append(HarvestResult("finite", sub.indices, label, (key, o), done))
             continue
         ev = classes.get(key)
         if ev is None:
-            ev = classes[key] = _ClassFactors(s, _class_exponent(key, (0, 0)))
-        alpha0 = _class_exponent(key, o)
+            ev = classes[key] = _ClassFactors(s, key)
         try:
             res = grow_component(ev, window, start=o)
         except ResonantCollisionError as exc:
-            results.append(HarvestResult(
-                "resonant_collision", sub.indices, label, alpha0,
-                collision_point=exc.point,
-            ))
+            results.append(HarvestResult("resonant_collision", sub.indices, label, (key, o),
+                                         collision=exc.offset))
             continue
         if res.exceeded:
-            results.append(HarvestResult(
-                "exceeds_window", sub.indices, label, alpha0,
-            ))
+            results.append(HarvestResult("exceeds_window", sub.indices, label, (key, o)))
             continue
         pairs = res.pairs
         if _class_residual(ev, 1, pairs) or _class_residual(ev, 2, pairs):
-            raise AssertionError(
-                f"the finite support through ({alpha0[0]}, {alpha0[1]}) fails the operators")
+            x, y = _class_exponent(key, o)
+            raise AssertionError(f"the finite support through ({x}, {y}) fails the operators")
         poly = _GrownPolynomial(key, pairs)
         covered.update(dict.fromkeys(((key, d) for d in pairs), poly))
-        results.append(HarvestResult(
-            "finite", sub.indices, label, alpha0, polynomial=poly,
-        ))
+        results.append(HarvestResult("finite", sub.indices, label, (key, o), poly))
     return results
 
 

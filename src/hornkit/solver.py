@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .atomic import _index_rects
 from .counting import system_rank
@@ -22,7 +23,9 @@ from .system import HornSystem, enumerate_atomic
 def persistent_solutions(s: HornSystem) -> list[PuiseuxPolynomial]:
     """The finite components of the full system through the index-rectangle
     starts of every row pair (`atomic.polynomial_exponents`), each scaled to
-    1 at its lex-smallest exponent, and sorted.
+    1 at its lex-smallest exponent, and sorted by that exponent, which
+    orders them as their sorted terms do: distinct finite supports are
+    disjoint, so their lex-smallest exponents differ.
 
     Coefficients are recomputed against the full system: an atomic pair
     pins the support, the remaining rows reshape the coefficients.  Each
@@ -35,7 +38,7 @@ def persistent_solutions(s: HornSystem) -> list[PuiseuxPolynomial]:
     starts = [(a, i, uv) for a in enumerate_atomic(s) if a.nu
               for i, uv in enumerate(_index_rects(a)[0])]
     out = [r.polynomial for r in grow_starts(s, starts, radius) if r.outcome == "finite"]
-    out.sort(key=lambda p: sorted(p.terms.items()))
+    out.sort(key=lambda p: p.leading_exponent())
     return out
 
 
@@ -78,7 +81,7 @@ class MonodromyDiagonal:
     axis2: tuple[Fraction, ...]
 
 
-def _pure_part(f: PuiseuxPolynomial) -> tuple[ClassKey, dict[Offset, Fraction]] | None:
+def _pure_part(f: PuiseuxPolynomial) -> tuple[ClassKey, dict[Offset, tuple[int, int]]] | None:
     """f's one class part (`PuiseuxPolynomial.class_parts`), None if f is 0;
     ValueError naming is_pure's witness if f mixes classes."""
     parts = f.class_parts()
@@ -195,27 +198,44 @@ def independent_dimension(polys: list[PuiseuxPolynomial]) -> int:
     """Dimension of the span of pure polynomials: distinct exponent classes
     mod Z^2 are independent, and within a class the coefficient vectors, by
     integer offset, are row-reduced exactly.  A polynomial mixing classes
-    raises ValueError; callers with mixed input split it themselves."""
-    bases: dict[ClassKey, dict[Offset, dict[Offset, Fraction]]] = {}
+    raises ValueError; callers with mixed input split it themselves.
+
+    The elimination runs in integers, on each class part's pairs
+    (`PuiseuxPolynomial.class_parts`): a vector is brought over its common
+    denominator, and v - (v_p/r_p) r at the pivot p becomes r_p*v - v_p*r,
+    with its content removed.  Scaling a vector changes neither its pivot
+    nor whether it vanishes, so the pivots and the count are those of the
+    elimination in rationals."""
+    bases: dict[ClassKey, dict[Offset, dict[Offset, int]]] = {}
     for p in polys:
         part = _pure_part(p)
         if part is None:
             continue
-        basis, vec = bases.setdefault(part[0], {}), part[1]
+        basis, pairs = bases.setdefault(part[0], {}), part[1]
+        den = lcm(*(m for _, m in pairs.values()))
+        vec = _divide_content({d: n * (den // m) for d, (n, m) in pairs.items()})
         while vec:
             pivot = min(vec)
-            if pivot not in basis:
+            row = basis.get(pivot)
+            if row is None:
                 basis[pivot] = vec
                 break
-            row = basis[pivot]
-            factor = vec[pivot] / row[pivot]
+            a, b = row[pivot], vec[pivot]
+            vec = {k: a * v for k, v in vec.items()}
             for k, v in row.items():
-                newv = vec.get(k, Fraction(0)) - factor * v
-                if newv == 0:
-                    vec.pop(k, None)
-                else:
+                newv = vec.get(k, 0) - b * v
+                if newv:
                     vec[k] = newv
+                else:
+                    del vec[k]
+            vec = _divide_content(vec)
     return sum(len(basis) for basis in bases.values())
+
+
+def _divide_content(vec: dict[Offset, int]) -> dict[Offset, int]:
+    """vec divided by the gcd of its entries."""
+    g = gcd(*vec.values())
+    return vec if g < 2 else {k: v // g for k, v in vec.items()}
 
 
 def check_constructive(s: HornSystem, window: int) -> ConstructiveReport:

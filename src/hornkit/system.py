@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .lattice import Vec2, cross, index_nu
@@ -143,9 +143,15 @@ def _coprime(coeffs: Sequence[int]) -> tuple[int, ...]:
 def detect_resonance(s: HornSystem) -> ResonanceReport:
     """Enumerate circuits (dependent pairs and pairwise-independent triples)
     and flag each whose relation pairs to an integer against the parameters.
+
+    The test is in integers: with L the lcm of the parameters' denominators
+    and P_k = c_k * L, a relation lam pairs to an integer exactly when
+    sum(lam_k * P_k) is divisible by L.
     """
-    rows, params = s.rows, s.params
+    rows = s.rows
     m = len(rows)
+    lcd = lcm(*(c.denominator for c in s.params))
+    params = [c.numerator * (lcd // c.denominator) for c in s.params]
     circuits: list[Circuit] = []
 
     for i in range(m):
@@ -157,7 +163,7 @@ def detect_resonance(s: HornSystem) -> ResonanceReport:
             lam = (v.a, -u.a) if (u.a, v.a) != (0, 0) else (v.b, -u.b)
             lam = _coprime(lam)
             value = lam[0] * params[i] + lam[1] * params[j]
-            circuits.append(Circuit((i, j), lam, value.denominator == 1))
+            circuits.append(Circuit((i, j), lam, value % lcd == 0))
 
     for i in range(m):
         for j in range(i + 1, m):
@@ -170,7 +176,7 @@ def detect_resonance(s: HornSystem) -> ResonanceReport:
                     (cross(rows[j], rows[k]), cross(rows[k], rows[i]), cross(rows[i], rows[j]))
                 )
                 value = lam[0] * params[i] + lam[1] * params[j] + lam[2] * params[k]
-                circuits.append(Circuit((i, j, k), lam, value.denominator == 1))
+                circuits.append(Circuit((i, j, k), lam, value % lcd == 0))
 
     any_res = any(c.resonant for c in circuits)
     all_res = bool(circuits) and all(c.resonant for c in circuits)

@@ -8,12 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from hornkit.lattice import Vec2, cross, dot, primitive
+from hornkit.lattice import Vec2, cross, dot, primitive, qvec
+from hornkit.operators import _ClassFactors
 from hornkit.polygon import Classification, OreSatoPolygon
-from hornkit.puiseux import PuiseuxPolynomial, _class_exponent
+from hornkit.puiseux import PuiseuxPolynomial, _class_exponent, _class_of
 from hornkit.series import (GrowResult, ResonantCollisionError, _fill, _int_pair, _Quotient,
                             _walk_support)
-from hornkit.system import HornSystem, check_nonconfluent, enumerate_atomic
+from hornkit.system import (Circuit, HornSystem, ResonanceReport, _coprime, check_nonconfluent,
+                            enumerate_atomic)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "hornkit" / "fixtures"
 FIXTURE_NAMES = ("zonotope", "triangle_sides", "triangle_simplex", "atomic_32_43",
@@ -40,6 +42,17 @@ def as_pair(q) -> tuple[Decimal, Decimal]:
 def as_fraction(pair) -> Fraction:
     """The rational n/d of a `TruncatedSeries` coefficient pair."""
     return Fraction(*_int_pair(pair))
+
+
+def evaluator_at(s: HornSystem, alpha) -> _ClassFactors:
+    """The evaluator of s anchored at the exponent alpha: on alpha's class,
+    at alpha's offset on it."""
+    return _ClassFactors(s, *_class_of(qvec(alpha[0], alpha[1])))
+
+
+def exponent_at(ev, d):
+    """The exponent of the offset d from the anchor of the evaluator ev."""
+    return _class_exponent(ev.key, ev.on_class(d))
 
 
 def grow_full(ev, radius: int, start=(0, 0)) -> GrowResult:
@@ -83,7 +96,7 @@ def fill_pairwise(ev, start, edges, one) -> dict:
         if b not in values:
             values[b] = v
         elif values[b] != v:
-            raise ResonantCollisionError(ev.exponent(b))
+            raise ResonantCollisionError(ev.key, ev.on_class(b))
     return values
 
 
@@ -379,6 +392,66 @@ def reference_persistence(f, s: HornSystem) -> bool:
 
     return any(all(witnesses(i, *cut) or witnesses(j, *cut) for cut in cuts)
                for i, j in (a.indices for a in enumerate_atomic(s)))
+
+
+def fraction_independent_dimension(polys) -> int:
+    """`solver.independent_dimension` as it was, in Fractions: within each
+    exponent class the coefficient vectors, by offset, are row-reduced with
+    v - (v_p/r_p) r at the pivot p, the least offset of v.  A polynomial
+    mixing classes raises ValueError."""
+    bases: dict = {}
+    for p in polys:
+        parts = p.class_parts()
+        if len(parts) > 1:
+            raise ValueError("element is not pure")
+        for key, pairs in parts.items():
+            basis = bases.setdefault(key, {})
+            vec = {d: Fraction(n, m) for d, (n, m) in pairs.items()}
+            while vec:
+                pivot = min(vec)
+                if pivot not in basis:
+                    basis[pivot] = vec
+                    break
+                row = basis[pivot]
+                factor = vec[pivot] / row[pivot]
+                for k, v in row.items():
+                    newv = vec.get(k, Fraction(0)) - factor * v
+                    if newv == 0:
+                        vec.pop(k, None)
+                    else:
+                        vec[k] = newv
+    return sum(len(basis) for basis in bases.values())
+
+
+def fraction_detect_resonance(s: HornSystem) -> ResonanceReport:
+    """`system.detect_resonance` as it was, summing each circuit's relation
+    against the parameters in Fractions: the circuit is resonant when the
+    sum is an integer."""
+    rows, params = s.rows, s.params
+    m = len(rows)
+    circuits = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            u, v = rows[i], rows[j]
+            if cross(u, v) != 0:
+                continue
+            lam = _coprime((v.a, -u.a) if (u.a, v.a) != (0, 0) else (v.b, -u.b))
+            value = lam[0] * params[i] + lam[1] * params[j]
+            circuits.append(Circuit((i, j), lam, value.denominator == 1))
+    for i in range(m):
+        for j in range(i + 1, m):
+            if cross(rows[i], rows[j]) == 0:
+                continue
+            for k in range(j + 1, m):
+                if cross(rows[i], rows[k]) == 0 or cross(rows[j], rows[k]) == 0:
+                    continue
+                lam = _coprime(
+                    (cross(rows[j], rows[k]), cross(rows[k], rows[i]), cross(rows[i], rows[j])))
+                value = lam[0] * params[i] + lam[1] * params[j] + lam[2] * params[k]
+                circuits.append(Circuit((i, j, k), lam, value.denominator == 1))
+    any_res = any(c.resonant for c in circuits)
+    all_res = bool(circuits) and all(c.resonant for c in circuits)
+    return ResonanceReport(tuple(circuits), any_res, all_res)
 
 
 def pytest_terminal_summary(terminalreporter):

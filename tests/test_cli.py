@@ -207,8 +207,8 @@ def test_one_solution_pass_per_command(monkeypatch, tmp_path):
 def test_solve_builds_fractions_for_persistent_solutions_alone(monkeypatch, tmp_path):
     """`solve` on the zonotope, triangle_sides and triangle_simplex fixtures
     and their dilations by 2 writes every grown solution from its integers:
-    the Fraction terms are built once per persistent solution at most (the
-    persistent sort reads them), and for no harvested one."""
+    the Fraction terms are built for no solution, persistent or harvested;
+    the persistent sort reads the leading exponents alone."""
     from hornkit.puiseux import _GrownPolynomial
 
     built = []
@@ -230,7 +230,7 @@ def test_solve_builds_fractions_for_persistent_solutions_alone(monkeypatch, tmp_
             assert r.exit_code == 0, r.output
             solutions = json.loads(r.output)["solutions"]
             npersistent = sum(sol["persistent"] for sol in solutions)
-            assert len(set(built)) == len(built) <= npersistent < len(solutions), (name, k)
+            assert built == [] and 0 < npersistent < len(solutions), (name, k)
 
 
 def test_solve_atomic_example():
@@ -327,6 +327,18 @@ def _table_oracle(path, pair, branch, window) -> str:
             for (d1, d2), (num, den) in sorted(t.coeffs.items())
         ],
     }, indent=1) + "\n"
+
+
+def test_series_collision_error_text(tmp_path):
+    """A table that meets a resonant collision exits 3 and names the point
+    as rationals, as every report writes them."""
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"matrix": [[-1, -3], [-1, -1], [3, -1], [0, 2], [-1, 3]],
+                                "parameters": ["-1", "0", "-6", "2", "0"]}))
+    r = run("series", str(path), "--submatrix", "2,3", "--branch", "4", "--window", "6")
+    assert r.exit_code == 3, r.output
+    assert r.stdout == ""
+    assert r.stderr == '{"error": "resonant collision at (1, -2)"}\n'
 
 
 def test_series_table_text_is_the_json_encoders():
@@ -459,8 +471,7 @@ def test_series_table_past_the_digit_limit():
     # default limit of int/str conversion
     import decimal
 
-    from conftest import as_pair, grow_full
-    from hornkit.operators import _ClassFactors
+    from conftest import as_pair, evaluator_at, grow_full
     from hornkit.puiseux import format_rational, parse_rational
     from hornkit.series import TruncatedSeries, verify_truncated
     from hornkit.system import HornSystem
@@ -483,7 +494,7 @@ def test_series_table_past_the_digit_limit():
         s = HornSystem.from_json(json.load(fh))
     assert verify_truncated(t, s)
     # the text is format_rational of the value the Fraction grower gives
-    grown = grow_full(_ClassFactors(s, alpha0), 60)
+    grown = grow_full(evaluator_at(s, alpha0), 60)
     assert [(tuple(c["offset"]), c["value"]) for c in d["coefficients"]] == \
         [(p, format_rational(v)) for p, v in sorted(grown.values.items())]
 

@@ -6,12 +6,12 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import factor_product, grow_full, random_nonconfluent_system
+from conftest import evaluator_at, factor_product, grow_full, random_nonconfluent_system
 from hornkit.operators import _ClassFactors, apply_horn, apply_intertwiner, is_solution
-from hornkit.puiseux import PuiseuxPolynomial
+from hornkit.puiseux import PuiseuxPolynomial, _class_exponent
 from hornkit.system import HornSystem
 
-ORIGIN = (F(0), F(0))
+ORIGIN = (0, 1, 0, 1)  # the class key of the integer exponents
 
 
 def layout(ev, j):
@@ -110,7 +110,7 @@ def _anchored_systems(draw):
 @given(_anchored_systems(), st.lists(_offsets, min_size=1, max_size=6))
 def test_class_factors_match_affine_factors(system_anchor, offsets):
     s, anchor = system_anchor
-    ev = _ClassFactors(s, anchor)
+    ev = evaluator_at(s, anchor)
     for d in offsets:
         alpha = (anchor[0] + d[0], anchor[1] + d[1])
         for j in (1, 2):
@@ -137,7 +137,6 @@ def test_walk_from_offset_matches_walk_from_anchor():
     the same outcome, the same collision exponent, and the same values once
     shifted by the offset.  At resonant parameters, from every branch base
     point of the system, with and without early exit."""
-    from hornkit.puiseux import _class_exponent
     from hornkit.series import _branch_start, branch_base_points
     from hornkit.system import enumerate_atomic
 
@@ -150,8 +149,8 @@ def test_walk_from_offset_matches_walk_from_anchor():
         for sub in enumerate_atomic(s):
             for k0 in branch_base_points(sub):
                 key, o = _branch_start(sub, k0)
-                at_class = _ClassFactors(s, _class_exponent(key, (0, 0)))
-                at_start = _ClassFactors(s, _class_exponent(key, o))
+                at_class = _ClassFactors(s, key)
+                at_start = _ClassFactors(s, key, o)
                 for early_exit in (True, False):
                     got = _grown(at_class, o, 6, early_exit)
                     outcome, want = _grown(at_start, (0, 0), 6, early_exit)
@@ -211,7 +210,7 @@ def test_class_residual_matches_fraction_oracle(zonotope, triangle_sides):
                     got = _class_residual(ev, j, pairs)
                     ref = reference_class_residual(ev, j, {d: F(n, m) for d, (n, m) in pairs.items()})
                     assert got == ref, (s, f, j)
-                    want.terms.update((ev.exponent(d), v) for d, v in ref.items())
+                    want.terms.update((_class_exponent(ev.key, d), v) for d, v in ref.items())
                     checked["zero" if not ref else "nonzero"] += 1
                 assert apply_horn(j, f, s) == want
             checked["mixed"] += len(parts) > 1

@@ -7,8 +7,7 @@ from conftest import constructive_systems, eager_polynomial
 from hornkit.atomic import _index_rects
 from hornkit.cli import _json_text
 from hornkit.operators import _ClassFactors
-from hornkit.puiseux import (PuiseuxPolynomial, _class_exponent, _GrownPolynomial,
-                             format_rational, parse_rational)
+from hornkit.puiseux import PuiseuxPolynomial, _GrownPolynomial, format_rational, parse_rational
 from hornkit.series import default_window, grow_component, grow_starts, harvest_polynomials
 from hornkit.solver import check_constructive, independent_dimension
 from hornkit.system import enumerate_atomic
@@ -142,15 +141,15 @@ def test_grown_polynomials_agree_with_the_fraction_form():
     for s, w, r in grown_results():
         (key, offsets), = PuiseuxPolynomial.monomial(*r.initial_exponent).class_parts().items()
         (o,) = offsets
-        pairs = grow_component(_ClassFactors(s, _class_exponent(key, (0, 0))), w, o).pairs
+        pairs = grow_component(_ClassFactors(s, key), w, o).pairs
         assert_integer_form_agrees(r.polynomial, eager_polynomial(key, pairs))
         count += 1
     assert count > 900, count
 
 
 def test_independent_dimension_leaves_its_input_alone():
-    # class_parts is new on every call, so the elimination, which reduces
-    # it in place, counts the same list the same twice
+    # the elimination builds its own vectors from class_parts, so it counts
+    # the same list the same twice
     for s in constructive_systems():
         report = check_constructive(s, default_window(s))
         solutions = report.solutions

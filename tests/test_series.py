@@ -13,6 +13,8 @@ from conftest import (
     ConeQ,
     as_fraction,
     as_pair,
+    evaluator_at,
+    exponent_at,
     factor_product,
     fill_pairwise,
     grow_full,
@@ -24,12 +26,11 @@ from conftest import (
     staircase_by_sorting,
 )
 from hornkit.counting import fully_supported_count
-from hornkit.lattice import inverse_times, qvec
+from hornkit.lattice import inverse_times
 from hornkit.operators import _ClassFactors, is_solution
 from hornkit.puiseux import PuiseuxPolynomial, _class_exponent
 from hornkit.series import (
     _EXACT,
-    HarvestResult,
     ResonantCollisionError,
     _atomic_pair,
     _Quotient,
@@ -239,7 +240,7 @@ def box_verify_truncated(t, s):
     """The box loop `verify_truncated` ran before it read the residual:
     every relation P_j(d) u(d) = Q_j(d + e_j) u(d + e_j) with both ends in
     the (2w+1)^2 window box, absent points read as zeros."""
-    ev = _ClassFactors(s, qvec(t.alpha0[0], t.alpha0[1]))
+    ev = evaluator_at(s, t.alpha0)
     w = t.window
     coeffs = {d: as_fraction(v) for d, v in t.coeffs.items()}
     for d1 in range(-w, w + 1):
@@ -308,7 +309,7 @@ def test_verify_truncated_on_finite_support(triangle_simplex):
     from hornkit.series import TruncatedSeries, grow_component
 
     alpha0 = (F(-1), F(-1))
-    grown = grow_component(_ClassFactors(triangle_simplex, alpha0), 10)
+    grown = grow_component(evaluator_at(triangle_simplex, alpha0), 10)
     assert not grown.exceeded
     t = TruncatedSeries((1, 2), 0, alpha0, {d: as_pair(v) for d, v in grown.values.items()}, 10)
     assert verify_truncated(t, triangle_simplex)
@@ -322,7 +323,7 @@ def test_resonant_collision_reported():
     # walk from (-3, 0) is forced one step right onto a vanishing Q_1
     s = HornSystem.make([[1, 0], [-1, 0], [0, 1], [0, -1]], [0, -2, 0, 0])
     with pytest.raises(ResonantCollisionError):
-        grow_component(_ClassFactors(s, (F(-3), F(0))), 5)
+        grow_component(_ClassFactors(s, (0, 1, 0, 1), (-3, 0)), 5)
 
 
 def test_resonant_collisions_are_zero_denominators():
@@ -348,7 +349,7 @@ def test_resonant_collisions_are_zero_denominators():
                 alpha0 = branch_initial_exponent(sub, k0)
                 for grow in (grow_component, grow_full):
                     try:
-                        grow(_ClassFactors(s, alpha0), 8)
+                        grow(_ClassFactors(s, *_branch_start(sub, k0)), 8)
                     except ResonantCollisionError as exc:
                         collisions += 1
                         assert zero_denominator_at(s, exc.point), (s, alpha0, exc.point)
@@ -367,11 +368,12 @@ def test_escape_certificate_sound():
         s = HornSystem.make(rows, [F(rng.randint(-8, 8), den) for _ in rows])
         for sub in enumerate_atomic(s):
             for k0 in branch_base_points(sub):
-                ev = _ClassFactors(s, branch_initial_exponent(sub, k0))
+                ev = _ClassFactors(s, *_branch_start(sub, k0))
                 for window in (6, 20):
                     if _escape_certified(ev, (0, 0), window):
                         certified += 1
-                        assert _walk_support(ev, (0, 0), window, True)[1], (s, ev.anchor, window)
+                        assert _walk_support(ev, (0, 0), window, True)[1], \
+                            (s, ev.key, ev.base, window)
     assert certified > 2000, certified
 
 
@@ -383,7 +385,7 @@ def test_escape_certificate_covers_quadrilateral(quadrilateral, monkeypatch):
     walked = []
 
     def counted(ev, start, radius, early_exit):
-        walked.append(ev.exponent(start))
+        walked.append(exponent_at(ev, start))
         return _walk_support(ev, start, radius, early_exit)
 
     monkeypatch.setattr(series, "_walk_support", counted)
@@ -397,7 +399,7 @@ def test_escape_certificate_negative_cases():
     # the box -2 <= d1, d2 <= 1 with every row <= 0 at offset 0: R is
     # bounded, so nothing is certified, not even at a radius the walk leaves
     box = HornSystem.make([[1, 0], [-1, 0], [0, 1], [0, -1]], [0, -3, 0, -3])
-    ev = _ClassFactors(box, (F(-1), F(-1)))
+    ev = _ClassFactors(box, (0, 1, 0, 1), (-1, -1))
     assert not _walk_support(ev, (0, 0), 5, True)[1]
     assert _walk_support(ev, (0, 0), 1, True)[1]
     for radius in (0, 1, 5):
@@ -405,7 +407,7 @@ def test_escape_certificate_negative_cases():
     # row (1, 0) takes the value 1 > 0 at offset 0, and the backward 1-step
     # collides; the staircase to (-1, 0) alone would lie in R
     quad = HornSystem.make([[1, 0], [0, 1]], [0, 0])
-    ev = _ClassFactors(quad, (F(1), F(0)))
+    ev = _ClassFactors(quad, (0, 1, 0, 1), (1, 0))
     with pytest.raises(ResonantCollisionError):
         _walk_support(ev, (0, 0), 5, True)
     for radius in (0, 1, 5, 50):
@@ -420,7 +422,7 @@ def test_escape_certificate_thin_cone():
     for e in ((1, 0), (-1, 0), (0, 1), (0, -1)):
         assert any(r.a * e[0] + r.b * e[1] > 0 for r in s.rows)
     for k0, escapes in (((0, 0), False), ((1, 1), False), ((2, 2), True), ((5, 3), True)):
-        ev = _ClassFactors(s, branch_initial_exponent(sub, k0))
+        ev = _ClassFactors(s, *_branch_start(sub, k0))
         assert sorted(n for n, *_ in ev.p_int[1] + ev.q_int[1]) == sorted((-k0[0], -k0[1]))
         assert _walk_support(ev, (0, 0), 30, True)[1] is escapes
         assert _escape_certified(ev, (0, 0), 30) is escapes
@@ -455,15 +457,81 @@ def test_harvest_builds_one_evaluator_per_class(monkeypatch):
     built = []
     init = _ClassFactors.__init__
 
-    def counted(self, system, anchor):
-        built.append(anchor)
-        init(self, system, anchor)
+    def counted(self, system, key, base=(0, 0)):
+        built.append(_class_exponent(key, base))
+        init(self, system, key, base)
 
     monkeypatch.setattr(_ClassFactors, "__init__", counted)
     results = harvest_polynomials(s, default_window(s))
     assert any(r.outcome == "finite" for r in results)
     assert len(built) == len(classes)
     assert set(built) == classes
+
+
+def test_harvest_builds_no_fraction(monkeypatch):
+    """`grow_starts` keeps every start in integers: a run on the starts that
+    escape at generic parameters, as in the generic-escape workload, builds
+    no Fraction, nor does a whole harvest on the systems of
+    `harvest_systems`, where starts also close off and collide.  A start's
+    exponents are built only when read: one `_class_exponent` for each
+    `initial_exponent` or `collision_point` read, and none before."""
+    import hornkit.series as series
+
+    built, exponents = Counter(), Counter()
+    new, class_exponent = F.__new__, series._class_exponent
+
+    def counted_new(cls, *args, **kwargs):
+        built["fractions"] += 1
+        return new(cls, *args, **kwargs)
+
+    def counted_exponent(key, d):
+        exponents["calls"] += 1
+        return class_exponent(key, d)
+
+    def grown(s, starts, window):
+        monkeypatch.setattr(F, "__new__", counted_new)
+        try:
+            return series.grow_starts(s, starts, window)
+        finally:
+            monkeypatch.setattr(F, "__new__", new)
+
+    monkeypatch.setattr(series, "_class_exponent", counted_exponent)
+    seen = Counter()
+    for seed in range(8):
+        s = random_nonconfluent_system(random.Random(seed), max_m=5)
+        window = default_window(s)
+        starts = [(sub, b, k0) for sub in enumerate_atomic(s)
+                  for b, k0 in enumerate(branch_base_points(sub))]
+        escaping = [start for start, r in zip(starts, series.grow_starts(s, starts, window))
+                    if r.outcome == "exceeds_window"]
+        built.clear()
+        exponents.clear()
+        results = grown(s, escaping, window)
+        assert built["fractions"] == exponents["calls"] == 0, (s, built, exponents)
+        assert all(r.outcome == "exceeds_window" for r in results)
+        got = [r.initial_exponent for r in results]
+        assert exponents["calls"] == len(results)
+        assert got == [branch_initial_exponent(sub, k0) for sub, _, k0 in escaping]
+        seen["escapes"] += len(results)
+    for s, window in harvest_systems():
+        starts = [(sub, b, k0) for sub in enumerate_atomic(s)
+                  for b, k0 in enumerate(branch_base_points(sub))]
+        built.clear()
+        exponents.clear()
+        results = grown(s, starts, window)
+        assert built["fractions"] == exponents["calls"] == 0, (s, built, exponents)
+        reads = 0
+        for r in results:
+            if r.outcome == "resonant_collision":
+                assert r.collision_point is not None
+                reads += 1
+            if r.outcome != "exceeds_window":
+                assert r.initial_exponent is not None
+                reads += 1
+            seen[r.outcome] += 1
+        assert exponents["calls"] == reads
+    assert seen["escapes"] > 50 and seen["exceeds_window"] > 500, seen
+    assert seen["finite"] > 100 and seen["resonant_collision"] > 20, seen
 
 
 def test_harvest_builds_factor_lists_only_for_finite_classes(monkeypatch):
@@ -478,12 +546,12 @@ def test_harvest_builds_factor_lists_only_for_finite_classes(monkeypatch):
     evaluators, lists_built, staircases = [], Counter(), Counter()
     init, build, staircase = _ClassFactors.__init__, _ClassFactors._factor_lists, _staircase_in
 
-    def counted_init(self, system, anchor):
-        init(self, system, anchor)
+    def counted_init(self, system, key, base=(0, 0)):
+        init(self, system, key, base)
         evaluators.append((self, system))
 
     def counted_build(self):
-        lists_built[self.anchor] += 1
+        lists_built[exponent_at(self, (0, 0))] += 1
         build(self)
 
     def checked_staircase(rows, w, radius):
@@ -504,7 +572,8 @@ def test_harvest_builds_factor_lists_only_for_finite_classes(monkeypatch):
                   for r in results if r.outcome == "finite" for x, y in [r.initial_exponent]}
         assert set(lists_built) == finite and set(lists_built.values()) <= {1}, s
         for ev, system in evaluators:
-            assert (ev.p_int, ev.q_int) == integer_rows_by_gcd(system, ev.anchor), ev.anchor
+            anchor = exponent_at(ev, (0, 0))
+            assert (ev.p_int, ev.q_int) == integer_rows_by_gcd(system, anchor), anchor
         seen["classes"] += len(evaluators)
         seen["finite classes"] += len(finite)
         seen["escapes"] += sum(r.outcome == "exceeds_window" for r in results)
@@ -613,7 +682,7 @@ def table_walks():
         s = load_system(name)
         for sub in enumerate_atomic(s):
             for k0 in branch_base_points(sub):
-                ev = _ClassFactors(s, branch_initial_exponent(sub, k0))
+                ev = _ClassFactors(s, *_branch_start(sub, k0))
                 for window in (0, 1, 8, 24):
                     yield ev, (0, 0), _walk_support(ev, (0, 0), window, False)[0], Decimal(1)
 
@@ -638,7 +707,7 @@ def harvest_walks():
         for sub in enumerate_atomic(s):
             for k0 in branch_base_points(sub):
                 key, o = _branch_start(sub, k0)
-                ev = _ClassFactors(s, _class_exponent(key, (0, 0)))
+                ev = _ClassFactors(s, key)
                 if _escape_certified(ev, o, window):
                     continue
                 try:
@@ -661,7 +730,7 @@ def test_fill_matches_the_pairwise_oracle():
             with localcontext(_EXACT):
                 got = _fill(ev, start, edges, one)
                 want = fill_pairwise(ev, start, edges, one)
-            assert list(got.items()) == list(want.items()), (ev.anchor, start)
+            assert list(got.items()) == list(want.items()), (ev.key, start)
             seen[kind] += 1
             seen[kind + " squares"] += len(edges) - len(got) + 1
     assert seen["table"] == 160 and seen["support"] > 300, seen
@@ -679,11 +748,11 @@ def test_walked_supports_have_only_unit_square_faces():
         assert len(walked) == len(edges)
         lattice = {((x, y), j) for x, y in support
                    for j, nxt in ((1, (x + 1, y)), (2, (x, y + 1))) if nxt in support}
-        assert walked == lattice, (ev.anchor, start)
+        assert walked == lattice, (ev.key, start)
         squares = sum(((x, y), 2) in walked and ((x + 1, y), 2) in walked
                       and ((x, y + 1), 1) in walked
                       for (x, y), j in walked if j == 1)
-        assert squares == len(edges) - len(support) + 1, (ev.anchor, start)
+        assert squares == len(edges) - len(support) + 1, (ev.key, start)
 
 
 @pytest.mark.parametrize("j", [1, 2])
@@ -710,7 +779,7 @@ def test_square_count_check_catches_a_ring():
     off its spanning tree but no unit square with all four relations: the
     ratios agree around the ring, as they telescope, yet the fill raises on
     the count."""
-    ev = _ClassFactors(load_system("quadrilateral"), (F(1, 3), F(2, 7)))
+    ev = _ClassFactors(load_system("quadrilateral"), (1, 3, 2, 7))
     ring = [(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1) if (x, y) != (0, 0)]
     assert all(ev.p_num(j, d) and ev.q_num(j, d) for j in (1, 2) for d in ring)
     edges = [((-1, -1), (0, -1), 1, True), ((0, -1), (1, -1), 1, True),
@@ -736,7 +805,7 @@ def coefficient_walk(s, alpha0, radius, early_exit=True):
     depth-first walk, compares both ends of every live relation, and returns
     (values, exceeded); with early_exit it stops at the first step past the
     radius box."""
-    ev = _ClassFactors(s, qvec(alpha0[0], alpha0[1]))
+    ev = evaluator_at(s, alpha0)
     values = {(0, 0): F(1)}
     stack = [(0, 0)]
     exceeded = False
@@ -749,7 +818,7 @@ def coefficient_walk(s, alpha0, radius, early_exit=True):
             if pv:
                 qv = ev.q_num(j, fwd)
                 if not qv:
-                    raise ResonantCollisionError(ev.exponent(d))
+                    raise ResonantCollisionError(ev.key, ev.on_class(d))
                 v = u * F(pv * ev.q_den[j], qv * ev.p_den[j])
                 if max(abs(fwd[0]), abs(fwd[1])) > radius:
                     exceeded = True
@@ -757,7 +826,7 @@ def coefficient_walk(s, alpha0, radius, early_exit=True):
                         return values, True
                 elif fwd in values:
                     if values[fwd] != v:
-                        raise ResonantCollisionError(ev.exponent(fwd))
+                        raise ResonantCollisionError(ev.key, ev.on_class(fwd))
                 else:
                     values[fwd] = v
                     stack.append(fwd)
@@ -766,7 +835,7 @@ def coefficient_walk(s, alpha0, radius, early_exit=True):
             if qv0:
                 pv0 = ev.p_num(j, bwd)
                 if not pv0:
-                    raise ResonantCollisionError(ev.exponent(d))
+                    raise ResonantCollisionError(ev.key, ev.on_class(d))
                 v = u * F(qv0 * ev.p_den[j], pv0 * ev.q_den[j])
                 if max(abs(bwd[0]), abs(bwd[1])) > radius:
                     exceeded = True
@@ -774,7 +843,7 @@ def coefficient_walk(s, alpha0, radius, early_exit=True):
                         return values, True
                 elif bwd in values:
                     if values[bwd] != v:
-                        raise ResonantCollisionError(ev.exponent(bwd))
+                        raise ResonantCollisionError(ev.key, ev.on_class(bwd))
                 else:
                     values[bwd] = v
                     stack.append(bwd)
@@ -820,7 +889,9 @@ def oracle_outcome(s, alpha0, window, grow=coefficient_walk):
 
 
 def oracle_harvest(s, window):
-    """Every start through the coefficient walk; finite duplicates dropped."""
+    """Every start through the coefficient walk; finite duplicates dropped.
+    Each result is (outcome, row pair, branch, initial exponent, polynomial,
+    collision point), the initial exponent from `branch_initial_exponent`."""
     out, seen = [], set()
     for sub in enumerate_atomic(s):
         for branch, k0 in enumerate(shell_scan_base_points(sub)):
@@ -830,13 +901,18 @@ def oracle_harvest(s, window):
                 if poly in seen:
                     continue
                 seen.add(poly)
-            out.append(HarvestResult(outcome, sub.indices, branch, alpha0, poly, point))
+            out.append((outcome, sub.indices, branch, alpha0, poly, point))
     return out
+
+
+def harvest_view(r):
+    """A harvest result as `oracle_harvest` lists it."""
+    return (r.outcome, r.subsystem, r.branch, r.initial_exponent, r.polynomial, r.collision_point)
 
 
 def grower_outcome(s, alpha0, window):
     def grow(s, alpha0, window):
-        res = grow_component(_ClassFactors(s, alpha0), window)
+        res = grow_component(evaluator_at(s, alpha0), window)
         return res.values, res.exceeded
     return oracle_outcome(s, alpha0, window, grow)
 
@@ -865,7 +941,8 @@ def test_harvest_agrees_with_coefficient_walk():
                 want = oracle_outcome(s, alpha0, window)
                 assert grower_outcome(s, alpha0, window) == want, (s, alpha0)
                 outcomes[want[0]] += 1
-        assert harvest_polynomials(s, window) == oracle_harvest(s, window), s
+        harvest = harvest_polynomials(s, window)
+        assert [harvest_view(r) for r in harvest] == oracle_harvest(s, window), s
     assert min(outcomes.values()) >= 20, outcomes
 
 
@@ -946,7 +1023,7 @@ def test_tables_match_the_fraction_grower(window, tmp_path):
         path.write_text(json.dumps(s.to_json()))
         for sub in enumerate_atomic(s):
             for branch, k0 in enumerate(branch_base_points(sub)):
-                grown = grow_full(_ClassFactors(s, branch_initial_exponent(sub, k0)), window)
+                grown = grow_full(_ClassFactors(s, *_branch_start(sub, k0)), window)
                 t = series_from_submatrix(s, sub.indices, branch, window)
                 assert [(d, as_fraction(v)) for d, v in t.coeffs.items()] == \
                     list(grown.values.items())

@@ -6,7 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import (constructive_systems, load_expected, load_system, random_nonconfluent_system,
+from conftest import (constructive_systems, evaluator_at, fraction_independent_dimension,
+                      load_expected, load_system, random_nonconfluent_system,
                       reference_persistence)
 from hornkit import series, solver
 from hornkit.atomic import polynomial_exponents
@@ -80,7 +81,7 @@ def old_route_persistent_solutions(s):
     found = {}
     for seed in sorted(seeds):
         try:
-            res = grow_component(_ClassFactors(s, seed), radius)
+            res = grow_component(evaluator_at(s, seed), radius)
         except ResonantCollisionError:
             continue
         if res.exceeded:
@@ -120,9 +121,9 @@ def test_persistent_solutions_build_one_evaluator_per_class(name, monkeypatch):
     built = []
     init = _ClassFactors.__init__
 
-    def counted(self, system, anchor):
-        built.append(anchor)
-        init(self, system, anchor)
+    def counted(self, system, key, base=(0, 0)):
+        built.append(_class_exponent(key, base))
+        init(self, system, key, base)
 
     monkeypatch.setattr(_ClassFactors, "__init__", counted)
     assert persistent_solutions(s)
@@ -288,9 +289,9 @@ def test_class_parts_match_the_floor_split():
     """`PuiseuxPolynomial.class_parts` splits as the floor-based `_class_parts`
     does, on seeded polynomials with negative exponents and denominators up
     to 10^6.  Each key (r1, q1, r2, q2) has 0 <= r_i < q_i in lowest terms,
-    each offset maps back to its exponent, classes come in the order of
-    their first term and offsets in term order, and `is_pure` names the
-    witness it named before."""
+    each coefficient is its reduced pair, each offset maps back to its
+    exponent, classes come in the order of their first term and offsets in
+    term order, and `is_pure` names the witness it named before."""
     rng = random.Random(15)
     seen = Counter()
     for _ in range(400):
@@ -308,7 +309,9 @@ def test_class_parts_match_the_floor_split():
         for r1, q1, r2, q2 in parts:
             assert 0 <= r1 < q1 and 0 <= r2 < q2 and math.gcd(r1, q1) == math.gcd(r2, q2) == 1
         by_class = sorted(parts.items(), key=lambda kv: (F(*kv[0][:2]), F(*kv[0][2:])))
-        assert [PuiseuxPolynomial({_class_exponent(key, d): c for d, c in part.items()})
+        assert all(m > 0 and math.gcd(n, m) == 1 for part in parts.values()
+                   for n, m in part.values())
+        assert [PuiseuxPolynomial({_class_exponent(key, d): F(n, m) for d, (n, m) in part.items()})
                 for key, part in by_class] == _class_parts(f)
         in_order = [(F(*key[:2]), F(*key[2:]), _class_exponent(key, d))
                     for key, part in parts.items() for d in part]
@@ -427,8 +430,8 @@ def test_sharing_the_persistent_supports_changes_nothing(monkeypatch):
 
     def recorded(ev, radius, start=(0, 0)):
         if in_harvest:
-            x, y = ev.anchor  # the class point, in [0, 1)^2
-            walks.append(((x.numerator, x.denominator, y.numerator, y.denominator), start))
+            assert ev.base == (0, 0)  # the evaluator is at the class point
+            walks.append((ev.key, start))
         return grow(ev, radius, start)
 
     def flagged(*args):
@@ -486,6 +489,51 @@ def test_independent_dimension_within_class():
     for polys in ([a, d, a + d], [a + d, d, a]):
         with pytest.raises(ValueError, match="not pure"):
             independent_dimension(polys)
+
+
+def test_independent_dimension_matches_the_fraction_elimination():
+    """The elimination on integer pairs counts what the elimination in
+    Fractions counts (`fraction_independent_dimension`): on the solutions of
+    every system of `constructive_systems` at its default window and of
+    seeded systems with small-denominator parameters at window 10, and on
+    seeded mixes of them with plain `PuiseuxPolynomial`s and rescaled
+    copies, where one solution of each class is replaced by its combination
+    with another, so that the span, and the count, stay those of the
+    solutions, but reaching it takes elimination steps."""
+    rng = random.Random(2117)
+    corpora = [(s, default_window(s)) for s in constructive_systems()]
+    for seed in range(40):
+        rows = random_nonconfluent_system(random.Random(seed), max_m=5).rows
+        corpora.append((HornSystem.make(rows, [F(rng.randint(-9, 9), seed % 3 + 1)
+                                               for _ in rows]), 10))
+
+    def rational():
+        return F(rng.choice((-1, 1)) * rng.randint(1, 10**6), rng.randint(1, 10**6))
+
+    seen = Counter()
+    for s, window in corpora:
+        report = check_constructive(s, window)
+        solutions = report.solutions
+        assert independent_dimension(solutions) == fraction_independent_dimension(solutions) \
+            == report.independent_count, s
+        mixed = [PuiseuxPolynomial(p.terms).scale(rational()) if rng.random() < 0.4 else p
+                 for p in solutions]
+        by_class: dict = {}
+        for k, p in enumerate(solutions):
+            by_class.setdefault(p.key, []).append(k)
+        for group in by_class.values():
+            if len(group) > 1:
+                a, b = rng.sample(group, 2)
+                mixed[b] = solutions[a].scale(rational()) + solutions[b].scale(rational())
+                seen["combinations"] += 1
+        mixed += rng.sample(solutions, min(3, len(solutions)))
+        rng.shuffle(mixed)
+        got = independent_dimension(mixed)
+        assert got == fraction_independent_dimension(mixed) == report.independent_count, s
+        seen["plain"] += sum(type(p) is PuiseuxPolynomial for p in mixed)
+        seen["grown"] += sum(type(p) is not PuiseuxPolynomial for p in mixed)
+        seen["dependent"] += len(mixed) - got
+    assert min(seen.values()) > 100, seen
 
 
 def test_suggest_parameters_zonotope(zonotope):

@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
-from conftest import normalize_rows, random_nonconfluent_system
+from conftest import (FIXTURE_NAMES, fraction_detect_resonance, load_system, normalize_rows,
+                      random_nonconfluent_system)
 from hornkit.counting import holonomic_rank
 from hornkit.lattice import Vec2
 from hornkit.system import HornSystem, check_nonconfluent, detect_resonance
@@ -80,6 +82,38 @@ def test_resonance_relations_exact():
             for lam in c.relation:
                 g = gcd(g, abs(lam))
             assert g == 1
+
+
+def test_resonance_matches_the_fraction_sums():
+    """`detect_resonance`, which tests each circuit in integers, reports what
+    summing its relation against the parameters in Fractions reports
+    (`fraction_detect_resonance`): on every fixture, and on seeded rows with
+    integer, half-integer and ~1e7-denominator parameters, both shared and
+    distinct denominators, and with small mixed denominators, whose lcm
+    none of them is."""
+    rng = random.Random(2111)
+    systems = [load_system(name) for name in FIXTURE_NAMES]
+    for i in range(300):
+        rows = random_nonconfluent_system(rng, max_m=6).rows
+        kind, big = i % 5, 10**7 + rng.randint(1, 997)
+        if kind == 0:
+            params = [rng.randint(-9, 9) for _ in rows]
+        elif kind == 1:
+            params = [F(rng.randint(-19, 19), 2) for _ in rows]
+        elif kind == 2:
+            params = [F(rng.randint(-3 * big, 3 * big), big) for _ in rows]
+        elif kind == 3:
+            params = [F(rng.randint(1, 10**7), 10**7 + rng.randint(1, 997)) for _ in rows]
+        else:
+            params = [F(rng.randint(-12, 12), rng.choice((2, 3, 4, 5))) for _ in rows]
+        systems.append(HornSystem.make(rows, params))
+    seen = Counter()
+    for s in systems:
+        got = detect_resonance(s)
+        assert got == fraction_detect_resonance(s), s
+        for c in got.circuits:
+            seen[len(c.indices), c.resonant] += 1
+    assert all(seen[size, res] > 20 for size in (2, 3) for res in (True, False)), seen
 
 
 def test_maximally_resonant_example():
