@@ -20,7 +20,6 @@ from .polygon import (
     OreSatoPolygon,
     build_polygon,
     classify,
-    is_maximally_reducible,
     vertex_count,
 )
 from .counting import (

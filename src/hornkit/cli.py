@@ -14,32 +14,23 @@ from json.encoder import encode_basestring_ascii as _escape
 import click
 from click.core import ParameterSource
 
-from .counting import (
-    convergent_count_S,
-    fully_supported_count,
-    holonomic_rank,
-    persistent_dim,
-    system_rank,
-)
 from .operators import apply_horn
-from .polygon import Kind, build_polygon, classify, vertex_count
 from .puiseux import PuiseuxPolynomial, _parse_int, format_rational
 from .render import polygon_svg, supports_svg
 from .series import (
     ResonantCollisionError,
     branch_base_points,
     branch_initial_exponent,
-    default_window,
     series_from_submatrix,
 )
 from .solver import (
     SUGGEST_BOUND,
     SUGGEST_WINDOW,
-    check_constructive,
+    Report,
     suggest_polynomial_parameters,
     validate_persistence,
 )
-from .system import HornSystem, check_nonconfluent, detect_resonance, enumerate_atomic
+from .system import HornSystem, check_nonconfluent, enumerate_atomic
 
 
 def _fail(code: int, message: str):
@@ -67,10 +58,6 @@ def _check_bound(bound: int) -> int:
     if bound < 1:
         _fail(2, f"--bound must be at least 1, got {bound}")
     return bound
-
-
-def _resolve_window(s: HornSystem, window: int | None) -> int:
-    return default_window(s) if window is None else window
 
 
 def _emit(payload, out: str | None):
@@ -157,9 +144,9 @@ def _require_nonconfluent(s: HornSystem, allow: bool):
         _fail(3, "system is confluent; pass --allow-confluent to proceed")
 
 
-def _polygon(s: HornSystem):
+def _polygon(report: Report):
     try:
-        return build_polygon(s)
+        return report.polygon
     except ValueError as exc:  # rows that do not span rank 2
         _fail(3, str(exc))
 
@@ -232,30 +219,28 @@ def analyze(input_path, window, out, allow_confluent):
     """Full analysis report for a system."""
     s = _load_system(input_path)
     _require_nonconfluent(s, allow_confluent)
+    report = Report(s, window)
     if not check_nonconfluent(s):
         # confluent systems only get the resonance block
-        res = detect_resonance(s)
         _emit({"name": s.name, "nonconfluent": False,
-               "resonance": _resonance_json(res)}, out)
+               "resonance": _resonance_json(report.resonance)}, out)
         return
-    w = _resolve_window(s, window)
-    p = _polygon(s)
-    report = check_constructive(s, w)
+    p = _polygon(report)
     _emit({
         "name": s.name,
         "nonconfluent": True,
         "rank": report.rank,
-        "persistent_dim": persistent_dim(s),
-        "fully_supported_count": fully_supported_count(s),
-        "S_per_vertex": [convergent_count_S(p, i) for i in range(vertex_count(p))],
+        "persistent_dim": report.persistent_dim,
+        "fully_supported_count": report.fully_supported_count,
+        "S_per_vertex": report.convergent_counts,
         "polygon": _polygon_json(p),
-        "classification": _classification_json(classify(p)),
-        "resonance": _resonance_json(detect_resonance(s)),
+        "classification": _classification_json(report.classification),
+        "resonance": _resonance_json(report.resonance),
         "persistent_solutions": [_solution_json(q, True) for q in report.persistent],
         "harvested_polynomial_count": sum(r.outcome == "finite" for r in report.harvest),
         "independent_polynomial_count": report.independent_count,
         "rank_attained": report.rank_attained,
-        "window": w,
+        "window": report.radius,
     }, out)
 
 
@@ -303,7 +288,7 @@ def rank(input_path, out):
     """Holonomic rank."""
     s = _load_system(input_path)
     _require_nonconfluent(s, False)
-    _emit({"name": s.name, "rank": holonomic_rank(s)}, out)
+    _emit({"name": s.name, "rank": Report(s).rank}, out)
 
 
 @main.command("classify")
@@ -313,13 +298,13 @@ def classify_cmd(input_path, out):
     """Polygon construction and shape classification."""
     s = _load_system(input_path)
     _require_nonconfluent(s, False)
-    p = _polygon(s)
-    cls = classify(p)
+    report = Report(s)
+    p = _polygon(report)
     _emit({
         "name": s.name,
         "polygon": _polygon_json(p),
-        "classification": _classification_json(cls),
-        "maximally_reducible": cls.kind is not Kind.OTHER,
+        "classification": _classification_json(report.classification),
+        "maximally_reducible": report.classification.maximally_reducible,
     }, out)
 
 
@@ -330,16 +315,15 @@ def classify_cmd(input_path, out):
 def solve(input_path, window, out):
     """Persistent and harvested Puiseux polynomial solutions."""
     s = _load_system(input_path)
+    report = Report(s, window)
     try:
-        system_rank(s)
+        rank = report.rank
     except ValueError:
         _fail(3, "solve requires a nonconfluent system or a nondegenerate atomic pair")
-    w = _resolve_window(s, window)
-    report = check_constructive(s, w)
     npersistent = len(report.persistent)
     _emit({
         "name": s.name,
-        "rank": report.rank,
+        "rank": rank,
         "solutions": [_solution_json(q, k < npersistent) for k, q in enumerate(report.solutions)],
         "independent_polynomial_count": report.independent_count,
         "rank_attained": report.rank_attained,
@@ -349,7 +333,7 @@ def solve(input_path, window, out):
              "point": _pair_json(r.collision_point)}
             for r in report.harvest if r.outcome == "resonant_collision"
         ],
-        "window": w,
+        "window": report.radius,
     }, out)
 
 
@@ -493,10 +477,8 @@ def render(input_path, what, window, out):
     """Render the polygon or the solution supports as deterministic SVG."""
     s = _load_system(input_path)
     _require_nonconfluent(s, False)
-    if what == "polygon":
-        svg = polygon_svg(_polygon(s))
-    else:
-        svg = supports_svg(check_constructive(s, _resolve_window(s, window)).solutions)
+    report = Report(s, window)
+    svg = polygon_svg(_polygon(report)) if what == "polygon" else supports_svg(report.solutions)
     _write(svg, out)
 
 

@@ -53,6 +53,10 @@ class Classification:
     segments: tuple[Segment, ...] = ()
     triangle: Triangle | None = None
 
+    @property
+    def maximally_reducible(self) -> bool:
+        return self.kind is not Kind.OTHER
+
 
 def build_polygon(s: HornSystem) -> OreSatoPolygon:
     """Group rows by primitive direction, each row g*d adding its gcd g to
@@ -137,8 +141,3 @@ def classify(p: OreSatoPolygon) -> Classification:
     return Classification(
         Kind.TRIANGLE_PLUS_SEGMENTS, tuple(segments), Triangle(tuple(tri_edges))
     )
-
-
-def is_maximally_reducible(s: HornSystem) -> bool:
-    return classify(build_polygon(s)).kind is not Kind.OTHER
-

@@ -8,16 +8,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
+from . import counting
 from .atomic import _index_rects
-from .counting import system_rank
 from .lattice import QVec, Vec2, inverse_times, primitive
 from .operators import _by_class, is_solution
-from .polygon import Kind, build_polygon, classify
+from .polygon import build_polygon, classify, vertex_count
 from .puiseux import ClassKey, Offset, PuiseuxPolynomial
-from .series import HarvestResult, default_window, grow_starts, harvest_polynomials
-from .system import HornSystem, enumerate_atomic
+from .series import default_window, grow_starts, harvest_polynomials
+from .system import HornSystem, detect_resonance, enumerate_atomic
 
 
 def persistent_solutions(s: HornSystem) -> list[PuiseuxPolynomial]:
@@ -180,18 +181,44 @@ def expand_closed_form(cf: ClosedFormSolution) -> PuiseuxPolynomial:
 # -- constructive maximal reducibility ----------------------------------------
 
 
-@dataclass
-class ConstructiveReport:
-    """Every Puiseux polynomial solution found for one system, against its
-    rank.  `solutions` holds the persistent solutions first, then each finite
-    harvest polynomial not among them, in harvest order."""
+@dataclass(frozen=True)
+class Report:
+    """Every quantity hornkit reports on one system, each part computed on
+    its first read and kept.  Solutions are grown at `radius`: `window`, or
+    `series.default_window` when that is None.  A part the system lacks (a
+    rank without a rank formula, the polygon of a confluent system) raises
+    ValueError when read.  The four solution parts are found together, by
+    `check_constructive`."""
 
-    rank: int
-    persistent: list[PuiseuxPolynomial]
-    harvest: list[HarvestResult]
-    solutions: list[PuiseuxPolynomial]
-    independent_count: int
-    rank_attained: bool
+    system: HornSystem
+    window: int | None = None
+
+    @cached_property
+    def radius(self) -> int:
+        return default_window(self.system) if self.window is None else self.window
+
+    @cached_property
+    def convergent_counts(self) -> list[int]:
+        """`counting.convergent_count_S` at each vertex of the polygon."""
+        p = self.polygon
+        return [counting.convergent_count_S(p, i) for i in range(vertex_count(p))]
+
+    rank = cached_property(lambda self: counting.system_rank(self.system))
+    persistent_dim = cached_property(lambda self: counting.persistent_dim(self.system))
+    fully_supported_count = cached_property(
+        lambda self: counting.fully_supported_count(self.system))
+    polygon = cached_property(lambda self: build_polygon(self.system))
+    classification = cached_property(lambda self: classify(self.polygon))
+    resonance = cached_property(lambda self: detect_resonance(self.system))
+    _found = cached_property(lambda self: check_constructive(self.system, self.radius))
+    persistent = cached_property(lambda self: self._found.persistent)
+    harvest = cached_property(lambda self: self._found.harvest)
+    solutions = cached_property(lambda self: self._found.solutions)
+    independent_count = cached_property(lambda self: self._found.independent_count)
+
+    @property
+    def rank_attained(self) -> bool:
+        return self.independent_count == self.rank
 
 
 def independent_dimension(polys: list[PuiseuxPolynomial]) -> int:
@@ -238,24 +265,27 @@ def _divide_content(vec: dict[Offset, int]) -> dict[Offset, int]:
     return vec if g < 2 else {k: v // g for k, v in vec.items()}
 
 
-def check_constructive(s: HornSystem, window: int) -> ConstructiveReport:
-    """Find the persistent and the harvested Puiseux polynomial solutions
-    once and count the independent ones against the rank (`system_rank`).
+def check_constructive(s: HornSystem, window: int | None = None) -> Report:
+    """The `Report` of s at `window` with its solution parts found: the
+    persistent and the harvested Puiseux polynomial solutions, each found
+    once, and the count of the independent ones, which `rank_attained`
+    compares with the rank.  A `Report` reads these parts from here alone.
 
     The harvest reuses each persistent support that fits its window, as that
     same object (`series.grow_starts`), and grows every other support it
     finds once, so two equal solutions are one object: `solutions` drops
     the persistent ones from the harvest by identity."""
-    rank = system_rank(s)
+    report = Report(s, window)
     persistent = persistent_solutions(s)
-    harvest = harvest_polynomials(s, window, persistent)
+    harvest = harvest_polynomials(s, report.radius, persistent)
     solutions = list(persistent)
     seen = {id(p) for p in persistent}
     solutions.extend(r.polynomial for r in harvest
                      if r.outcome == "finite" and id(r.polynomial) not in seen)
-    independent = independent_dimension(solutions)
-    return ConstructiveReport(rank, persistent, harvest, solutions, independent,
-                              independent == rank)
+    # a cached_property keeps its value in the instance dict
+    vars(report).update(persistent=persistent, harvest=harvest, solutions=solutions,
+                        independent_count=independent_dimension(solutions))
+    return report
 
 
 # Defaults of `suggest_polynomial_parameters`, shared with `hornkit suggest-params`.
@@ -277,9 +307,7 @@ def suggest_polynomial_parameters(s: HornSystem, search_bound: int = SUGGEST_BOU
     That proves a Puiseux polynomial basis only if the rank at the returned
     parameters is the generic rank, which is not certified here.
     """
-    pol = build_polygon(s)
-    cls = classify(pol)
-    if cls.kind is Kind.OTHER:
+    if not classify(build_polygon(s)).maximally_reducible:
         raise ValueError("not maximally reducible: no polynomial basis exists")
 
     tried = set()
@@ -289,8 +317,7 @@ def suggest_polynomial_parameters(s: HornSystem, search_bound: int = SUGGEST_BOU
                 continue
             tried.add(candidate)
             trial = s.with_params(candidate)
-            report = check_constructive(trial, window)
-            if report.rank_attained:
+            if check_constructive(trial, window).rank_attained:
                 return tuple(candidate)
     return None
 

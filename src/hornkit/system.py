@@ -28,6 +28,8 @@ class HornSystem:
             raise ValueError("rows and parameters must have equal length")
         if len(self.rows) < 2:
             raise ValueError("a Horn system needs at least two rows")
+        if any(r.is_zero() for r in self.rows):
+            raise ValueError("matrix has a zero row")
 
     @staticmethod
     def make(rows: Sequence[Sequence[int]], params: Sequence, name: str = "") -> "HornSystem":
@@ -68,8 +70,6 @@ class HornSystem:
             if not (isinstance(row, list) and len(row) == 2
                     and all(type(x) is int for x in row)):
                 raise ValueError(f"matrix row {row!r} is not a pair of integers")
-            if row == [0, 0]:
-                raise ValueError("matrix has a zero row")
         return HornSystem.make(matrix, params, name)
 
 

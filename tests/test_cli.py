@@ -180,13 +180,18 @@ def test_negative_window_exit_2(tmp_path):
 
 
 def test_one_solution_pass_per_command(monkeypatch, tmp_path):
-    # persistent solutions and the harvest are computed once per command,
-    # wherever a module refers to them
+    """Each command computes each part of its report at most once, and only
+    the parts it prints, wherever a module refers to the function that
+    computes it.  `check_constructive` is counted too: every report finds
+    its solutions through it."""
+    from hornkit.polygon import build_polygon
     from hornkit.series import harvest_polynomials
-    from hornkit.solver import persistent_solutions
+    from hornkit.solver import check_constructive, persistent_solutions
+    from hornkit.system import detect_resonance
 
     calls = Counter()
-    for fn in (persistent_solutions, harvest_polynomials):
+    for fn in (persistent_solutions, harvest_polynomials, check_constructive,
+               build_polygon, detect_resonance):
         def counted(*args, _fn=fn, **kwargs):
             calls[_fn.__name__] += 1
             return _fn(*args, **kwargs)
@@ -196,12 +201,20 @@ def test_one_solution_pass_per_command(monkeypatch, tmp_path):
                 for attr, value in list(vars(mod).items()):
                     if value is fn:
                         monkeypatch.setattr(mod, attr, counted)
-    for args in (["solve"], ["analyze"],
-                 ["render", "--what", "supports", "--out", str(tmp_path / "s.svg")]):
+    solutions = {"persistent_solutions": 1, "harvest_polynomials": 1, "check_constructive": 1}
+    expected = {
+        ("rank",): {},
+        ("classify",): {"build_polygon": 1},
+        ("solve", "--window", "12"): solutions,
+        ("render", "--what", "supports", "--window", "12", "--out", str(tmp_path / "s.svg")):
+            solutions,
+        ("analyze", "--window", "12"): {**solutions, "build_polygon": 1, "detect_resonance": 1},
+    }
+    for (command, *options), want in expected.items():
         calls.clear()
-        r = run(*args, SIMPLEX, "--window", "12")
-        assert r.exit_code == 0, (args, r.output)
-        assert calls == {"persistent_solutions": 1, "harvest_polynomials": 1}, args
+        r = run(command, SIMPLEX, *options)
+        assert r.exit_code == 0, (command, r.output)
+        assert calls == want, command
 
 
 def test_solve_builds_fractions_for_persistent_solutions_alone(monkeypatch, tmp_path):

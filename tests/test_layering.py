@@ -91,6 +91,41 @@ def test_cycle_finder_and_level_check_catch_faults():
     assert _imported(ast.parse("from fractions import Fraction").body[0]) == []
 
 
+# The names cli may import from the layers below `solver`: everything else
+# it prints comes from `solver.Report`.
+CLI_EXCEPTIONS = {
+    # `series --submatrix` writes one table, and bare `series` lists branches
+    ("series", "series_from_submatrix"): "the series table writer",
+    ("series", "ResonantCollisionError"): "the series table writer's exit 3",
+    ("series", "branch_base_points"): "the branch listing",
+    ("series", "branch_initial_exponent"): "the branch listing",
+    ("operators", "apply_horn"): "verify applies both operators to a candidate solution",
+}
+
+
+def _below_solver(tree: ast.Module) -> set[tuple[str, str]]:
+    """(module, name) of each name a module imports from `counting`,
+    `operators`, `series` or `polygon`; a whole-module import names "*"."""
+    out = set()
+    for node in tree.body:
+        for module in _imported(node):
+            if module not in ("counting", "operators", "series", "polygon"):
+                continue
+            named = isinstance(node, ast.ImportFrom) and node.module
+            out |= {(module, alias.name if named else "*") for alias in node.names}
+    return out
+
+
+def test_cli_reads_the_report():
+    """cli takes what it prints from `solver.Report`, apart from the names
+    in CLI_EXCEPTIONS, each listed with the reason it is imported."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    assert _below_solver(tree) == set(CLI_EXCEPTIONS)
+    assert _below_solver(ast.parse("from .polygon import classify\nfrom . import counting\n"
+                                   "from .solver import Report\n")) == {
+        ("polygon", "classify"), ("counting", "*")}
+
+
 def _public_definitions(tree: ast.Module) -> list[ast.AST]:
     """The public top-level functions and classes of a module."""
     return [node for node in tree.body

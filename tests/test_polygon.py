@@ -10,7 +10,7 @@ from conftest import (
     witness_edge_multiset,
 )
 from hornkit.lattice import Vec2, cross
-from hornkit.polygon import Kind, build_polygon, classify, is_maximally_reducible, vertex_count
+from hornkit.polygon import Kind, build_polygon, classify, vertex_count
 from hornkit.system import HornSystem
 
 
@@ -104,9 +104,9 @@ def test_decompose_other_rejected(quadrilateral):
 
 
 def test_is_maximally_reducible(zonotope, triangle_sides, quadrilateral):
-    assert is_maximally_reducible(zonotope)
-    assert is_maximally_reducible(triangle_sides)
-    assert not is_maximally_reducible(quadrilateral)
+    assert classify(build_polygon(zonotope)).maximally_reducible
+    assert classify(build_polygon(triangle_sides)).maximally_reducible
+    assert not classify(build_polygon(quadrilateral)).maximally_reducible
 
 
 def test_polygon_invariants_random():

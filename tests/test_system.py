@@ -54,9 +54,12 @@ def test_normalize_preserves_rank():
 
 
 def test_zero_row_rejected():
-    s = HornSystem.make([[0, 0], [1, 1]], [0, 0])
-    with pytest.raises(ValueError):
-        normalize_rows(s)
+    # by the system itself, not only by the wire format: a zero row would
+    # make rank2() compare every row with zero
+    with pytest.raises(ValueError, match="zero row"):
+        HornSystem.make([[0, 0], [1, 0], [-1, 1], [0, -1]], [0] * 4)
+    with pytest.raises(ValueError, match="zero row"):
+        HornSystem.make([[1, 0], [0, 0]], [0, 0])
 
 
 def test_resonance_triple():
