@@ -63,21 +63,38 @@ def _check_bound(bound: int) -> int:
 def _emit(payload, out: str | None):
     """Write the report `payload` as indent-1 JSON text and a newline
     (`_json_text`)."""
-    _write(_json_text(payload) + "\n", out)
+    _write(_json_text(payload), out)
 
 
 def _json_text(payload) -> str:
-    """`json.dumps(payload, indent=1)`, byte for byte, for a payload of
-    str, int, bool, None, list and dict with str keys; any other type
-    raises TypeError.  Before Python 3.13 `indent` selects the pure-Python
-    encoder, which this one walk into a list of pieces beats about 2.5
-    times; on 3.13, whose encoder is C, the writer is about twice as slow,
-    a millisecond or so on the largest reports.  Strings are escaped by the
-    encoder's own `encode_basestring_ascii`.  Payloads are trees, so cycles
-    are not checked."""
+    """`json.dumps(payload, indent=1)` and a newline, byte for byte, for a
+    payload of str, int, bool, None, list and dict with str keys, in which a
+    `_Records` stands for the list of its records' JSON values; any other
+    type raises TypeError.  Before Python 3.13 `indent` selects the
+    pure-Python encoder, which this one walk into a list of pieces beats
+    about 2.5 times; on 3.13, whose encoder is C, the writer is about twice
+    as slow, a millisecond or so on the largest reports.  Strings are
+    escaped by the encoder's own `encode_basestring_ascii`.  Payloads are
+    trees, so cycles are not checked.  The one join at the end makes the
+    only full-size copy of the text."""
     parts: list[str] = []
     _put_json(payload, parts, "\n")
+    parts.append("\n")
     return "".join(parts)
+
+
+class _Records:
+    """A JSON list of regular records, which `write(items, parts, nl)`
+    appends to parts as text, each record at the depth whose line break and
+    indent is nl and led by that break, the records after the first by a
+    comma too: the solutions of `solve` and `analyze` and the coefficients
+    of a series table, written straight from their integers, without a
+    dict or a call per record."""
+
+    __slots__ = ("items", "write")
+
+    def __init__(self, items: list, write):
+        self.items, self.write = items, write
 
 
 def _put_json(o, parts: list[str], nl: str):
@@ -123,6 +140,13 @@ def _put_json(o, parts: list[str], nl: str):
         parts.append("false")
     elif isinstance(o, int):
         parts.append(int.__repr__(o))
+    elif type(o) is _Records:
+        if not o.items:
+            parts.append("[]")
+            return
+        parts.append("[")
+        o.write(o.items, parts, nl + " ")
+        parts.append(nl + "]")
     else:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
@@ -156,8 +180,19 @@ def _pair_json(v) -> list[str]:
     return [format_rational(v[0]), format_rational(v[1])]
 
 
-def _solution_json(p: PuiseuxPolynomial, persistent: bool) -> dict:
-    return {"terms": p.to_json(), "persistent": persistent, "verified": True}
+def _solutions(polys: list, npersistent: int) -> _Records:
+    """The solution records of `solve` and `analyze`, {"terms": ...,
+    "persistent": ..., "verified": true}, the first npersistent persistent;
+    each grown polynomial writes its own terms (`terms_text`)."""
+    return _Records([(p, k < npersistent) for k, p in enumerate(polys)], _write_solutions)
+
+
+def _write_solutions(items: list, parts: list[str], nl: str):
+    inner, sep = nl + " ", nl
+    for p, persistent in items:
+        parts.append(f'{sep}{{{inner}"terms": {p.terms_text(inner)},{inner}"persistent": '
+                     f'{"true" if persistent else "false"},{inner}"verified": true{nl}}}')
+        sep = "," + nl
 
 
 class _JsonErrorGroup(click.Group):
@@ -236,7 +271,7 @@ def analyze(input_path, window, out, allow_confluent):
         "polygon": _polygon_json(p),
         "classification": _classification_json(report.classification),
         "resonance": _resonance_json(report.resonance),
-        "persistent_solutions": [_solution_json(q, True) for q in report.persistent],
+        "persistent_solutions": _solutions(report.persistent, len(report.persistent)),
         "harvested_polynomial_count": sum(r.outcome == "finite" for r in report.harvest),
         "independent_polynomial_count": report.independent_count,
         "rank_attained": report.rank_attained,
@@ -320,11 +355,10 @@ def solve(input_path, window, out):
         rank = report.rank
     except ValueError:
         _fail(3, "solve requires a nonconfluent system or a nondegenerate atomic pair")
-    npersistent = len(report.persistent)
     _emit({
         "name": s.name,
         "rank": rank,
-        "solutions": [_solution_json(q, k < npersistent) for k, q in enumerate(report.solutions)],
+        "solutions": _solutions(report.solutions, len(report.persistent)),
         "independent_polynomial_count": report.independent_count,
         "rank_attained": report.rank_attained,
         "exceeds_window_count": sum(r.outcome == "exceeds_window" for r in report.harvest),
@@ -375,39 +409,29 @@ def series(input_path, submatrix, branch, window, out):
         _fail(3, str(exc))
     except ValueError as exc:
         _fail(2, str(exc))
-    frame = _json_text({
+    _emit({
         "name": s.name,
         "subsystem": list(t.indices),
         "branch": branch,
         "initial_exponent": _pair_json(t.alpha0),
         "window": window,
-        "coefficients": [],
-    })
-    _write(_table_text(frame, t.coeffs), out)
+        "coefficients": _Records(sorted(t.coeffs.items()), _write_coefficients),
+    }, out)
 
 
-def _table_text(frame: str, coeffs: dict) -> str:
-    """The report of a series table: the indent-1 JSON text `frame`, whose
-    last key is an empty "coefficients" list, with one record per
-    coefficient written into that list in offset order.
-
-    The text is byte for byte what `json.dumps(..., indent=1)` gives for the
-    report with the records {"offset": [d1, d2], "value": "n" or "n/d"}, but
-    it skips the encoder, which `indent` sends down its pure-Python path
-    before Python 3.13.  A value holds only digits, "-" and "/", which JSON
-    escaping leaves as they are.  The list is never empty (1 at offset
-    (0, 0)), and the one join at the end makes the only full-size copy of
-    the text.
-    """
-    parts = [frame[:-len("]\n}")]]
-    sep = "\n"
-    for (d1, d2), (num, den) in sorted(coeffs.items()):
+def _write_coefficients(items: list, parts: list[str], nl: str):
+    """The records {"offset": [d1, d2], "value": "n" or "n/d"} of a series
+    table, from each offset and its pair of `Decimal` integers, which print
+    in time linear in their digits.  A value holds only digits, "-" and
+    "/", which JSON escaping leaves as they are."""
+    i1, i2 = nl + " ", nl + "  "
+    # the record's fixed text, between the offsets and the value
+    head, mid, tail, end = f'{{{i1}"offset": [{i2}', "," + i2, f'{i1}],{i1}"value": "', f'"{nl}}}'
+    sep = nl
+    for (d1, d2), (num, den) in items:
         value = str(num) if den == 1 else f"{num}/{den}"
-        parts.append(f'{sep}  {{\n   "offset": [\n    {d1},\n    {d2}\n   ],\n'
-                     f'   "value": "{value}"\n  }}')
-        sep = ",\n"
-    parts.append("\n ]\n}\n")
-    return "".join(parts)
+        parts.append(f"{sep}{head}{d1}{mid}{d2}{tail}{value}{end}")
+        sep = "," + nl
 
 
 @main.command()

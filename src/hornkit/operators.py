@@ -17,7 +17,7 @@ evaluator it grew it with and on the pairs its fill made.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, perm
 
 from .lattice import dot
 from .puiseux import ClassKey, Offset, PuiseuxPolynomial, _class_exponent
@@ -39,6 +39,10 @@ class _ClassFactors:
     With gcd(n_i, q_i) = 1, a factor vanishes only where q_i = 1: `p_int` and
     `q_int` keep those rows of each side, as (n_i, a_i, b_i, |A_ij|, i) with
     i the row's index in s, so a zero test also names the row that vanishes.
+    `ints` lists each such row once, as (n_i, a_i, b_i), in row order, for
+    the escape certificate (`series._escape_certified`), and `int_dirs` is
+    the set of their directions (a_i, b_i), on which its candidate
+    recession directions depend alone.
 
     The constructor builds `p_int`/`q_int` alone, from the key's integers:
     the anchor is (x1/q1, x2/q2) with x_k = r_k + base_k*q_k, and a row is
@@ -57,6 +61,7 @@ class _ClassFactors:
         xn, yn = r1 + base[0] * xd, r2 + base[1] * yd
         self.p_int: tuple[list, list, list] = ([], [], [])
         self.q_int: tuple[list, list, list] = ([], [], [])
+        self.ints: list[tuple[int, int, int]] = []
         # each row (a, b) with its value n/q at the anchor, unreduced
         self._values = []
         for i, ((a, b), c) in enumerate(zip(s.rows, s.params)):
@@ -67,11 +72,13 @@ class _ClassFactors:
             if n % q:
                 continue
             n //= q
+            self.ints.append((n, a, b))
             for j, entry in ((1, a), (2, b)):
                 if entry > 0:
                     self.p_int[j].append((n, a, b, entry, i))
                 elif entry < 0:
                     self.q_int[j].append((n, a, b, -entry, i))
+        self.int_dirs = frozenset((a, b) for _, a, b in self.ints)
 
     def __getattr__(self, name: str):
         # called only for attributes not set yet: the lazy factor lists
@@ -113,15 +120,32 @@ class _ClassFactors:
 
 
 def _product(rows: list, d: Offset) -> int:
+    """The integer product over rows (n, q*a, q*b, q, e) of the factors
+    v, v + q, ..., v + (e-1)*q at offset d, v = n + q*<(a, b), d>.  A row
+    with q = 1 is a rising factorial, taken in closed form: v (v+1) ...
+    (v+e-1) is perm(v+e-1, e) for v > 0, 0 for -e < v <= 0, and
+    (-1)^e perm(-v, e) for v <= -e, where every factor is negative."""
     d1, d2 = d
     out = 1
     for n, qa, qb, q, e in rows:
         v = n + qa * d1 + qb * d2
-        for _ in range(e):
+        if e == 1:
             if not v:
                 return 0
             out *= v
-            v += q
+        elif q == 1:
+            if v > 0:
+                out *= perm(v + e - 1, e)
+            elif v > -e:
+                return 0
+            else:
+                out *= perm(-v, e) if e % 2 == 0 else -perm(-v, e)
+        else:
+            for _ in range(e):
+                if not v:
+                    return 0
+                out *= v
+                v += q
     return out
 
 

@@ -206,9 +206,10 @@ class _GrownPolynomial(PuiseuxPolynomial):
     denominator > 0), 1 at the lex-smallest offset `lead`, which carries the
     lex-smallest exponent since every term shares the class.
 
-    `to_json`, `class_parts` and `leading_exponent` answer from the pairs;
-    `terms`, the Fraction dict of a `PuiseuxPolynomial`, is built on its
-    first access (`_build_terms`), in the order of `coeffs`."""
+    `terms_text`, `class_parts` and `leading_exponent` answer from the
+    pairs.  Everything else, `to_json` included, reads `terms`, the Fraction
+    dict of a `PuiseuxPolynomial`, which is built on its first access
+    (`_build_terms`), in the order of `coeffs`."""
 
     __slots__ = ("key", "coeffs", "lead")
 
@@ -242,16 +243,24 @@ class _GrownPolynomial(PuiseuxPolynomial):
     def class_parts(self) -> dict[ClassKey, dict[Offset, tuple[int, int]]]:
         return {self.key: dict(self.coeffs)}
 
-    def to_json(self) -> list[dict]:
-        """`PuiseuxPolynomial.to_json` from the integers.  Offsets sort as
-        their exponents do, and r/q + d is (r + d*q)/q in lowest terms."""
+    def terms_text(self, nl: str) -> str:
+        """`to_json()` as `json.dumps(..., indent=1)` writes it at the depth
+        whose line break and indent is nl, from the integers, without a
+        Fraction or a dict per term: `cli._json_text` writes the terms of a
+        reported solution with it.  Offsets sort as their exponents do, r/q
+        + d is (r + d*q)/q in lowest terms, and a rational's text holds only
+        digits, "-" and "/", which JSON escaping leaves as they are."""
         r1, q1, r2, q2 = self.key
-        return [
-            {"exponent": [str(d1) if q1 == 1 else f"{r1 + d1 * q1}/{q1}",
-                          str(d2) if q2 == 1 else f"{r2 + d2 * q2}/{q2}"],
-             "coefficient": _int_str(n) if m == 1 else f"{_int_str(n)}/{_int_str(m)}"}
-            for (d1, d2), (n, m) in sorted(self.coeffs.items())
-        ]
+        t = nl + " "
+        u, v = t + " ", t + "  "
+        # a term's fixed text, between its three rationals
+        head, mid = f'{{{u}"exponent": [{v}"', f'",{v}"'
+        tail, end = f'"{u}],{u}"coefficient": "', f'"{t}}}'
+        return "[" + t + ("," + t).join([
+            f'{head}{d1 if q1 == 1 else f"{r1 + d1 * q1}/{q1}"}{mid}'
+            f'{d2 if q2 == 1 else f"{r2 + d2 * q2}/{q2}"}{tail}'
+            f'{_int_str(n) if m == 1 else f"{_int_str(n)}/{_int_str(m)}"}{end}'
+            for (d1, d2), (n, m) in sorted(self.coeffs.items())]) + nl + "]"
 
 
 def _class_exponent(key: ClassKey, d: Offset) -> Expt:

@@ -102,11 +102,14 @@ class GrowResult:
         return {d: Fraction(n, m) for d, (n, m) in self.pairs.items()}
 
 
-def grow_component(ev: _ClassFactors, radius: int, start: Offset = (0, 0)) -> GrowResult:
+def grow_component(ev: _ClassFactors, radius: int, start: Offset = (0, 0),
+                   directions: dict | None = None) -> GrowResult:
     """Grow the coupled component through offset start on the class of ev,
     assigning it coefficient 1, within the radius box around start.
     Coefficients are keyed by offsets on the class, like start, and kept as
-    the fill's integer pairs (`GrowResult.pairs`).
+    the fill's integer pairs (`GrowResult.pairs`).  `directions` is the
+    escape certificate's store of candidate directions, which a run of
+    starts shares (`_escape_certified`).
 
     Growth walks the support, then fills its coefficients.  The walk follows
     every forced relation in all four lattice directions, depth first.  It
@@ -180,7 +183,7 @@ def grow_component(ev: _ClassFactors, radius: int, start: Offset = (0, 0)) -> Gr
     `_escape_certified` first tries to prove the escape from the
     integer-valued rows alone; a proved escape skips the walk.
     """
-    if _escape_certified(ev, start, radius):
+    if _escape_certified(ev, start, radius, directions):
         return GrowResult({}, True)
     edges, exceeded = _walk_support(ev, start, radius, True)
     if exceeded:
@@ -251,13 +254,14 @@ def _vanishes(rows: list, d: Offset) -> bool:
     return False
 
 
-def _escape_certified(ev: _ClassFactors, start: Offset, radius: int) -> bool:
+def _escape_certified(ev: _ClassFactors, start: Offset, radius: int,
+                      directions: dict | None = None) -> bool:
     """Whether the support walk from offset start provably leaves the radius
     box around it.
 
     Write v_i(d) = n_i + <A_i, d> for the integer-valued rows (a_i, b_i) of
-    `p_int`/`q_int`, with n_i the row's value at start and d the offset from
-    start, and R = {d : v_i(d) <= 0 for every such row}.
+    the class (`_ClassFactors.ints`), with n_i the row's value at start and
+    d the offset from start, and R = {d : v_i(d) <= 0 for every such row}.
 
     Lemma.  Let every n_i <= 0, so that the start, d = 0, lies in R.  From a
     point d of R, (i) a step to a neighbour is live exactly when the
@@ -277,35 +281,47 @@ def _escape_certified(ev: _ClassFactors, start: Offset, radius: int) -> bool:
     lies in R, its translates by multiples of w chain into an unbounded path
     in R, which leaves the box through live steps.  The staircase
     (`_staircase_in`) is checked point by point, and reaching a point
-    outside the box proves the escape at once.  The candidates are the
-    rows' primitive boundary directions +-(-b_i, a_i) that satisfy every
-    row, and their sum: a nonzero recession cone of R has its edges on
-    those lines, so when none qualifies, R is bounded and nothing is
-    proved.  False means unproved; the walk decides.
+    outside the box proves the escape at once.  The candidates
+    (`_recession_candidates`) depend on the rows' directions alone, so they
+    are kept in `directions`, by `ev.int_dirs`, for the next start with the
+    same directions.  False means unproved; the walk decides.
     """
     o1, o2 = start
-    rows: set[tuple[int, int, int]] = set()
-    for side in (ev.p_int[1], ev.p_int[2], ev.q_int[1], ev.q_int[2]):
-        for n, a, b, _, _ in side:
-            n += a * o1 + b * o2
-            if n > 0:
-                return False
-            rows.add((n, a, b))
+    rows: list[tuple[int, int, int]] = []
+    for n, a, b in ev.ints:
+        n += a * o1 + b * o2
+        if n > 0:
+            return False
+        rows.append((n, a, b))
     if not rows:
         return True  # no factor can vanish: R is the plane
+    if directions is None:
+        directions = {}
+    dirs = directions.get(ev.int_dirs)
+    if dirs is None:
+        dirs = directions[ev.int_dirs] = _recession_candidates(ev.int_dirs)
+    return any(_staircase_in(rows, w, radius) for w in dirs)
+
+
+def _recession_candidates(int_dirs: frozenset) -> list[Offset]:
+    """The candidate recession directions of R for rows with the directions
+    (a_i, b_i) of int_dirs: the rows' primitive boundary directions
+    +-(-b_i, a_i) that satisfy every row, <A_i, w> <= 0, and their sum.  A
+    nonzero recession cone of R has its edges on those lines, so when none
+    qualifies, R is bounded and the list is empty."""
     dirs: list[Offset] = []
-    for _, a, b in rows:
+    for a, b in int_dirs:
         g = gcd(a, b)
         for w in ((-b // g, a // g), (b // g, -a // g)):
-            if w not in dirs and all(ra * w[0] + rb * w[1] <= 0 for _, ra, rb in rows):
+            if w not in dirs and all(ra * w[0] + rb * w[1] <= 0 for ra, rb in int_dirs):
                 dirs.append(w)
     total = (sum(w[0] for w in dirs), sum(w[1] for w in dirs))
     if total != (0, 0):
         dirs.append(total)
-    return any(_staircase_in(rows, w, radius) for w in dirs)
+    return dirs
 
 
-def _staircase_in(rows: set, w: Offset, radius: int) -> bool:
+def _staircase_in(rows: list, w: Offset, radius: int) -> bool:
     """Whether a monotone staircase from 0 to w stays in R up to w or up to
     its first point outside the radius box.  Each step goes along the axis
     that keeps the point nearer the line through w, or along the other axis
@@ -331,7 +347,7 @@ def _staircase_in(rows: set, w: Offset, radius: int) -> bool:
     return True
 
 
-def _in_region(rows: set, x: int, y: int) -> bool:
+def _in_region(rows: list, x: int, y: int) -> bool:
     """Whether the offset (x, y) lies in R: n + a*x + b*y <= 0 on every row."""
     for n, a, b in rows:
         if n + a * x + b * y > 0:
@@ -566,8 +582,9 @@ def series_from_submatrix(s: HornSystem, indices: tuple[int, int], branch: int,
     without the early exit and filled in `Decimal` integers inside the
     `_EXACT` context, which is left again on return, so the table prints
     in time linear in its digits, where `str` of a Python int is quadratic.
-    `cli.series` writes each pair's digits into the report text directly
-    (`cli._table_text`), without the JSON encoder.
+    `cli.series` writes each pair's digits into the report text as a record
+    (`cli._write_coefficients`, through `cli._json_text`), without a dict per
+    coefficient.
     Tables skip `grow_component`, whose `GrowResult` keeps Python int pairs.
     """
     sub = _atomic_pair(s, indices)
@@ -672,12 +689,16 @@ def grow_starts(s: HornSystem, starts: list[tuple[AtomicSystem, int, Offset]],
     object is reported finite at this start's label and initial exponent,
     once, after which the support counts as found here.  When S does not
     fit, the walk from o leaves the box, so no support is reported twice.
+    Whether S fits is read off its bounding box, taken once per support.
+    Starts share one store of the escape certificate's candidate directions
+    (`_escape_certified`), which lives as long as the run.
     """
     results: list[HarvestResult] = []
     classes: dict[ClassKey, _ClassFactors] = {}
-    covered: dict[tuple[ClassKey, Offset], _GrownPolynomial] = {}  # point -> its support
+    directions: dict = {}  # the escape certificate's candidates, by row directions
+    covered: dict[tuple[ClassKey, Offset], tuple[_GrownPolynomial, tuple]] = {}  # `_cover`
     for p in known:
-        covered.update(dict.fromkeys(((p.key, d) for d in p.coeffs), p))
+        _cover(covered, p)
     unreported = {id(p) for p in known}
     pair_sub, pair = None, None
 
@@ -686,17 +707,18 @@ def grow_starts(s: HornSystem, starts: list[tuple[AtomicSystem, int, Offset]],
             pair_sub, pair = sub, _pair_constants(sub)
         key, o = _start_of(pair, k0)
         done = covered.get((key, o))
-        if done is not None and all(max(abs(x - o[0]), abs(y - o[1])) <= window
-                                    for x, y in done.coeffs):
-            if id(done) in unreported:
-                unreported.remove(id(done))
-                results.append(HarvestResult("finite", sub.indices, label, (key, o), done))
-            continue
+        if done is not None:
+            done, (lo1, hi1, lo2, hi2) = done
+            if max(o[0] - lo1, hi1 - o[0], o[1] - lo2, hi2 - o[1]) <= window:
+                if id(done) in unreported:
+                    unreported.remove(id(done))
+                    results.append(HarvestResult("finite", sub.indices, label, (key, o), done))
+                continue
         ev = classes.get(key)
         if ev is None:
             ev = classes[key] = _ClassFactors(s, key)
         try:
-            res = grow_component(ev, window, start=o)
+            res = grow_component(ev, window, o, directions)
         except ResonantCollisionError as exc:
             results.append(HarvestResult("resonant_collision", sub.indices, label, (key, o),
                                          collision=exc.offset))
@@ -709,9 +731,17 @@ def grow_starts(s: HornSystem, starts: list[tuple[AtomicSystem, int, Offset]],
             x, y = _class_exponent(key, o)
             raise AssertionError(f"the finite support through ({x}, {y}) fails the operators")
         poly = _GrownPolynomial(key, pairs)
-        covered.update(dict.fromkeys(((key, d) for d in pairs), poly))
+        _cover(covered, poly)
         results.append(HarvestResult("finite", sub.indices, label, (key, o), poly))
     return results
+
+
+def _cover(covered: dict, poly: _GrownPolynomial):
+    """Map every point of poly's support, as (class key, offset), to poly
+    and the support's bounding box (lo1, hi1, lo2, hi2)."""
+    xs, ys = [d[0] for d in poly.coeffs], [d[1] for d in poly.coeffs]
+    entry = (poly, (min(xs), max(xs), min(ys), max(ys)))
+    covered.update(dict.fromkeys(((poly.key, d) for d in poly.coeffs), entry))
 
 
 def default_window(s: HornSystem) -> int:

@@ -26,7 +26,8 @@ def persistent_solutions(s: HornSystem) -> list[PuiseuxPolynomial]:
     starts of every row pair (`atomic.polynomial_exponents`), each scaled to
     1 at its lex-smallest exponent, and sorted by that exponent, which
     orders them as their sorted terms do: distinct finite supports are
-    disjoint, so their lex-smallest exponents differ.
+    disjoint, so their lex-smallest exponents differ.  The sort compares
+    the exponents in integers and builds no Fraction.
 
     Coefficients are recomputed against the full system: an atomic pair
     pins the support, the remaining rows reshape the coefficients.  Each
@@ -39,7 +40,11 @@ def persistent_solutions(s: HornSystem) -> list[PuiseuxPolynomial]:
     starts = [(a, i, uv) for a in enumerate_atomic(s) if a.nu
               for i, uv in enumerate(_index_rects(a)[0])]
     out = [r.polynomial for r in grow_starts(s, starts, radius) if r.outcome == "finite"]
-    out.sort(key=lambda p: p.leading_exponent())
+    # Each coordinate of a leading exponent, (r + lead*q)/q on its class key,
+    # over the lcm of that coordinate's denominators: a key in integers.
+    l1, l2 = lcm(*(p.key[1] for p in out)), lcm(*(p.key[3] for p in out))
+    out.sort(key=lambda p: ((p.key[0] + p.lead[0] * p.key[1]) * (l1 // p.key[1]),
+                            (p.key[2] + p.lead[1] * p.key[3]) * (l2 // p.key[3])))
     return out
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Sequence
 
@@ -22,6 +23,12 @@ class HornSystem:
     rows: tuple[Vec2, ...]
     params: tuple[Fraction, ...]
     name: str = ""
+
+    # Computed on first use and kept in the instance dict, which a frozen
+    # dataclass leaves writable; read through `enumerate_atomic` and
+    # `check_nonconfluent`.
+    _atomic = cached_property(lambda self: _atomic_pairs(self))
+    _nonconfluent = cached_property(lambda self: _rows_sum_to_zero(self))
 
     def __post_init__(self):
         if len(self.rows) != len(self.params):
@@ -98,17 +105,24 @@ class AtomicSystem:
 
 
 def enumerate_atomic(s: HornSystem) -> list[AtomicSystem]:
-    """One atomic system per unordered nondegenerate row pair, index order."""
-    return [AtomicSystem((i, j), (s.rows[i], s.rows[j]), (s.params[i], s.params[j]))
-            for i in range(s.m) for j in range(i + 1, s.m)
-            if cross(s.rows[i], s.rows[j]) != 0]
+    """One atomic system per unordered nondegenerate row pair, index order,
+    in a new list; the pairs are found once per system."""
+    return list(s._atomic)
+
+
+def _atomic_pairs(s: HornSystem) -> tuple[AtomicSystem, ...]:
+    return tuple(AtomicSystem((i, j), (s.rows[i], s.rows[j]), (s.params[i], s.params[j]))
+                 for i in range(s.m) for j in range(i + 1, s.m)
+                 if cross(s.rows[i], s.rows[j]) != 0)
 
 
 def check_nonconfluent(s: HornSystem) -> bool:
-    """True iff the rows sum to the zero vector."""
-    sa = sum(r.a for r in s.rows)
-    sb = sum(r.b for r in s.rows)
-    return sa == 0 and sb == 0
+    """True iff the rows sum to the zero vector, decided once per system."""
+    return s._nonconfluent
+
+
+def _rows_sum_to_zero(s: HornSystem) -> bool:
+    return sum(r.a for r in s.rows) == 0 and sum(r.b for r in s.rows) == 0
 
 
 @dataclass(frozen=True)

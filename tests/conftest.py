@@ -137,6 +137,47 @@ def staircase_by_sorting(rows: set, w, radius: int) -> bool:
     return True
 
 
+def escape_certified_by_sides(ev, start, radius: int) -> bool:
+    """`series._escape_certified` as it was before `_ClassFactors.ints`: the
+    integer-valued rows gathered from the four sides `p_int`/`q_int` into a
+    set, and the candidate directions found afresh for every start; each
+    staircase by `staircase_by_sorting`."""
+    o1, o2 = start
+    rows = set()
+    for side in (ev.p_int[1], ev.p_int[2], ev.q_int[1], ev.q_int[2]):
+        for n, a, b, _, _ in side:
+            n += a * o1 + b * o2
+            if n > 0:
+                return False
+            rows.add((n, a, b))
+    if not rows:
+        return True
+    dirs = []
+    for _, a, b in rows:
+        g = gcd(a, b)
+        for w in ((-b // g, a // g), (b // g, -a // g)):
+            if w not in dirs and all(ra * w[0] + rb * w[1] <= 0 for _, ra, rb in rows):
+                dirs.append(w)
+    total = (sum(w[0] for w in dirs), sum(w[1] for w in dirs))
+    if total != (0, 0):
+        dirs.append(total)
+    return any(staircase_by_sorting(rows, w, radius) for w in dirs)
+
+
+def product_by_factors(rows: list, d) -> int:
+    """`operators._product` as it was before its closed form: every factor
+    of every row multiplied in one at a time."""
+    out = 1
+    for n, qa, qb, q, e in rows:
+        v = n + qa * d[0] + qb * d[1]
+        for _ in range(e):
+            if not v:
+                return 0
+            out *= v
+            v += q
+    return out
+
+
 def period_scan_base_points(sub) -> list:
     """`series.branch_base_points` as it was: for each class (r1, r2), every
     t up to the period of k2 = (r2 + t*c1[1]) mod c2[1], cut off once k1

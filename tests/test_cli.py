@@ -217,6 +217,39 @@ def test_one_solution_pass_per_command(monkeypatch, tmp_path):
         assert calls == want, command
 
 
+def test_atomic_pairs_and_nonconfluence_once_per_system(monkeypatch):
+    """One `analyze` and one `solve` find each system's atomic pairs and
+    decide its nonconfluence once, however often `enumerate_atomic` and
+    `check_nonconfluent` are called."""
+    import hornkit.system as system
+
+    computed, called = Counter(), Counter()
+    for name in ("_atomic_pairs", "_rows_sum_to_zero"):
+        def counted(s, _fn=getattr(system, name), _name=name):
+            computed[_name, id(s)] += 1
+            return _fn(s)
+
+        monkeypatch.setattr(system, name, counted)
+    for fn in (system.enumerate_atomic, system.check_nonconfluent):
+        def wrapped(s, _fn=fn):
+            called[_fn.__name__] += 1
+            return _fn(s)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("hornkit"):
+                for attr, value in list(vars(mod).items()):
+                    if value is fn:
+                        monkeypatch.setattr(mod, attr, wrapped)
+    for command in ("analyze", "solve"):
+        for path in (ZONO, SIMPLEX, EX21):
+            computed.clear()
+            called.clear()
+            r = run(command, path, "--window", "6")
+            assert r.exit_code == 0, r.output
+            assert computed and set(computed.values()) == {1}, (command, path, computed)
+            assert called["enumerate_atomic"] > 1 and called["check_nonconfluent"] > 1, called
+
+
 def test_solve_builds_fractions_for_persistent_solutions_alone(monkeypatch, tmp_path):
     """`solve` on the zonotope, triangle_sides and triangle_simplex fixtures
     and their dilations by 2 writes every grown solution from its integers:
@@ -373,16 +406,56 @@ def test_series_table_text_is_the_json_encoders():
     assert tables == 3 * 40
 
 
-def test_reports_are_the_json_encoders(monkeypatch, tmp_path):
-    """Every JSON report, of every command on every fixture, is byte for
-    byte `json.dumps(payload, indent=1)` and a newline: on Python 3.13 the
-    encoder's C path, before it the pure-Python one."""
+def _capture_payloads(monkeypatch) -> list:
+    """Record every payload that reaches `cli._emit`, and still emit it."""
     import hornkit.cli as cli
 
     payloads = []
     emit = cli._emit
     monkeypatch.setattr(cli, "_emit", lambda payload, out: (payloads.append(payload),
                                                             emit(payload, out)))
+    return payloads
+
+
+def _oracle_payload(payload: dict) -> dict:
+    """payload with each list that the writer renders from records
+    (`cli._Records`) built as plain JSON values, apart from the records'
+    text: a solution's terms by `PuiseuxPolynomial.to_json` of its Fraction
+    terms, a table's values by `format_rational`."""
+    import hornkit.cli as cli
+    from conftest import as_fraction
+    from hornkit.puiseux import PuiseuxPolynomial, format_rational
+
+    out = dict(payload)
+    for key, value in payload.items():
+        if not isinstance(value, cli._Records):
+            continue
+        if key == "coefficients":
+            out[key] = [{"offset": list(d), "value": format_rational(as_fraction(pair))}
+                        for d, pair in value.items]
+        else:
+            assert key in ("solutions", "persistent_solutions"), key
+            out[key] = [{"terms": PuiseuxPolynomial(p.terms).to_json(),
+                         "persistent": persistent, "verified": True}
+                        for p, persistent in value.items]
+    return out
+
+
+def _assert_oracle_text(r, payloads, args):
+    """The one payload of a command that exited 0 is what its stdout
+    says, byte for byte as `json.dumps(..., indent=1)` writes it."""
+    assert r.exit_code == 0, (args, r.output)
+    (payload,) = payloads
+    assert r.stdout == json.dumps(_oracle_payload(payload), indent=1) + "\n", args
+    return payload
+
+
+def test_reports_are_the_json_encoders(monkeypatch, tmp_path):
+    """Every JSON report, of every command on every fixture, is byte for
+    byte `json.dumps(payload, indent=1)` and a newline: on Python 3.13 the
+    encoder's C path, before it the pure-Python one.  The lists written
+    from records are built by `_oracle_payload`."""
+    payloads = _capture_payloads(monkeypatch)
     names = sorted(path.stem for path in FIXTURES.glob("*.json"))
     assert len(names) == 8
     reports = Counter()
@@ -398,13 +471,13 @@ def test_reports_are_the_json_encoders(monkeypatch, tmp_path):
             if r.exit_code:
                 assert r.exit_code == 3 and not payloads, (args, r.output)
                 continue
-            (payload,) = payloads
-            assert r.stdout == json.dumps(payload, indent=1) + "\n", args
+            payload = _assert_oracle_text(r, payloads, args)
             label = args[0] if args[0] != "verify" else f"verify {payload['is_solution']}"
             reports[label] += 1
             if args[0] == "solve":
                 # a solution found, if any, and one that fails
-                terms = payload["solutions"][0]["terms"] if payload["solutions"] else []
+                solutions = json.loads(r.stdout)["solutions"]
+                terms = solutions[0]["terms"] if solutions else []
                 for kind, extra in (("good", []), ("bad", [
                         {"exponent": ["1/7", "2/7"], "coefficient": "-3/5"}])):
                     if terms or extra:
@@ -414,6 +487,53 @@ def test_reports_are_the_json_encoders(monkeypatch, tmp_path):
     assert reports["verify False"] == reports["solve"] == 8, reports
     assert reports["verify True"] == 6, reports
     assert all(reports[c] for c in ("analyze", "rank", "classify", "series", "suggest-params"))
+
+
+def test_solutions_at_resonant_parameters_are_the_oracles(monkeypatch, tmp_path):
+    """`solve` and `analyze` on seeded `random_nonconfluent_system` rows at
+    integer parameters, where supports close off, write their solutions
+    as `_oracle_payload` builds them: persistent and harvested ones, on
+    integer and fractional exponent classes."""
+    import random
+
+    from conftest import random_nonconfluent_system
+
+    payloads = _capture_payloads(monkeypatch)
+    path = tmp_path / "system.json"
+    seen = Counter()
+    for seed in range(30):
+        rows = random_nonconfluent_system(random.Random(seed), max_m=5).rows
+        rng = random.Random(10000 + seed)
+        path.write_text(json.dumps({"name": f"seed {seed}", "matrix": [[r.a, r.b] for r in rows],
+                                    "parameters": [rng.randint(-6, 4) for _ in rows]}))
+        for args in (("solve", str(path), "--window", "8"),
+                     ("analyze", str(path), "--window", "8")):
+            payloads.clear()
+            payload = _assert_oracle_text(run(*args), payloads, args)
+            key = "solutions" if args[0] == "solve" else "persistent_solutions"
+            for p, persistent in payload[key].items:
+                seen["persistent" if persistent else "harvested"] += 1
+                seen["fractional" if p.key[1] * p.key[3] > 1 else "integer"] += 1
+    assert seen["persistent"] > 50 and seen["harvested"] > 20, seen
+    assert seen["fractional"] > 20 and seen["integer"] > 20, seen
+
+
+@pytest.mark.parametrize("name", ['"solutions": []', '"coefficients": []', 'say "hi" \\ back\\',
+                                  "d\u00e9j\u00e0 \u6f22\u5b57 \U0001f600 \"solutions\": [\n ]"])
+def test_names_that_look_like_report_text(name, monkeypatch, tmp_path):
+    """A system name holding report text, quotes, backslashes or non-ASCII
+    text is escaped as the encoder escapes it, in every report that lists
+    records: nothing is spliced by searching the rendered text."""
+    payloads = _capture_payloads(monkeypatch)
+    doc = json.loads(Path(SIMPLEX).read_text())
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({**doc, "name": name}))
+    for args in (("solve", str(path), "--window", "6"), ("analyze", str(path), "--window", "6"),
+                 ("series", str(path), "--submatrix", "0,1", "--window", "2")):
+        payloads.clear()
+        payload = _assert_oracle_text(run(*args), payloads, args)
+        assert payload["name"] == name
+        assert json.loads(run(*args).stdout)["name"] == name
 
 
 _WRITER_CASES = [
@@ -428,7 +548,7 @@ _WRITER_CASES = [
 def test_json_writer_edge_cases(payload):
     from hornkit.cli import _json_text
 
-    assert _json_text(payload) == json.dumps(payload, indent=1)
+    assert _json_text(payload) == json.dumps(payload, indent=1) + "\n"
 
 
 @pytest.mark.parametrize("payload", [1.5, float("inf"), (1, 2), {"a": (1,)}, {1: "a"},
@@ -724,6 +844,23 @@ def test_main_called_in_process():
         main(["rank", ZONO, "--bogus"], prog_name="hornkit")
     assert exc.value.code == 2 and out.getvalue() == ""
     assert "--bogus" in json.loads(err.getvalue())["error"]
+
+
+def test_reports_go_to_the_stdout_of_each_call():
+    """A report is written to `sys.stdout` as it is when the command runs,
+    as a benchmark's per-operation capture needs: two in-process calls in
+    a row, each under its own redirected stream, each get the whole report
+    that the command line prints, and nothing reaches the other."""
+    for args in (["solve", SIMPLEX, "--window", "6"], ["analyze", EX21],
+                 ["series", QUAD, "--submatrix", "0,1", "--window", "3"]):
+        outs = []
+        for _ in range(2):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                main(args, prog_name="hornkit")
+            outs.append(out.getvalue())
+            assert err.getvalue() == ""
+        assert outs[0] == outs[1] == run(*args).stdout, args
 
 
 def test_suggest_params_cli():

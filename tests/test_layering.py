@@ -5,9 +5,14 @@ read off its header.  Every public function or class is used in the package
 or exported by it."""
 
 import ast
+import dataclasses
+import importlib
+from fractions import Fraction
 from pathlib import Path
+from types import FunctionType
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hornkit"
+TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
 
 def _imported(node: ast.AST) -> list[str]:
@@ -175,3 +180,41 @@ def test_dead_code_finder_catches_faults():
                             "def _private():\n    pass\n"),
              "cli": ast.parse("def command():\n    pass\n")}
     assert _unreached(trees, {"exported"}) == ["m.recursive", "m.Unused"]
+
+
+def _tracer_keys(tree: ast.Module, name: str) -> list[str]:
+    """The string keys of the dict literal assigned to `name` at the top
+    level of the benchmark's tracer."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name) and node.targets[0].id == name):
+            return [key.value for key in node.value.keys]
+    raise AssertionError(f"{name} is not assigned in {TRACER.name}")
+
+
+def test_tracer_names_public_functions():
+    """Every function the benchmark's tracer names (`NAMED`) or counts
+    (`COUNTERS`) is a public function of its hornkit module, defined there
+    and called from the package: the tracer wraps only those, and leaves a
+    metric whose function it does not find out of its result line.
+    `GrowResult` keeps the `values` and `exceeded` that its grow counter
+    reads.  The tracer is read with `ast`, not imported or edited."""
+    from hornkit.series import GrowResult
+
+    tree = ast.parse(TRACER.read_text())
+    quals = _tracer_keys(tree, "NAMED") + _tracer_keys(tree, "COUNTERS")
+    assert len(quals) >= 12 and "series.grow_component" in quals, quals
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    for qual in quals:
+        layer, name = qual.split(".")
+        mod = importlib.import_module(f"hornkit.{layer}")
+        fn = getattr(mod, name, None)
+        assert isinstance(fn, FunctionType) and not name.startswith("_"), qual
+        assert fn.__module__ == mod.__name__, qual
+        assert any(isinstance(n, ast.Call) and (getattr(n.func, "id", None) == name
+                                                or getattr(n.func, "attr", None) == name)
+                   for t in trees.values() for n in ast.walk(t)), f"{qual} is never called"
+    assert {"pairs", "exceeded"} <= {f.name for f in dataclasses.fields(GrowResult)}
+    grown = GrowResult({(0, 0): (1, 1), (1, 0): (-3, 7)}, False)
+    assert grown.exceeded is False
+    assert grown.values == {(0, 0): Fraction(1), (1, 0): Fraction(-3, 7)}

@@ -6,7 +6,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import evaluator_at, factor_product, grow_full, random_nonconfluent_system
+from conftest import (evaluator_at, factor_product, grow_full, product_by_factors,
+                      random_nonconfluent_system)
 from hornkit.operators import _ClassFactors, apply_horn, apply_intertwiner, is_solution
 from hornkit.puiseux import PuiseuxPolynomial, _class_exponent
 from hornkit.system import HornSystem
@@ -116,6 +117,34 @@ def test_class_factors_match_affine_factors(system_anchor, offsets):
         for j in (1, 2):
             assert F(ev.p_num(j, d), ev.p_den[j]) == factor_product(s, j, "p", alpha)
             assert F(ev.q_num(j, d), ev.q_den[j]) == factor_product(s, j, "q", alpha)
+
+
+def test_product_closed_form_matches_the_factor_loop():
+    """`_product` with its closed form for rows of q = 1 gives the factor
+    loop's product (`product_by_factors`) on seeded rows: v on both sides
+    of the vanishing window -e < v <= 0 and inside it, e up to 12, and
+    rows with q > 1 mixed in, which stay on the loop."""
+    from hornkit.operators import _product
+
+    rng = random.Random(2024)
+    seen = Counter()
+    for _ in range(3000):
+        rows = []
+        for _ in range(rng.randint(1, 4)):
+            e, q = rng.randint(1, 12), rng.choice((1, 1, 1, 2, 3, 7))
+            n = rng.randint(-3 * e - 5, 3 * e + 5)
+            if q > 1:
+                n = n * q + rng.randint(1, q - 1)  # gcd(n, q) = 1 for q prime
+            rows.append((n, q * rng.randint(-3, 3), q * rng.randint(-3, 3), q, e))
+        d = (rng.randint(-4, 4), rng.randint(-4, 4))
+        got = _product(rows, d)
+        assert got == product_by_factors(rows, d), (rows, d)
+        for n, qa, qb, q, e in rows:
+            v = n + qa * d[0] + qb * d[1]
+            if q == 1 and e > 1:
+                seen["above" if v > 0 else "inside" if v > -e else "below"] += 1
+        seen["zero" if got == 0 else "nonzero"] += 1
+    assert min(seen.values()) > 300, seen
 
 
 def _grown(ev, start, radius, early_exit):

@@ -1,3 +1,4 @@
+import json
 import sys
 from fractions import Fraction as F
 
@@ -5,7 +6,6 @@ import pytest
 
 from conftest import constructive_systems, eager_polynomial
 from hornkit.atomic import _index_rects
-from hornkit.cli import _json_text
 from hornkit.operators import _ClassFactors
 from hornkit.puiseux import PuiseuxPolynomial, _GrownPolynomial, format_rational, parse_rational
 from hornkit.series import default_window, grow_component, grow_starts, harvest_polynomials
@@ -95,9 +95,13 @@ def test_rationals_past_the_digit_limit():
 
 def assert_integer_form_agrees(p, want):
     """The views of a `_GrownPolynomial` that answer from its integers, and
-    then `==`, `hash` and the lazily built `terms`, against the Fraction
-    polynomial want; class_parts also in order, and new on every call."""
-    assert _json_text(p.to_json()) == _json_text(want.to_json())
+    then `==`, `hash`, the lazily built `terms` and `to_json`, against the
+    Fraction polynomial want; class_parts also in order, and new on every
+    call.  `terms_text` is what `json.dumps(..., indent=1)` writes for
+    want's terms, at the top and one level down."""
+    assert p.terms_text("\n") == json.dumps(want.to_json(), indent=1)
+    assert '{\n "terms": ' + p.terms_text("\n ") + "\n}" == \
+        json.dumps({"terms": want.to_json()}, indent=1)
     parts = p.class_parts()
     assert [(k, list(v.items())) for k, v in parts.items()] == \
         [(k, list(v.items())) for k, v in want.class_parts().items()]
@@ -106,6 +110,7 @@ def assert_integer_form_agrees(p, want):
     assert p.leading_exponent() == want.leading_exponent()
     assert p == want and want == p and hash(p) == hash(want)
     assert list(p.terms.items()) == list(want.terms.items())
+    assert p.to_json() == want.to_json()
 
 
 def test_grown_polynomial_digits_signs_and_offsets():

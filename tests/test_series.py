@@ -13,6 +13,7 @@ from conftest import (
     ConeQ,
     as_fraction,
     as_pair,
+    escape_certified_by_sides,
     evaluator_at,
     exponent_at,
     factor_product,
@@ -426,6 +427,117 @@ def test_escape_certificate_thin_cone():
         assert sorted(n for n, *_ in ev.p_int[1] + ev.q_int[1]) == sorted((-k0[0], -k0[1]))
         assert _walk_support(ev, (0, 0), 30, True)[1] is escapes
         assert _escape_certified(ev, (0, 0), 30) is escapes
+
+
+def certificate_systems():
+    """The 8 fixtures dilated by 1, 2 and 3, and the rows that
+    `random_nonconfluent_system` draws from seeds 0-39, each at its own
+    parameters, at generic ones (large denominators) and at integers."""
+    rng = random.Random(4242)
+    bases = [load_system(name) for name in FIXTURE_NAMES]
+    bases += [random_nonconfluent_system(random.Random(seed), max_m=5) for seed in range(40)]
+    for k, base in itertools.product((1, 2, 3), bases):
+        if k > 1 and base.name == "":
+            continue
+        rows = [(k * r.a, k * r.b) for r in base.rows]
+        yield HornSystem.make(rows, base.params)
+        yield HornSystem.make(rows, [F(rng.randint(1, 10**6), 10**6 + rng.randint(1, 97))
+                                     for _ in rows])
+        yield HornSystem.make(rows, [rng.randint(-6, 4) for _ in rows])
+
+
+def test_escape_certificate_agrees_with_the_four_sides_one():
+    """The certificate on one row list, with candidate directions shared
+    across a run's starts, decides every start as the certificate that
+    scanned the four sides and found its candidates per start did
+    (`escape_certified_by_sides`), on the starts of every row pair of
+    `certificate_systems`, at two windows."""
+    seen = Counter()
+    for s in certificate_systems():
+        directions = {}
+        for sub in enumerate_atomic(s):
+            for k0 in branch_base_points(sub):
+                key, o = _branch_start(sub, k0)
+                ev = _ClassFactors(s, key)
+                for window in (4, 12):
+                    got = _escape_certified(ev, o, window, directions)
+                    assert got == escape_certified_by_sides(ev, o, window), (s, key, o, window)
+                    seen[got] += 1
+    assert seen[True] > 2000 and seen[False] > 2000, seen
+
+
+def test_candidate_directions_once_per_direction_set(monkeypatch):
+    """A `grow_starts` run computes the certificate's candidate directions
+    once for each set of integer-row directions its starts reach them with,
+    and reuses them for every later start with that set."""
+    import hornkit.series as series
+
+    computed, used = Counter(), Counter()
+    candidates, certified = series._recession_candidates, series._escape_certified
+
+    def counted_candidates(int_dirs):
+        computed[int_dirs] += 1
+        return candidates(int_dirs)
+
+    def counted_certified(ev, start, radius, directions=None):
+        got = certified(ev, start, radius, directions)
+        if directions is not None and ev.int_dirs in directions:
+            used[ev.int_dirs] += 1
+        return got
+
+    monkeypatch.setattr(series, "_recession_candidates", counted_candidates)
+    monkeypatch.setattr(series, "_escape_certified", counted_certified)
+    totals = Counter()
+    for s in itertools.islice(certificate_systems(), 0, None, 4):
+        computed.clear()
+        used.clear()
+        harvest_polynomials(s, 10)
+        assert set(computed) == set(used) and set(computed.values()) <= {1}, s
+        totals["computed"] += len(computed)
+        totals["used"] += sum(used.values())
+    assert totals["used"] > 5 * totals["computed"] > 500, totals
+
+
+def test_covered_start_is_walked_when_its_support_does_not_fit(monkeypatch):
+    """A start on a support of `known` is walked, not reported, when the
+    support does not fit the window box around the start, and skipped when
+    it does: on the harvest starts of the zonotope, triangle_sides and
+    triangle_simplex fixtures at windows 0-5, against the supports their
+    harvest finds at the default window."""
+    import hornkit.series as series
+    from hornkit.series import _pair_constants, _start_of, grow_starts
+
+    walked = []
+    grow = series.grow_component
+
+    def recorded(ev, radius, start=(0, 0), directions=None):
+        walked.append((ev.key, start))
+        return grow(ev, radius, start, directions)
+
+    seen = Counter()
+    for name in ("zonotope", "triangle_sides", "triangle_simplex"):
+        s = load_system(name)
+        starts = [(sub, b, k0) for sub in enumerate_atomic(s)
+                  for b, k0 in enumerate(branch_base_points(sub))]
+        known = [r.polynomial for r in grow_starts(s, starts, default_window(s))
+                 if r.outcome == "finite"]
+        support = {(p.key, d): p for p in known for d in p.coeffs}
+        monkeypatch.setattr(series, "grow_component", recorded)
+        for window in range(6):
+            walked.clear()
+            results = grow_starts(s, starts, window, known)
+            for sub, _, k0 in starts:
+                key, o = _start_of(_pair_constants(sub), k0)
+                p = support.get((key, o))
+                if p is None:
+                    continue
+                fits = all(max(abs(x - o[0]), abs(y - o[1])) <= window for x, y in p.coeffs)
+                assert ((key, o) in walked) is not fits, (name, window, key, o)
+                seen["fits" if fits else "walked"] += 1
+            finite = [r.polynomial for r in results if r.outcome == "finite"]
+            assert all(any(p is q for q in known) for p in finite)
+        monkeypatch.setattr(series, "grow_component", grow)
+    assert seen["fits"] > 200 and seen["walked"] > 200, seen
 
 
 def test_branch_initial_exponent_matches_inverse():

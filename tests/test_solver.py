@@ -109,6 +109,40 @@ def test_persistent_solutions_match_old_route():
     assert total > 100, total
 
 
+def test_persistent_sort_builds_no_fraction(monkeypatch):
+    """`persistent_solutions` orders its solutions by their lex-smallest
+    exponents, compared in integers: the whole call builds no Fraction, on
+    the systems of `constructive_systems` and at small-denominator
+    parameters, where classes of several denominators meet in one sort."""
+    new = F.__new__
+    built = Counter()
+
+    def counted_new(cls, *args, **kwargs):
+        built["fractions"] += 1
+        return new(cls, *args, **kwargs)
+
+    rng = random.Random(97)
+    systems = list(constructive_systems())
+    for i in range(40):
+        rows = random_nonconfluent_system(rng, max_m=5).rows
+        systems.append(HornSystem.make(rows, [F(rng.randint(-9, 9), i % 4 + 1) for _ in rows]))
+    sorted_lists = mixed = 0
+    for s in systems:
+        try:
+            default_window(s)
+        except ValueError:
+            continue
+        monkeypatch.setattr(F, "__new__", counted_new)
+        built.clear()
+        got = persistent_solutions(s)
+        monkeypatch.setattr(F, "__new__", new)
+        assert built["fractions"] == 0, s
+        assert got == sorted(got, key=lambda p: p.leading_exponent()), s
+        sorted_lists += len(got) > 1
+        mixed += len({(p.key[1], p.key[3]) for p in got}) > 1
+    assert sorted_lists > 30 and mixed > 10, (sorted_lists, mixed)
+
+
 @pytest.mark.parametrize("name", ["zonotope", "triangle_sides"])
 def test_persistent_solutions_build_one_evaluator_per_class(name, monkeypatch):
     """Persistent solutions build one `_ClassFactors` per exponent class of
@@ -428,11 +462,11 @@ def test_sharing_the_persistent_supports_changes_nothing(monkeypatch):
     in_harvest = []
     grow, harvest_alone = series.grow_component, series.harvest_polynomials
 
-    def recorded(ev, radius, start=(0, 0)):
+    def recorded(ev, radius, start=(0, 0), directions=None):
         if in_harvest:
             assert ev.base == (0, 0)  # the evaluator is at the class point
             walks.append((ev.key, start))
-        return grow(ev, radius, start)
+        return grow(ev, radius, start, directions)
 
     def flagged(*args):
         in_harvest.append(True)
