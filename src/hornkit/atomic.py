@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .lattice import QVec
 from .puiseux import PuiseuxPolynomial
-from .series import branch_initial_exponent, default_window, grow_starts
+from .series import Growth, branch_initial_exponent, default_window, grow_starts
 from .system import AtomicSystem, HornSystem, detect_resonance, enumerate_atomic
 
 
@@ -71,7 +71,8 @@ def persistent_polynomials(a: AtomicSystem) -> list[PuiseuxPolynomial]:
     boundary strips of the index rectangle, each scaled to 1 there.
 
     Each is the finite component through its initial exponent, grown at
-    `default_window` and checked on its growth evaluator
+    `default_window` on a session of the pair's own two-row system
+    (`series.Growth`) and checked on its growth evaluator
     (`series.grow_starts`).  A component that escapes the window or meets a
     resonant collision raises ValueError, as does a strip start that lies
     on an earlier start's support.
@@ -82,7 +83,8 @@ def persistent_polynomials(a: AtomicSystem) -> list[PuiseuxPolynomial]:
     starts = [(a, i, uv) for i, uv in enumerate(rect) if uv not in small]
     s = a.system()
     out = []
-    for r in sorted(grow_starts(s, starts, default_window(s)), key=lambda r: r.initial_exponent):
+    for r in sorted(grow_starts(Growth(s), starts, default_window(s)),
+                    key=lambda r: r.initial_exponent):
         if r.outcome != "finite":
             raise ValueError(f"no finite solution through initial exponent {r.initial_exponent}")
         out.append(r.polynomial.scale(1 / r.polynomial.terms[r.initial_exponent]))

@@ -20,8 +20,10 @@ support is filled and checked as reduced pairs of Python ints, which the
 polynomial reported keeps (`puiseux._GrownPolynomial`); a table is filled
 in exact `Decimal` integers, which print in linear time.  Atomic strip
 solutions and the full system's persistent solutions grow at
-`default_window`, the harvest at the window it is given, reusing the
-persistent supports that fit its window (`grow_starts`).
+`default_window`, the harvest at the window it is given.  Every run grows
+on a session (`Growth`), which keeps the evaluators, the certificate's
+directions and the finite supports found for the next run on it; one
+constructive check grows its persistent run and its harvest on one session.
 
 `grow_starts` runs on exponent classes in integers, from the start to the
 report.  A start is a class key and an integer offset on it
@@ -45,7 +47,6 @@ not prove are walked.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass
 from decimal import (MAX_PREC, Context, Decimal, DivisionByZero, Inexact, InvalidOperation,
                      Rounded, localcontext)
@@ -102,14 +103,14 @@ class GrowResult:
         return {d: Fraction(n, m) for d, (n, m) in self.pairs.items()}
 
 
-def grow_component(ev: _ClassFactors, radius: int, start: Offset = (0, 0),
-                   directions: dict | None = None) -> GrowResult:
+def grow_component(ev: _ClassFactors, radius: int, start: Offset,
+                   directions: dict) -> GrowResult:
     """Grow the coupled component through offset start on the class of ev,
     assigning it coefficient 1, within the radius box around start.
     Coefficients are keyed by offsets on the class, like start, and kept as
     the fill's integer pairs (`GrowResult.pairs`).  `directions` is the
-    escape certificate's store of candidate directions, which a run of
-    starts shares (`_escape_certified`).
+    escape certificate's store of candidate directions, which the starts of
+    a growth session share (`Growth`, `_escape_certified`).
 
     Growth walks the support, then fills its coefficients.  The walk follows
     every forced relation in all four lattice directions, depth first.  It
@@ -255,7 +256,7 @@ def _vanishes(rows: list, d: Offset) -> bool:
 
 
 def _escape_certified(ev: _ClassFactors, start: Offset, radius: int,
-                      directions: dict | None = None) -> bool:
+                      directions: dict) -> bool:
     """Whether the support walk from offset start provably leaves the radius
     box around it.
 
@@ -295,8 +296,6 @@ def _escape_certified(ev: _ClassFactors, start: Offset, radius: int,
         rows.append((n, a, b))
     if not rows:
         return True  # no factor can vanish: R is the plane
-    if directions is None:
-        directions = {}
     dirs = directions.get(ev.int_dirs)
     if dirs is None:
         dirs = directions[ev.int_dirs] = _recession_candidates(ev.int_dirs)
@@ -639,20 +638,37 @@ class HarvestResult:
         return None if self.collision is None else _class_exponent(self.start[0], self.collision)
 
 
+class Growth:
+    """One growth session on `system`: what every `grow_starts` run on it
+    shares.  `classes` holds one factor evaluator per exponent class
+    (`operators._ClassFactors`), by class key, built at its class point;
+    `directions` the escape certificate's candidate directions, by row
+    directions (`_escape_certified`); `covered` every point of every finite
+    support found on the session, at any radius, as (class key, offset),
+    with the support's polynomial and bounding box (`_cover`)."""
+
+    def __init__(self, system: HornSystem):
+        self.system = system
+        self.classes: dict[ClassKey, _ClassFactors] = {}
+        self.directions: dict = {}
+        self.covered: dict[tuple[ClassKey, Offset], tuple[_GrownPolynomial, tuple]] = {}
+
+
 def harvest_polynomials(s: HornSystem, window: int,
-                        known: Sequence[_GrownPolynomial] = ()) -> list[HarvestResult]:
+                        growth: Growth | None = None) -> list[HarvestResult]:
     """Run one exploration per (row pair, residue class) start point: the
-    branch base points of every row pair, labelled by branch
-    (`grow_starts`, which reuses the finite supports `known`)."""
-    return grow_starts(s, [(sub, branch, k0) for sub in enumerate_atomic(s)
-                           for branch, k0 in enumerate(branch_base_points(sub))], window, known)
+    branch base points of every row pair, labelled by branch, grown on the
+    session `growth` on s, a new one by default (`grow_starts`)."""
+    starts = [(sub, branch, k0) for sub in enumerate_atomic(s)
+              for branch, k0 in enumerate(branch_base_points(sub))]
+    return grow_starts(growth or Growth(s), starts, window)
 
 
-def grow_starts(s: HornSystem, starts: list[tuple[AtomicSystem, int, Offset]],
-                window: int, known: Sequence[_GrownPolynomial] = ()) -> list[HarvestResult]:
-    """Grow the component of s through each start (sub, label, k0), whose
-    exponent is -A_I^{-1}(k0 + c_I) for the row pair sub; the one route
-    from a start to a Puiseux polynomial solution.
+def grow_starts(growth: Growth, starts: list[tuple[AtomicSystem, int, Offset]],
+                window: int) -> list[HarvestResult]:
+    """Grow the component of the session's system through each start (sub,
+    label, k0), whose exponent is -A_I^{-1}(k0 + c_I) for the row pair sub;
+    the one route from a start to a Puiseux polynomial solution.
 
     From each start the support component is walked along the coefficient
     relations; a direction is cut where its numerator factor vanishes.  If
@@ -664,75 +680,68 @@ def grow_starts(s: HornSystem, starts: list[tuple[AtomicSystem, int, Offset]],
 
     Starts are taken in integers, as a class key and an offset on it
     (`_branch_start`, with its row pair's constants taken once for a run of
-    starts on one pair).  Each exponent class gets one evaluator, built from
-    its key at its class point, and every walk on the class starts at its
-    offset on it; its rational factor lists are built only if a start on
-    the class reaches a finite support.  A finite support is checked once,
-    on the evaluator it was grown with and on the fill's integer pairs
-    (`operators._class_residual`); a nonzero residual raises AssertionError,
-    a guard that `grow_component` shows cannot fire.  The polynomial
-    reported keeps the class key and the pairs (`puiseux._GrownPolynomial`),
-    and each result its start and collision as integers (`HarvestResult`).
-    So the run builds no Fraction: a start that escapes or collides costs
-    integer work only, and so does a finite one until its terms are read.
+    starts on one pair).  Each exponent class gets one evaluator per
+    session (`Growth.classes`), built from its key at its class point, and
+    every walk on the class starts at its offset on it; its rational factor
+    lists are built only if a start on the class reaches a finite support.
+    A finite support is checked once, on the evaluator it was grown with
+    and on the fill's integer pairs (`operators._class_residual`); a
+    nonzero residual raises AssertionError, a guard that `grow_component`
+    shows cannot fire.  The polynomial reported keeps the class key and the
+    pairs (`puiseux._GrownPolynomial`), and each result its start and
+    collision as integers (`HarvestResult`).  So the run builds no
+    Fraction: a start that escapes or collides costs integer work only, and
+    so does a finite one until its terms are read.
 
     The finite outcomes are distinct solutions.  Let S be a support found
-    finite from some start, at any radius: the walk of S met no cut step
-    leaving S, no collision and no step past its box, so S is a whole
-    component of the live relations in the plane.  A walk from a start o
-    in S, at a window whose box around o holds S, therefore takes the same
-    tests at the same points and finds S again, with the same fill, as the
-    fill is scaled at the lex-smallest offset and not at the start.  So a
-    start on a support that fits its window box is not walked: on a support
-    of this run it is skipped, and on a support of `known`, the finite
-    outcomes of an earlier `grow_starts` on s at any radius, that same
-    object is reported finite at this start's label and initial exponent,
-    once, after which the support counts as found here.  When S does not
-    fit, the walk from o leaves the box, so no support is reported twice.
-    Whether S fits is read off its bounding box, taken once per support.
-    Starts share one store of the escape certificate's candidate directions
-    (`_escape_certified`), which lives as long as the run.
+    finite from some start, by this run or by an earlier run on the
+    session, at any radius: the walk of S met no cut step leaving S, no
+    collision and no step past its box, so S is a whole component of the
+    live relations in the plane.  A walk from a start o in S, at a window
+    whose box around o holds S, therefore takes the same tests at the same
+    points and finds S again, with the same fill, as the fill is scaled at
+    the lex-smallest offset and not at the start.  So a start on a found
+    support (`Growth.covered`) that fits its window box is not walked, and
+    one rule reports every finite outcome: a support is reported once per
+    run, as one object, at the first start that finds it or lies on it, and
+    skipped at every later start.  When S does not fit, the walk from o
+    leaves the box, so no support is reported twice.  Whether S fits is
+    read off its bounding box, taken once per support.  The escape
+    certificate's candidate directions (`Growth.directions`) serve every
+    start of every run on the session.
     """
+    s, classes, covered = growth.system, growth.classes, growth.covered
     results: list[HarvestResult] = []
-    classes: dict[ClassKey, _ClassFactors] = {}
-    directions: dict = {}  # the escape certificate's candidates, by row directions
-    covered: dict[tuple[ClassKey, Offset], tuple[_GrownPolynomial, tuple]] = {}  # `_cover`
-    for p in known:
-        _cover(covered, p)
-    unreported = {id(p) for p in known}
+    reported: set[int] = set()  # ids of the supports this run has reported
     pair_sub, pair = None, None
 
     for sub, label, k0 in starts:
         if sub is not pair_sub:
             pair_sub, pair = sub, _pair_constants(sub)
         key, o = _start_of(pair, k0)
-        done = covered.get((key, o))
-        if done is not None:
-            done, (lo1, hi1, lo2, hi2) = done
-            if max(o[0] - lo1, hi1 - o[0], o[1] - lo2, hi2 - o[1]) <= window:
-                if id(done) in unreported:
-                    unreported.remove(id(done))
-                    results.append(HarvestResult("finite", sub.indices, label, (key, o), done))
+        poly, box = covered.get((key, o), (None, None))
+        if poly is None or max(o[0] - box[0], box[1] - o[0], o[1] - box[2], box[3] - o[1]) > window:
+            ev = classes.get(key)
+            if ev is None:
+                ev = classes[key] = _ClassFactors(s, key)
+            try:
+                res = grow_component(ev, window, o, growth.directions)
+            except ResonantCollisionError as exc:
+                results.append(HarvestResult("resonant_collision", sub.indices, label, (key, o),
+                                             collision=exc.offset))
                 continue
-        ev = classes.get(key)
-        if ev is None:
-            ev = classes[key] = _ClassFactors(s, key)
-        try:
-            res = grow_component(ev, window, o, directions)
-        except ResonantCollisionError as exc:
-            results.append(HarvestResult("resonant_collision", sub.indices, label, (key, o),
-                                         collision=exc.offset))
-            continue
-        if res.exceeded:
-            results.append(HarvestResult("exceeds_window", sub.indices, label, (key, o)))
-            continue
-        pairs = res.pairs
-        if _class_residual(ev, 1, pairs) or _class_residual(ev, 2, pairs):
-            x, y = _class_exponent(key, o)
-            raise AssertionError(f"the finite support through ({x}, {y}) fails the operators")
-        poly = _GrownPolynomial(key, pairs)
-        _cover(covered, poly)
-        results.append(HarvestResult("finite", sub.indices, label, (key, o), poly))
+            if res.exceeded:
+                results.append(HarvestResult("exceeds_window", sub.indices, label, (key, o)))
+                continue
+            pairs = res.pairs
+            if _class_residual(ev, 1, pairs) or _class_residual(ev, 2, pairs):
+                x, y = _class_exponent(key, o)
+                raise AssertionError(f"the finite support through ({x}, {y}) fails the operators")
+            poly = _GrownPolynomial(key, pairs)
+            _cover(covered, poly)
+        if id(poly) not in reported:
+            reported.add(id(poly))
+            results.append(HarvestResult("finite", sub.indices, label, (key, o), poly))
     return results
 
 

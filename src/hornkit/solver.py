@@ -17,11 +17,11 @@ from .lattice import QVec, Vec2, inverse_times, primitive
 from .operators import _by_class, is_solution
 from .polygon import build_polygon, classify, vertex_count
 from .puiseux import ClassKey, Offset, PuiseuxPolynomial
-from .series import default_window, grow_starts, harvest_polynomials
+from .series import Growth, default_window, grow_starts, harvest_polynomials
 from .system import HornSystem, detect_resonance, enumerate_atomic
 
 
-def persistent_solutions(s: HornSystem) -> list[PuiseuxPolynomial]:
+def persistent_solutions(s: HornSystem, growth: Growth | None = None) -> list[PuiseuxPolynomial]:
     """The finite components of the full system through the index-rectangle
     starts of every row pair (`atomic.polynomial_exponents`), each scaled to
     1 at its lex-smallest exponent, and sorted by that exponent, which
@@ -32,14 +32,16 @@ def persistent_solutions(s: HornSystem) -> list[PuiseuxPolynomial]:
     Coefficients are recomputed against the full system: an atomic pair
     pins the support, the remaining rows reshape the coefficients.  Each
     solution is grown once and checked on its growth evaluator
-    (`series.grow_starts`), whose covered-start skip keeps it from being
-    found twice.  Growth runs at `default_window`, which raises ValueError
-    on systems without a rank formula.
+    (`series.grow_starts`), whose covered-start rule reports it once.
+    Growth runs on the session `growth` on s, a new one by default, at
+    `default_window`, which raises ValueError on systems without a rank
+    formula.
     """
     radius = default_window(s)
     starts = [(a, i, uv) for a in enumerate_atomic(s) if a.nu
               for i, uv in enumerate(_index_rects(a)[0])]
-    out = [r.polynomial for r in grow_starts(s, starts, radius) if r.outcome == "finite"]
+    out = [r.polynomial for r in grow_starts(growth or Growth(s), starts, radius)
+           if r.outcome == "finite"]
     # Each coordinate of a leading exponent, (r + lead*q)/q on its class key,
     # over the lcm of that coordinate's denominators: a key in integers.
     l1, l2 = lcm(*(p.key[1] for p in out)), lcm(*(p.key[3] for p in out))
@@ -276,13 +278,17 @@ def check_constructive(s: HornSystem, window: int | None = None) -> Report:
     once, and the count of the independent ones, which `rank_attained`
     compares with the rank.  A `Report` reads these parts from here alone.
 
-    The harvest reuses each persistent support that fits its window, as that
-    same object (`series.grow_starts`), and grows every other support it
-    finds once, so two equal solutions are one object: `solutions` drops
-    the persistent ones from the harvest by identity."""
+    The persistent run and the harvest grow on one session
+    (`series.Growth`), so they share its evaluators and the escape
+    certificate's directions, and the harvest reports each persistent
+    support that fits its window as that same object (`series.grow_starts`)
+    and grows every other support it finds once.  So two equal solutions
+    are one object: `solutions` drops the persistent ones from the harvest
+    by identity."""
     report = Report(s, window)
-    persistent = persistent_solutions(s)
-    harvest = harvest_polynomials(s, report.radius, persistent)
+    growth = Growth(s)
+    persistent = persistent_solutions(s, growth)
+    harvest = harvest_polynomials(s, report.radius, growth)
     solutions = list(persistent)
     seen = {id(p) for p in persistent}
     solutions.extend(r.polynomial for r in harvest

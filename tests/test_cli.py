@@ -183,13 +183,20 @@ def test_one_solution_pass_per_command(monkeypatch, tmp_path):
     """Each command computes each part of its report at most once, and only
     the parts it prints, wherever a module refers to the function that
     computes it.  `check_constructive` is counted too: every report finds
-    its solutions through it."""
+    its solutions through it, on one growth session (`series.Growth`)."""
     from hornkit.polygon import build_polygon
-    from hornkit.series import harvest_polynomials
+    from hornkit.series import Growth, harvest_polynomials
     from hornkit.solver import check_constructive, persistent_solutions
     from hornkit.system import detect_resonance
 
     calls = Counter()
+    init = Growth.__init__
+
+    def counted_session(self, system):
+        calls["Growth"] += 1
+        init(self, system)
+
+    monkeypatch.setattr(Growth, "__init__", counted_session)
     for fn in (persistent_solutions, harvest_polynomials, check_constructive,
                build_polygon, detect_resonance):
         def counted(*args, _fn=fn, **kwargs):
@@ -201,7 +208,8 @@ def test_one_solution_pass_per_command(monkeypatch, tmp_path):
                 for attr, value in list(vars(mod).items()):
                     if value is fn:
                         monkeypatch.setattr(mod, attr, counted)
-    solutions = {"persistent_solutions": 1, "harvest_polynomials": 1, "check_constructive": 1}
+    solutions = {"persistent_solutions": 1, "harvest_polynomials": 1, "check_constructive": 1,
+                 "Growth": 1}
     expected = {
         ("rank",): {},
         ("classify",): {"build_polygon": 1},

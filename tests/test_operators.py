@@ -152,7 +152,7 @@ def _grown(ev, start, radius, early_exit):
 
     try:
         if early_exit:
-            res = grow_component(ev, radius, start=start)
+            res = grow_component(ev, radius, start, {})
         else:
             res = grow_full(ev, radius, start)
     except ResonantCollisionError as exc:

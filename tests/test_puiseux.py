@@ -8,7 +8,8 @@ from conftest import constructive_systems, eager_polynomial
 from hornkit.atomic import _index_rects
 from hornkit.operators import _ClassFactors
 from hornkit.puiseux import PuiseuxPolynomial, _GrownPolynomial, format_rational, parse_rational
-from hornkit.series import default_window, grow_component, grow_starts, harvest_polynomials
+from hornkit.series import (Growth, default_window, grow_component, grow_starts,
+                            harvest_polynomials)
 from hornkit.solver import check_constructive, independent_dimension
 from hornkit.system import enumerate_atomic
 
@@ -134,7 +135,7 @@ def grown_results():
         w = default_window(s)
         starts = [(a, i, uv) for a in enumerate_atomic(s) if a.nu
                   for i, uv in enumerate(_index_rects(a)[0])]
-        for r in grow_starts(s, starts, w) + harvest_polynomials(s, w):
+        for r in grow_starts(Growth(s), starts, w) + harvest_polynomials(s, w):
             if r.outcome == "finite":
                 yield s, w, r
 
@@ -146,7 +147,7 @@ def test_grown_polynomials_agree_with_the_fraction_form():
     for s, w, r in grown_results():
         (key, offsets), = PuiseuxPolynomial.monomial(*r.initial_exponent).class_parts().items()
         (o,) = offsets
-        pairs = grow_component(_ClassFactors(s, key), w, o).pairs
+        pairs = grow_component(_ClassFactors(s, key), w, o, {}).pairs
         assert_integer_form_agrees(r.polynomial, eager_polynomial(key, pairs))
         count += 1
     assert count > 900, count

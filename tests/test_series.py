@@ -5,6 +5,7 @@ import time
 from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 
@@ -310,7 +311,7 @@ def test_verify_truncated_on_finite_support(triangle_simplex):
     from hornkit.series import TruncatedSeries, grow_component
 
     alpha0 = (F(-1), F(-1))
-    grown = grow_component(evaluator_at(triangle_simplex, alpha0), 10)
+    grown = grow_component(evaluator_at(triangle_simplex, alpha0), 10, (0, 0), {})
     assert not grown.exceeded
     t = TruncatedSeries((1, 2), 0, alpha0, {d: as_pair(v) for d, v in grown.values.items()}, 10)
     assert verify_truncated(t, triangle_simplex)
@@ -324,7 +325,7 @@ def test_resonant_collision_reported():
     # walk from (-3, 0) is forced one step right onto a vanishing Q_1
     s = HornSystem.make([[1, 0], [-1, 0], [0, 1], [0, -1]], [0, -2, 0, 0])
     with pytest.raises(ResonantCollisionError):
-        grow_component(_ClassFactors(s, (0, 1, 0, 1), (-3, 0)), 5)
+        grow_component(_ClassFactors(s, (0, 1, 0, 1), (-3, 0)), 5, (0, 0), {})
 
 
 def test_resonant_collisions_are_zero_denominators():
@@ -348,7 +349,7 @@ def test_resonant_collisions_are_zero_denominators():
         for sub in enumerate_atomic(s):
             for k0 in branch_base_points(sub):
                 alpha0 = branch_initial_exponent(sub, k0)
-                for grow in (grow_component, grow_full):
+                for grow in (partial(grow_component, start=(0, 0), directions={}), grow_full):
                     try:
                         grow(_ClassFactors(s, *_branch_start(sub, k0)), 8)
                     except ResonantCollisionError as exc:
@@ -371,7 +372,7 @@ def test_escape_certificate_sound():
             for k0 in branch_base_points(sub):
                 ev = _ClassFactors(s, *_branch_start(sub, k0))
                 for window in (6, 20):
-                    if _escape_certified(ev, (0, 0), window):
+                    if _escape_certified(ev, (0, 0), window, {}):
                         certified += 1
                         assert _walk_support(ev, (0, 0), window, True)[1], \
                             (s, ev.key, ev.base, window)
@@ -404,7 +405,7 @@ def test_escape_certificate_negative_cases():
     assert not _walk_support(ev, (0, 0), 5, True)[1]
     assert _walk_support(ev, (0, 0), 1, True)[1]
     for radius in (0, 1, 5):
-        assert not _escape_certified(ev, (0, 0), radius)
+        assert not _escape_certified(ev, (0, 0), radius, {})
     # row (1, 0) takes the value 1 > 0 at offset 0, and the backward 1-step
     # collides; the staircase to (-1, 0) alone would lie in R
     quad = HornSystem.make([[1, 0], [0, 1]], [0, 0])
@@ -412,7 +413,7 @@ def test_escape_certificate_negative_cases():
     with pytest.raises(ResonantCollisionError):
         _walk_support(ev, (0, 0), 5, True)
     for radius in (0, 1, 5, 50):
-        assert not _escape_certified(ev, (0, 0), radius)
+        assert not _escape_certified(ev, (0, 0), radius, {})
 
 
 def test_escape_certificate_thin_cone():
@@ -426,7 +427,7 @@ def test_escape_certificate_thin_cone():
         ev = _ClassFactors(s, *_branch_start(sub, k0))
         assert sorted(n for n, *_ in ev.p_int[1] + ev.q_int[1]) == sorted((-k0[0], -k0[1]))
         assert _walk_support(ev, (0, 0), 30, True)[1] is escapes
-        assert _escape_certified(ev, (0, 0), 30) is escapes
+        assert _escape_certified(ev, (0, 0), 30, {}) is escapes
 
 
 def certificate_systems():
@@ -479,9 +480,9 @@ def test_candidate_directions_once_per_direction_set(monkeypatch):
         computed[int_dirs] += 1
         return candidates(int_dirs)
 
-    def counted_certified(ev, start, radius, directions=None):
+    def counted_certified(ev, start, radius, directions):
         got = certified(ev, start, radius, directions)
-        if directions is not None and ev.int_dirs in directions:
+        if ev.int_dirs in directions:
             used[ev.int_dirs] += 1
         return got
 
@@ -499,33 +500,36 @@ def test_candidate_directions_once_per_direction_set(monkeypatch):
 
 
 def test_covered_start_is_walked_when_its_support_does_not_fit(monkeypatch):
-    """A start on a support of `known` is walked, not reported, when the
-    support does not fit the window box around the start, and skipped when
-    it does: on the harvest starts of the zonotope, triangle_sides and
-    triangle_simplex fixtures at windows 0-5, against the supports their
-    harvest finds at the default window."""
+    """A start on a support found by an earlier run on the session is
+    walked, not reported, when the support does not fit the window box
+    around the start, and skipped when it does, with the earlier object
+    reported: on the harvest starts of the zonotope, triangle_sides and
+    triangle_simplex fixtures at windows 0-5, on the session whose first
+    run grew them at the default window."""
     import hornkit.series as series
-    from hornkit.series import _pair_constants, _start_of, grow_starts
+    from hornkit.series import Growth, _pair_constants, _start_of, grow_starts
 
     walked = []
     grow = series.grow_component
 
-    def recorded(ev, radius, start=(0, 0), directions=None):
+    def recorded(ev, radius, start, directions):
         walked.append((ev.key, start))
         return grow(ev, radius, start, directions)
 
     seen = Counter()
     for name in ("zonotope", "triangle_sides", "triangle_simplex"):
         s = load_system(name)
+        growth = Growth(s)
         starts = [(sub, b, k0) for sub in enumerate_atomic(s)
                   for b, k0 in enumerate(branch_base_points(sub))]
-        known = [r.polynomial for r in grow_starts(s, starts, default_window(s))
+        known = [r.polynomial for r in grow_starts(growth, starts, default_window(s))
                  if r.outcome == "finite"]
         support = {(p.key, d): p for p in known for d in p.coeffs}
         monkeypatch.setattr(series, "grow_component", recorded)
         for window in range(6):
             walked.clear()
-            results = grow_starts(s, starts, window, known)
+            results = grow_starts(growth, starts, window)
+            fitting = set()  # ids of the supports that fit the box of some start
             for sub, _, k0 in starts:
                 key, o = _start_of(_pair_constants(sub), k0)
                 p = support.get((key, o))
@@ -534,8 +538,12 @@ def test_covered_start_is_walked_when_its_support_does_not_fit(monkeypatch):
                 fits = all(max(abs(x - o[0]), abs(y - o[1])) <= window for x, y in p.coeffs)
                 assert ((key, o) in walked) is not fits, (name, window, key, o)
                 seen["fits" if fits else "walked"] += 1
+                if fits:
+                    fitting.add(id(p))
             finite = [r.polynomial for r in results if r.outcome == "finite"]
             assert all(any(p is q for q in known) for p in finite)
+            # each fitting support is reported, as the earlier object, once
+            assert sorted(map(id, finite)) == sorted(fitting), (name, window)
         monkeypatch.setattr(series, "grow_component", grow)
     assert seen["fits"] > 200 and seen["walked"] > 200, seen
 
@@ -603,7 +611,7 @@ def test_harvest_builds_no_fraction(monkeypatch):
     def grown(s, starts, window):
         monkeypatch.setattr(F, "__new__", counted_new)
         try:
-            return series.grow_starts(s, starts, window)
+            return series.grow_starts(series.Growth(s), starts, window)
         finally:
             monkeypatch.setattr(F, "__new__", new)
 
@@ -614,8 +622,8 @@ def test_harvest_builds_no_fraction(monkeypatch):
         window = default_window(s)
         starts = [(sub, b, k0) for sub in enumerate_atomic(s)
                   for b, k0 in enumerate(branch_base_points(sub))]
-        escaping = [start for start, r in zip(starts, series.grow_starts(s, starts, window))
-                    if r.outcome == "exceeds_window"]
+        first = series.grow_starts(series.Growth(s), starts, window)
+        escaping = [start for start, r in zip(starts, first) if r.outcome == "exceeds_window"]
         built.clear()
         exponents.clear()
         results = grown(s, escaping, window)
@@ -820,7 +828,7 @@ def harvest_walks():
             for k0 in branch_base_points(sub):
                 key, o = _branch_start(sub, k0)
                 ev = _ClassFactors(s, key)
-                if _escape_certified(ev, o, window):
+                if _escape_certified(ev, o, window, {}):
                     continue
                 try:
                     edges, exceeded = _walk_support(ev, o, window, True)
@@ -1024,7 +1032,7 @@ def harvest_view(r):
 
 def grower_outcome(s, alpha0, window):
     def grow(s, alpha0, window):
-        res = grow_component(evaluator_at(s, alpha0), window)
+        res = grow_component(evaluator_at(s, alpha0), window, (0, 0), {})
         return res.values, res.exceeded
     return oracle_outcome(s, alpha0, window, grow)
 

@@ -81,7 +81,7 @@ def old_route_persistent_solutions(s):
     found = {}
     for seed in sorted(seeds):
         try:
-            res = grow_component(evaluator_at(s, seed), radius)
+            res = grow_component(evaluator_at(s, seed), radius, (0, 0), {})
         except ResonantCollisionError:
             continue
         if res.exceeded:
@@ -163,6 +163,41 @@ def test_persistent_solutions_build_one_evaluator_per_class(name, monkeypatch):
     assert persistent_solutions(s)
     assert len(built) == len(classes)
     assert {(x - math.floor(x), y - math.floor(y)) for x, y in built} == classes
+
+
+def test_one_check_builds_each_evaluator_and_candidate_list_once(monkeypatch):
+    """One `check_constructive` on each of the six finite-bases systems
+    (zonotope, triangle_sides and triangle_simplex, at dilations 1 and 2)
+    builds one `_ClassFactors` per class key, 140 in all, and finds the
+    escape certificate's candidate directions once per set of row
+    directions: the persistent run and the harvest grow on one session,
+    which keeps both."""
+    built, computed = Counter(), Counter()
+    init, candidates = _ClassFactors.__init__, series._recession_candidates
+
+    def counted_init(self, system, key, base=(0, 0)):
+        built[id(system), key] += 1
+        init(self, system, key, base)
+
+    def counted_candidates(int_dirs):
+        computed[int_dirs] += 1
+        return candidates(int_dirs)
+
+    monkeypatch.setattr(_ClassFactors, "__init__", counted_init)
+    monkeypatch.setattr(series, "_recession_candidates", counted_candidates)
+    totals = Counter()
+    for name in ("zonotope", "triangle_sides", "triangle_simplex"):
+        base = load_system(name)
+        for k in (1, 2):
+            s = HornSystem.make([(k * r.a, k * r.b) for r in base.rows], base.params)
+            built.clear()
+            computed.clear()
+            assert check_constructive(s).solutions, (name, k)
+            assert set(built.values()) == {1}, (name, k, built)
+            assert set(computed.values()) <= {1}, (name, k, computed)
+            totals["evaluators"] += len(built)
+            totals["direction sets"] += len(computed)
+    assert totals == {"evaluators": 140, "direction sets": 12}, totals
 
 
 def test_persistent_solutions_pass_validation(zonotope, triangle_sides):
@@ -462,7 +497,7 @@ def test_sharing_the_persistent_supports_changes_nothing(monkeypatch):
     in_harvest = []
     grow, harvest_alone = series.grow_component, series.harvest_polynomials
 
-    def recorded(ev, radius, start=(0, 0), directions=None):
+    def recorded(ev, radius, start, directions):
         if in_harvest:
             assert ev.base == (0, 0)  # the evaluator is at the class point
             walks.append((ev.key, start))
