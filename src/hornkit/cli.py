@@ -27,6 +27,7 @@ from .solver import (
     SUGGEST_BOUND,
     SUGGEST_WINDOW,
     Report,
+    check_constructive,
     suggest_polynomial_parameters,
     validate_persistence,
 )
@@ -240,7 +241,8 @@ def _window_option(default=None, **kwargs):
 
 
 _input_arg = click.argument("input_path", metavar="INPUT.json")
-_window_opt = _window_option(help="lattice window radius (default: rank-based)")
+_window_opt = _window_option(help="lattice window radius (default: rank-based); persistent "
+                                  "solutions always grow at the rank-based radius")
 _out_opt = click.option("--out", type=click.Path(), default=None,
                         help="write output to a file instead of stdout")
 
@@ -254,12 +256,12 @@ def analyze(input_path, window, out, allow_confluent):
     """Full analysis report for a system."""
     s = _load_system(input_path)
     _require_nonconfluent(s, allow_confluent)
-    report = Report(s, window)
     if not check_nonconfluent(s):
         # confluent systems only get the resonance block
         _emit({"name": s.name, "nonconfluent": False,
-               "resonance": _resonance_json(report.resonance)}, out)
+               "resonance": _resonance_json(Report(s).resonance)}, out)
         return
+    report = check_constructive(s, window)
     p = _polygon(report)
     _emit({
         "name": s.name,
@@ -272,7 +274,7 @@ def analyze(input_path, window, out, allow_confluent):
         "classification": _classification_json(report.classification),
         "resonance": _resonance_json(report.resonance),
         "persistent_solutions": _solutions(report.persistent, len(report.persistent)),
-        "harvested_polynomial_count": sum(r.outcome == "finite" for r in report.harvest),
+        "harvested_polynomial_count": len(report.outcomes["finite"]),
         "independent_polynomial_count": report.independent_count,
         "rank_attained": report.rank_attained,
         "window": report.radius,
@@ -320,7 +322,7 @@ def _resonance_json(res) -> dict:
 @_input_arg
 @_out_opt
 def rank(input_path, out):
-    """Holonomic rank."""
+    """Rank formula: the holonomic rank at generic parameters."""
     s = _load_system(input_path)
     _require_nonconfluent(s, False)
     _emit({"name": s.name, "rank": Report(s).rank}, out)
@@ -350,22 +352,21 @@ def classify_cmd(input_path, out):
 def solve(input_path, window, out):
     """Persistent and harvested Puiseux polynomial solutions."""
     s = _load_system(input_path)
-    report = Report(s, window)
     try:
-        rank = report.rank
-    except ValueError:
+        report = check_constructive(s, window)
+    except ValueError:  # no rank formula (`Report.rank`), read before any growth
         _fail(3, "solve requires a nonconfluent system or a nondegenerate atomic pair")
     _emit({
         "name": s.name,
-        "rank": rank,
+        "rank": report.rank,
         "solutions": _solutions(report.solutions, len(report.persistent)),
         "independent_polynomial_count": report.independent_count,
         "rank_attained": report.rank_attained,
-        "exceeds_window_count": sum(r.outcome == "exceeds_window" for r in report.harvest),
+        "exceeds_window_count": len(report.outcomes["exceeds_window"]),
         "resonant_collisions": [
             {"subsystem": list(r.subsystem), "branch": r.branch,
              "point": _pair_json(r.collision_point)}
-            for r in report.harvest if r.outcome == "resonant_collision"
+            for r in report.outcomes["resonant_collision"]
         ],
         "window": report.radius,
     }, out)
@@ -501,8 +502,8 @@ def render(input_path, what, window, out):
     """Render the polygon or the solution supports as deterministic SVG."""
     s = _load_system(input_path)
     _require_nonconfluent(s, False)
-    report = Report(s, window)
-    svg = polygon_svg(_polygon(report)) if what == "polygon" else supports_svg(report.solutions)
+    svg = (polygon_svg(_polygon(Report(s))) if what == "polygon"
+           else supports_svg(check_constructive(s, window).solutions))
     _write(svg, out)
 
 

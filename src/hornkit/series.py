@@ -19,11 +19,13 @@ checks every other relation on unit squares, in small ints.  A closed
 support is filled and checked as reduced pairs of Python ints, which the
 polynomial reported keeps (`puiseux._GrownPolynomial`); a table is filled
 in exact `Decimal` integers, which print in linear time.  Atomic strip
-solutions and the full system's persistent solutions grow at
-`default_window`, the harvest at the window it is given.  Every run grows
-on a session (`Growth`), which keeps the evaluators, the certificate's
-directions and the finite supports found for the next run on it; one
-constructive check grows its persistent run and its harvest on one session.
+solutions and the full system's persistent solutions grow at the
+rank-based radius, `default_window` (on a session, `Growth.radius`, from
+the rank its owner gives it), the harvest at the window it is given.
+Every run grows on a session (`Growth`), which keeps the evaluators, the
+certificate's directions and the finite supports found for the next run
+on it; a `solver.Report` owns one session, given the rank it takes once,
+and grows its persistent run and its harvest on it.
 
 `grow_starts` runs on exponent classes in integers, from the start to the
 report.  A start is a class key and an integer offset on it
@@ -645,13 +647,21 @@ class Growth:
     `directions` the escape certificate's candidate directions, by row
     directions (`_escape_certified`); `covered` every point of every finite
     support found on the session, at any radius, as (class key, offset),
-    with the support's polynomial and bounding box (`_cover`)."""
+    with the support's polynomial and bounding box (`_cover`).  `radius`,
+    taken on its first read, is the rank-based radius at which persistent
+    solutions grow on the session: `default_window`, computed from `rank`,
+    the system's rank as a caller that holds it gives it (`solver.Report`
+    does), or else from `counting.system_rank`, which raises ValueError on
+    systems without a rank formula."""
 
-    def __init__(self, system: HornSystem):
-        self.system = system
+    def __init__(self, system: HornSystem, rank: int | None = None):
+        self.system, self.rank = system, rank
         self.classes: dict[ClassKey, _ClassFactors] = {}
         self.directions: dict = {}
         self.covered: dict[tuple[ClassKey, Offset], tuple[_GrownPolynomial, tuple]] = {}
+
+    radius = cached_property(lambda self: _window(
+        self.system, system_rank(self.system) if self.rank is None else self.rank))
 
 
 def harvest_polynomials(s: HornSystem, window: int,
@@ -754,8 +764,13 @@ def _cover(covered: dict, poly: _GrownPolynomial):
 
 
 def default_window(s: HornSystem) -> int:
-    """The one growth radius: 4 * (rank + m * max |entry|), wide enough for
-    every fixture.  The rank is `counting.system_rank`, which raises
-    ValueError on systems without a rank formula."""
-    max_entry = max(max(abs(r.a), abs(r.b)) for r in s.rows)
-    return 4 * (system_rank(s) + s.m * max_entry)
+    """The one rank-based growth radius: 4 * (rank + m * max |entry|), wide
+    enough for every fixture.  The rank is `counting.system_rank`, which
+    raises ValueError on systems without a rank formula; a session given
+    the rank takes the same radius from it without computing the rank
+    again (`Growth.radius`)."""
+    return _window(s, system_rank(s))
+
+
+def _window(s: HornSystem, rank: int) -> int:
+    return 4 * (rank + s.m * max(max(abs(r.a), abs(r.b)) for r in s.rows))

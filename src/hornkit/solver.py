@@ -17,7 +17,7 @@ from .lattice import QVec, Vec2, inverse_times, primitive
 from .operators import _by_class, is_solution
 from .polygon import build_polygon, classify, vertex_count
 from .puiseux import ClassKey, Offset, PuiseuxPolynomial
-from .series import Growth, default_window, grow_starts, harvest_polynomials
+from .series import Growth, HarvestResult, grow_starts, harvest_polynomials
 from .system import HornSystem, detect_resonance, enumerate_atomic
 
 
@@ -33,14 +33,15 @@ def persistent_solutions(s: HornSystem, growth: Growth | None = None) -> list[Pu
     pins the support, the remaining rows reshape the coefficients.  Each
     solution is grown once and checked on its growth evaluator
     (`series.grow_starts`), whose covered-start rule reports it once.
-    Growth runs on the session `growth` on s, a new one by default, at
-    `default_window`, which raises ValueError on systems without a rank
-    formula.
+    Growth runs on the session `growth` on s, a new one by default, at the
+    session's rank-based radius (`series.Growth.radius`, the
+    `default_window` of s), which raises ValueError on systems without a
+    rank formula.
     """
-    radius = default_window(s)
+    growth = growth or Growth(s)
     starts = [(a, i, uv) for a in enumerate_atomic(s) if a.nu
               for i, uv in enumerate(_index_rects(a)[0])]
-    out = [r.polynomial for r in grow_starts(growth or Growth(s), starts, radius)
+    out = [r.polynomial for r in grow_starts(growth, starts, growth.radius)
            if r.outcome == "finite"]
     # Each coordinate of a leading exponent, (r + lead*q)/q on its class key,
     # over the lcm of that coordinate's denominators: a key in integers.
@@ -191,18 +192,28 @@ def expand_closed_form(cf: ClosedFormSolution) -> PuiseuxPolynomial:
 @dataclass(frozen=True)
 class Report:
     """Every quantity hornkit reports on one system, each part computed on
-    its first read and kept.  Solutions are grown at `radius`: `window`, or
-    `series.default_window` when that is None.  A part the system lacks (a
-    rank without a rank formula, the polygon of a confluent system) raises
-    ValueError when read.  The four solution parts are found together, by
-    `check_constructive`."""
+    its first read and kept.  A part the system lacks (a rank without a
+    rank formula, the polygon of a confluent system) raises ValueError when
+    read.  The rank is taken once, and the report's growth session
+    (`growth`, a `series.Growth` given that rank) takes its rank-based
+    radius from it; solutions are harvested at `radius`: `window`, or that
+    radius when `window` is None.
+
+    The report finds its solution parts on its session, as its own parts:
+    `persistent`, grown at the session's radius; `harvest` at `radius`,
+    which reports each persistent support it reaches as that same object
+    (`series.grow_starts`) when it runs after `persistent`, as
+    `check_constructive` orders them; `outcomes`, the harvest results by
+    outcome; `solutions`, the persistent ones and then the harvest's other
+    finite ones, dropped by identity; and `independent_count`, which
+    `rank_attained` compares with the rank."""
 
     system: HornSystem
     window: int | None = None
 
     @cached_property
     def radius(self) -> int:
-        return default_window(self.system) if self.window is None else self.window
+        return self.growth.radius if self.window is None else self.window
 
     @cached_property
     def convergent_counts(self) -> list[int]:
@@ -217,11 +228,25 @@ class Report:
     polygon = cached_property(lambda self: build_polygon(self.system))
     classification = cached_property(lambda self: classify(self.polygon))
     resonance = cached_property(lambda self: detect_resonance(self.system))
-    _found = cached_property(lambda self: check_constructive(self.system, self.radius))
-    persistent = cached_property(lambda self: self._found.persistent)
-    harvest = cached_property(lambda self: self._found.harvest)
-    solutions = cached_property(lambda self: self._found.solutions)
-    independent_count = cached_property(lambda self: self._found.independent_count)
+    growth = cached_property(lambda self: Growth(self.system, self.rank))
+    persistent = cached_property(lambda self: persistent_solutions(self.system, self.growth))
+    harvest = cached_property(
+        lambda self: harvest_polynomials(self.system, self.radius, self.growth))
+    independent_count = cached_property(lambda self: independent_dimension(self.solutions))
+
+    @cached_property
+    def outcomes(self) -> dict[str, list[HarvestResult]]:
+        """The harvest results of each outcome, in harvest order."""
+        out = {"finite": [], "exceeds_window": [], "resonant_collision": []}
+        for r in self.harvest:
+            out[r.outcome].append(r)
+        return out
+
+    @cached_property
+    def solutions(self) -> list[PuiseuxPolynomial]:
+        seen = {id(p) for p in self.persistent}
+        return self.persistent + [r.polynomial for r in self.outcomes["finite"]
+                                  if id(r.polynomial) not in seen]
 
     @property
     def rank_attained(self) -> bool:
@@ -273,29 +298,16 @@ def _divide_content(vec: dict[Offset, int]) -> dict[Offset, int]:
 
 
 def check_constructive(s: HornSystem, window: int | None = None) -> Report:
-    """The `Report` of s at `window` with its solution parts found: the
-    persistent and the harvested Puiseux polynomial solutions, each found
-    once, and the count of the independent ones, which `rank_attained`
-    compares with the rank.  A `Report` reads these parts from here alone.
-
-    The persistent run and the harvest grow on one session
-    (`series.Growth`), so they share its evaluators and the escape
-    certificate's directions, and the harvest reports each persistent
-    support that fits its window as that same object (`series.grow_starts`)
-    and grows every other support it finds once.  So two equal solutions
-    are one object: `solutions` drops the persistent ones from the harvest
-    by identity."""
+    """The `Report` of s at `window` with its solution parts found, in
+    their order: the persistent Puiseux polynomial solutions, then the
+    harvest, on the report's one session (`Report.growth`), so that they
+    share its evaluators and the escape certificate's directions, and the
+    harvest reports each persistent support that fits its window as that
+    same object and grows every other support it finds once; then the
+    merged solutions and the count of the independent ones, which
+    `rank_attained` compares with the rank."""
     report = Report(s, window)
-    growth = Growth(s)
-    persistent = persistent_solutions(s, growth)
-    harvest = harvest_polynomials(s, report.radius, growth)
-    solutions = list(persistent)
-    seen = {id(p) for p in persistent}
-    solutions.extend(r.polynomial for r in harvest
-                     if r.outcome == "finite" and id(r.polynomial) not in seen)
-    # a cached_property keeps its value in the instance dict
-    vars(report).update(persistent=persistent, harvest=harvest, solutions=solutions,
-                        independent_count=independent_dimension(solutions))
+    report.independent_count  # reads solutions, which read persistent, then harvest
     return report
 
 

@@ -182,23 +182,25 @@ def test_negative_window_exit_2(tmp_path):
 def test_one_solution_pass_per_command(monkeypatch, tmp_path):
     """Each command computes each part of its report at most once, and only
     the parts it prints, wherever a module refers to the function that
-    computes it.  `check_constructive` is counted too: every report finds
-    its solutions through it, on one growth session (`series.Growth`)."""
+    computes it.  Each builds one `Report` and takes the rank
+    (`counting.system_rank`) at most once; `check_constructive` is counted
+    too: a command that prints solutions gets its report from it, and the
+    report grows them on its one session (`series.Growth`)."""
+    from hornkit.counting import system_rank
     from hornkit.polygon import build_polygon
     from hornkit.series import Growth, harvest_polynomials
-    from hornkit.solver import check_constructive, persistent_solutions
+    from hornkit.solver import Report, check_constructive, persistent_solutions
     from hornkit.system import detect_resonance
 
     calls = Counter()
-    init = Growth.__init__
+    for cls in (Growth, Report):
+        def counted_init(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+            calls[_cls.__name__] += 1
+            _init(self, *args, **kwargs)
 
-    def counted_session(self, system):
-        calls["Growth"] += 1
-        init(self, system)
-
-    monkeypatch.setattr(Growth, "__init__", counted_session)
+        monkeypatch.setattr(cls, "__init__", counted_init)
     for fn in (persistent_solutions, harvest_polynomials, check_constructive,
-               build_polygon, detect_resonance):
+               build_polygon, detect_resonance, system_rank):
         def counted(*args, _fn=fn, **kwargs):
             calls[_fn.__name__] += 1
             return _fn(*args, **kwargs)
@@ -209,20 +211,22 @@ def test_one_solution_pass_per_command(monkeypatch, tmp_path):
                     if value is fn:
                         monkeypatch.setattr(mod, attr, counted)
     solutions = {"persistent_solutions": 1, "harvest_polynomials": 1, "check_constructive": 1,
-                 "Growth": 1}
+                 "Growth": 1, "Report": 1, "system_rank": 1}
     expected = {
-        ("rank",): {},
-        ("classify",): {"build_polygon": 1},
+        ("rank",): {"Report": 1, "system_rank": 1},
+        ("classify",): {"Report": 1, "build_polygon": 1},
         ("solve", "--window", "12"): solutions,
+        ("solve",): solutions,
         ("render", "--what", "supports", "--window", "12", "--out", str(tmp_path / "s.svg")):
             solutions,
         ("analyze", "--window", "12"): {**solutions, "build_polygon": 1, "detect_resonance": 1},
+        ("analyze",): {**solutions, "build_polygon": 1, "detect_resonance": 1},
     }
     for (command, *options), want in expected.items():
         calls.clear()
         r = run(command, SIMPLEX, *options)
         assert r.exit_code == 0, (command, r.output)
-        assert calls == want, command
+        assert calls == want, (command, options, calls)
 
 
 def test_atomic_pairs_and_nonconfluence_once_per_system(monkeypatch):
@@ -828,7 +832,11 @@ def test_click_usage_error_exits_2_with_json(args, message):
 
 def test_bare_command_and_help_print_help():
     """Bare `hornkit` shows the help on stderr and exits 2, as click does;
-    `--help`, for the group or a command, shows it on stdout and exits 0."""
+    `--help`, for the group or a command, shows it on stdout and exits 0.
+    The help says what is computed: `rank` prints the rank formula, the
+    holonomic rank at generic parameters, and the persistent solutions of
+    `analyze`, `solve` and `render` grow at the rank-based radius whatever
+    `--window` is."""
     r = run()
     assert r.exit_code == 2 and r.stdout == ""
     assert r.stderr.startswith("Usage: ") and "Commands:" in r.stderr
@@ -836,6 +844,11 @@ def test_bare_command_and_help_print_help():
         r = run(*args)
         assert r.exit_code == 0 and r.stderr == "", args
         assert r.stdout.startswith("Usage: ") and "Options:" in r.stdout
+    text = " ".join(run("rank", "--help").stdout.split())
+    assert "Rank formula: the holonomic rank at generic parameters." in text
+    for command in ("analyze", "solve", "render"):
+        text = " ".join(run(command, "--help").stdout.split())
+        assert "persistent solutions always grow at the rank-based radius" in text, command
 
 
 def test_main_called_in_process():
