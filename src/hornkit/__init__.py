@@ -20,7 +20,6 @@ from .polygon import (
     OreSatoPolygon,
     build_polygon,
     classify,
-    vertex_count,
 )
 from .counting import (
     atomic_rank,

@@ -3,14 +3,15 @@
 per-vertex dimension of convergent fully supported solutions.
 
 Vertices of the polygon index the components of the singular amoeba's
-complement; the count attached to a vertex is the angular double sum over
-the polygon's normals (`convergent_count_S`).  The tests check it against
-the recession-cone inclusion count.
+complement; the count attached to a vertex sums |det| over the pairs of the
+polygon's normals whose cone contains the vertex's recession cone
+(`convergent_count_S`).  The tests check it against the same count over the
+system's rows, and against `holonomic_rank - persistent_dim`.
 """
 
 from __future__ import annotations
 
-from .lattice import RelAngle, cross, index_nu
+from .lattice import cross, index_nu
 from .polygon import OreSatoPolygon
 from .system import AtomicSystem, HornSystem, check_nonconfluent, enumerate_atomic
 
@@ -79,36 +80,23 @@ def fully_supported_count(s: HornSystem) -> int:
 
 
 def convergent_count_S(p: OreSatoPolygon, i: int) -> int:
-    """Angular double sum over p's normals for the vertex between edges i-1 and i.
-
-    With B_t the distinct normals (p's edges) in ccw order and the angle
-    branch based at the ray opposite B_{next}: sum det(B_k, B_l) * mult_k *
-    mult_l over k with 0 < arg B_k <= arg B_prev and l with arg B_next <=
-    arg B_l < arg(-B_k).  Every summand determinant is positive.
-    """
-    normals, mults = [e.normal for e in p.edges], [e.length for e in p.edges]
-    q = len(normals)
+    """Dimension of the convergent fully supported series on the component of
+    vertex i, between edges i-1 and i: the sum of len_k * len_l * |det(B_k, B_l)|
+    over the pairs of p's normals whose cone contains B_{i-1} and B_i, which
+    span the component's recession cone.  Rows g*d and h*e add g*h*|det(d, e)|,
+    and parallel or antiparallel rows span no cone."""
+    edges = p.edges
+    q = len(edges)
     if not 0 <= i < q:
         raise ValueError(f"vertex index {i} out of range 0..{q - 1}")
-    b_prev = normals[(i - 1) % q]   # edge i-1 normal
-    b_next = normals[i]             # edge i normal
-    base = -b_next
-    ang = {t: RelAngle(normals[t], base) for t in range(q)}
-    neg_ang = {t: RelAngle(-normals[t], base) for t in range(q)}
-    zero = RelAngle(base, base)
-    top_k = RelAngle(b_prev, base)
-    lo_l = RelAngle(b_next, base)
-
+    cone = (edges[i - 1].normal, edges[i].normal)
     total = 0
     for k in range(q):
-        if not (zero < ang[k] <= top_k):
-            continue
-        for ell in range(q):
-            if not (lo_l <= ang[ell] < neg_ang[k]):
-                continue
-            d = cross(normals[k], normals[ell])
-            if d <= 0:
-                raise AssertionError("summand determinant must be positive")
-            total += mults[k] * mults[ell] * d
+        for ell in range(k + 1, q):
+            u, v = edges[k].normal, edges[ell].normal
+            d = cross(u, v)
+            if d < 0:
+                u, v, d = v, u, -d
+            if d and all(cross(u, w) >= 0 and cross(w, v) >= 0 for w in cone):
+                total += edges[k].length * edges[ell].length * d
     return total
-

@@ -1,13 +1,14 @@
 """Exact 2D lattice primitives: integer vectors, gcd reduction, quadrant
 tests, the pair index, and exact counterclockwise angular order.
 
-Everything here is integer/rational arithmetic only; angles are compared
-through cross/dot sign tests, never through floating point.
+Everything here is integer/rational arithmetic only; directions are ordered
+by their half-plane and a cross sign test, never through floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd
 from typing import NamedTuple, Sequence
 
@@ -94,67 +95,16 @@ def index_nu(u: Vec2, v: Vec2) -> int:
     return min(abs(u.a * v.b), abs(u.b * v.a))
 
 
-def same_ray(u: Vec2, v: Vec2) -> bool:
-    return cross(u, v) == 0 and u.a * v.a + u.b * v.b > 0
-
-
 def ccw_sort(vs: Sequence[Vec2]) -> list[int]:
-    """Indices of vs in counterclockwise angular order from the +x1 axis.
-
-    All vectors must be nonzero and pairwise on distinct rays.
-    """
-    for v in vs:
-        if v.is_zero():
-            raise ValueError("cannot order the zero vector")
-    for i in range(len(vs)):
-        for j in range(i + 1, len(vs)):
-            if same_ray(vs[i], vs[j]):
-                raise ValueError(f"duplicate direction: {vs[i]} and {vs[j]}")
-    x1 = Vec2(1, 0)
-    return sorted(range(len(vs)), key=lambda i: RelAngle(vs[i], x1))
-
-
-class RelAngle:
-    """Exact angular position of a vector measured ccw from a base ray.
-
-    The branch is [0, 2*pi): a vector on the base ray itself gets angle 0,
-    anything else a strictly positive angle.  Comparable and hashable.
-    """
-
-    __slots__ = ("sector", "vec", "base")
-
-    def __init__(self, v: Vec2, base: Vec2):
-        c = cross(base, v)
-        d = base.a * v.a + base.b * v.b
-        if c == 0 and d > 0:
-            sector = 0  # on the base ray
-        elif c > 0:
-            sector = 1  # strictly between base and -base, ccw side
-        elif c == 0:
-            sector = 2  # on the ray of -base
-        else:
-            sector = 3  # strictly between -base and base
-        self.sector = sector
-        self.vec = v
-        self.base = base
-
-    def _cmp(self, other: "RelAngle") -> int:
-        if self.sector != other.sector:
-            return -1 if self.sector < other.sector else 1
-        c = cross(self.vec, other.vec)
-        if c == 0:
-            return 0
-        # within one open half-plane sector the plain cross sign orders angles
-        return -1 if c > 0 else 1
-
-    def __lt__(self, other: "RelAngle") -> bool:
-        return self._cmp(other) < 0
-
-    def __le__(self, other: "RelAngle") -> bool:
-        return self._cmp(other) <= 0
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, RelAngle) and self._cmp(other) == 0
-
-    def __hash__(self) -> int:
-        return hash((self.sector, self.vec))
+    """Indices of vs in counterclockwise angular order from the +x1 axis: the
+    half-plane [0, pi) before [pi, 2*pi), and within one, u before v exactly
+    when cross(u, v) > 0.  All vectors must be nonzero and on distinct rays."""
+    if any(v.is_zero() for v in vs):
+        raise ValueError("cannot order the zero vector")
+    half = [0 if v.b > 0 or (v.b == 0 and v.a > 0) else 1 for v in vs]
+    order = sorted(range(len(vs)),
+                   key=cmp_to_key(lambda i, j: half[i] - half[j] or -cross(vs[i], vs[j])))
+    for i, j in zip(order, order[1:]):
+        if half[i] == half[j] and cross(vs[i], vs[j]) == 0:
+            raise ValueError(f"duplicate direction: {vs[i]} and {vs[j]}")
+    return order

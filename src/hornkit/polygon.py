@@ -90,10 +90,6 @@ def build_polygon(s: HornSystem) -> OreSatoPolygon:
     return OreSatoPolygon(tuple(edges), tuple(vertices))
 
 
-def vertex_count(p: OreSatoPolygon) -> int:
-    return len(p.edges)
-
-
 def _canonical_line_direction(d: Vec2) -> Vec2:
     """Pick one orientation per unsigned direction line."""
     if d.a > 0 or (d.a == 0 and d.b > 0):

@@ -15,7 +15,7 @@ from . import counting
 from .atomic import _index_rects
 from .lattice import QVec, Vec2, inverse_times, primitive
 from .operators import _by_class, is_solution
-from .polygon import build_polygon, classify, vertex_count
+from .polygon import build_polygon, classify
 from .puiseux import ClassKey, Offset, PuiseuxPolynomial
 from .series import Growth, HarvestResult, grow_starts, harvest_polynomials
 from .system import HornSystem, detect_resonance, enumerate_atomic
@@ -217,9 +217,9 @@ class Report:
 
     @cached_property
     def convergent_counts(self) -> list[int]:
-        """`counting.convergent_count_S` at each vertex of the polygon."""
+        """`counting.convergent_count_S`, the recession-cone count, at each vertex."""
         p = self.polygon
-        return [counting.convergent_count_S(p, i) for i in range(vertex_count(p))]
+        return [counting.convergent_count_S(p, i) for i in range(len(p.edges))]
 
     rank = cached_property(lambda self: counting.system_rank(self.system))
     persistent_dim = cached_property(lambda self: counting.persistent_dim(self.system))

@@ -40,7 +40,13 @@ class HornSystem:
 
     @staticmethod
     def make(rows: Sequence[Sequence[int]], params: Sequence, name: str = "") -> "HornSystem":
-        vrows = tuple(Vec2(int(r[0]), int(r[1])) for r in rows)
+        """Build a system from rows that are pairs of integers, with no
+        coercion of floats, booleans or strings, and rational parameters."""
+        for row in rows:
+            if not (isinstance(row, Sequence) and len(row) == 2
+                    and all(type(x) is int for x in row)):
+                raise ValueError(f"matrix row {row!r} is not a pair of integers")
+        vrows = tuple(Vec2(*r) for r in rows)
         vparams = tuple(parse_rational(p) for p in params)
         return HornSystem(vrows, vparams, name)
 
@@ -64,19 +70,15 @@ class HornSystem:
 
     @staticmethod
     def from_json(data: dict) -> "HornSystem":
-        """Parse the wire format.  Rows must be nonzero pairs of JSON integers,
-        parameters rationals and the name, "" when absent, a string; anything
-        else raises ValueError, KeyError or TypeError rather than being
-        coerced."""
+        """Parse the wire format.  Rows must be nonzero pairs of JSON integers
+        (checked by `make`), parameters rationals and the name, "" when absent,
+        a string; anything else raises ValueError, KeyError or TypeError
+        rather than being coerced."""
         matrix, params, name = data["matrix"], data["parameters"], data.get("name", "")
         if not isinstance(matrix, list) or not isinstance(params, list):
             raise ValueError("matrix and parameters must be JSON lists")
         if not isinstance(name, str):
             raise ValueError(f"name must be a JSON string, got {type(name).__name__}")
-        for row in matrix:
-            if not (isinstance(row, list) and len(row) == 2
-                    and all(type(x) is int for x in row)):
-                raise ValueError(f"matrix row {row!r} is not a pair of integers")
         return HornSystem.make(matrix, params, name)
 
 

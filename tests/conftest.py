@@ -1,5 +1,6 @@
 import json
 import random
+import warnings
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -7,6 +8,17 @@ from math import gcd
 from pathlib import Path
 
 import pytest
+
+# Hypothesis imports this module to report a failing example.  Under
+# `filterwarnings = ["error"]` a DeprecationWarning raised by that import (from
+# libcst's dependencies) becomes an INTERNALERROR that ends the run without
+# naming the test, so import it once here with that warning ignored.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 from hornkit.lattice import Vec2, cross, dot, primitive, qvec
 from hornkit.operators import _ClassFactors

@@ -29,7 +29,7 @@ from hornkit.atomic import (
 )
 from hornkit.counting import convergent_count_S, holonomic_rank, persistent_dim
 from hornkit.operators import apply_horn, apply_intertwiner, is_solution
-from hornkit.polygon import Kind, build_polygon, classify, vertex_count
+from hornkit.polygon import Kind, build_polygon, classify
 from hornkit.puiseux import PuiseuxPolynomial
 from hornkit.series import harvest_polynomials, series_from_submatrix, verify_truncated
 from hornkit.solver import check_constructive, persistent_solutions
@@ -184,7 +184,7 @@ def test_criterion_07_combinatorial_identities():
     for _ in range(100):
         s = random_nonconfluent_system(rng, max_m=7, bound=3)
         p = build_polygon(s)
-        q = vertex_count(p)
+        q = len(p.edges)
         svals = [convergent_count_S(p, i) for i in range(q)]
         assert len(set(svals)) == 1
         cvals = [convergent_dim_by_cone(s, component_ref(p, i)) for i in range(q)]

@@ -73,6 +73,14 @@ def test_malformed_input_exit_2(tmp_path):
             assert r.exit_code == 2, (matrix, params, r.output)
             assert "error" in json.loads(r.stderr)
 
+    # the system's own checks: at least two rows, one parameter per row
+    for matrix, message in (([[1, 0]], "a Horn system needs at least two rows"),
+                            ([[1, 0], [-1, 0]], "rows and parameters must have equal length")):
+        bad.write_text(json.dumps({"matrix": matrix, "parameters": [0]}))
+        r = run("rank", str(bad))
+        assert r.exit_code == 2 and r.stdout == "", (matrix, r.output)
+        assert json.loads(r.stderr)["error"].endswith(message)
+
     # the zero polynomial, as an empty term list or a zero coefficient, is
     # no candidate solution
     sol = tmp_path / "sol.json"
@@ -354,6 +362,10 @@ def test_series_listing_and_table():
     assert run("series", EX21, "--submatrix", "2,1", "--window", "3").output == r.output
     r = run("series", EX21, "--submatrix", "1,1")
     assert r.exit_code == 2 and "degenerate" in json.loads(r.stderr)["error"]
+    for branch in ("99", "-1"):
+        r = run("series", EX21, "--submatrix", "0,1", "--branch", branch)
+        assert r.exit_code == 2 and r.stdout == ""
+        assert json.loads(r.stderr)["error"] == f"branch {branch} out of range 0..0"
 
     # --branch and --window select a table: without --submatrix they are
     # refused, not ignored

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from fractions import Fraction as F
@@ -6,7 +7,7 @@ import pytest
 
 from conftest import component_ref, convergent_dim_by_cone, normalize_rows, random_nonconfluent_system
 from hornkit.counting import convergent_count_S, fully_supported_count, holonomic_rank, persistent_dim
-from hornkit.polygon import build_polygon, vertex_count
+from hornkit.polygon import build_polygon
 from hornkit.system import HornSystem
 
 
@@ -71,7 +72,7 @@ def test_fully_supported_count():
 def test_convergent_counts_fixtures(zonotope, triangle_sides):
     for s, expect in ((zonotope, 25), (triangle_sides, 35)):
         p = build_polygon(s)
-        for i in range(vertex_count(p)):
+        for i in range(len(p.edges)):
             assert convergent_count_S(p, i) == expect
             assert convergent_dim_by_cone(s, component_ref(p, i)) == expect
 
@@ -79,11 +80,11 @@ def test_convergent_counts_fixtures(zonotope, triangle_sides):
 def test_convergent_count_rank1_system():
     s = HornSystem.make([[1, 2], [-1, -1], [0, -1]], ["1/3", "1/5", "1/7"])
     p = build_polygon(s)
-    for i in range(vertex_count(p)):
+    for i in range(len(p.edges)):
         assert convergent_count_S(p, i) == 1
     tri = HornSystem.make([[1, 1], [-1, 0], [0, -1]], ["1/7", "-1/3", "-1/5"])
     p = build_polygon(tri)
-    for i in range(vertex_count(p)):
+    for i in range(len(p.edges)):
         assert convergent_count_S(p, i) == 1
 
 
@@ -95,15 +96,19 @@ def test_invalid_vertex_index(zonotope):
 
 
 def test_counting_identities_random():
+    """100 draws with entries in [-3, 3], 40 with entries in [-6, 6], and each
+    dilated by 2 and 3: longer edges weigh their normal pairs by length."""
     rng = random.Random(41)
-    for _ in range(100):
-        s = random_nonconfluent_system(rng)
+    bases = [random_nonconfluent_system(rng) for _ in range(100)]
+    bases += [random_nonconfluent_system(rng, bound=6) for _ in range(40)]
+    for base, k in itertools.product(bases, (1, 2, 3)):
+        s = HornSystem.make([(k * r.a, k * r.b) for r in base.rows], base.params)
         p = build_polygon(s)
-        q = vertex_count(p)
+        q = len(p.edges)
         svals = [convergent_count_S(p, i) for i in range(q)]
-        assert len(set(svals)) == 1  # constancy across vertices
         cvals = [convergent_dim_by_cone(s, component_ref(p, i)) for i in range(q)]
         assert svals == cvals  # oracle agreement
-        assert holonomic_rank(s) == svals[0] + persistent_dim(s)
+        # constancy across vertices, and the rank's split at every vertex
+        assert svals == [holonomic_rank(s) - persistent_dim(s)] * q
         fsc = fully_supported_count(s)
         assert all(fsc >= v for v in svals)

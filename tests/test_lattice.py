@@ -3,7 +3,6 @@ import random
 import pytest
 
 from hornkit.lattice import (
-    RelAngle,
     Vec2,
     ccw_sort,
     cross,
@@ -84,6 +83,13 @@ def test_ccw_sort_duplicate_ray_rejected():
         ccw_sort([Vec2(1, 1), Vec2(1, 1)])
     with pytest.raises(ValueError):
         ccw_sort([Vec2(1, 1), Vec2(2, 2)])
+    # apart in the input, and on the half-plane boundary rays
+    with pytest.raises(ValueError):
+        ccw_sort([Vec2(1, 1), Vec2(-1, 0), Vec2(0, 1), Vec2(3, 3)])
+    with pytest.raises(ValueError):
+        ccw_sort([Vec2(-2, 0), Vec2(1, 1), Vec2(-1, 0)])
+    # opposite rays are distinct directions
+    assert ccw_sort([Vec2(-1, 0), Vec2(1, 0), Vec2(0, -1), Vec2(0, 1)]) == [1, 3, 0, 2]
 
 
 def test_ccw_sort_rotation_invariance():
@@ -103,12 +109,3 @@ def test_ccw_sort_rotation_invariance():
         k = rotated.index(base[0])
         assert rotated[k:] + rotated[:k] == base
 
-
-def test_rel_angle_branch():
-    base = Vec2(0, -1)
-    zero = RelAngle(base, base)
-    a = RelAngle(Vec2(1, 0), base)
-    b = RelAngle(Vec2(0, 1), base)
-    c = RelAngle(Vec2(-1, 0), base)
-    assert zero < a < b < c
-    assert RelAngle(Vec2(0, -2), base) == zero

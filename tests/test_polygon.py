@@ -10,14 +10,14 @@ from conftest import (
     witness_edge_multiset,
 )
 from hornkit.lattice import Vec2, cross
-from hornkit.polygon import Kind, build_polygon, classify, vertex_count
+from hornkit.polygon import Kind, build_polygon, classify
 from hornkit.system import HornSystem
 
 
 def test_unit_triangle():
     s = HornSystem.make([[1, 1], [-1, 0], [0, -1]], [0, 0, 0])
     p = build_polygon(s)
-    assert vertex_count(p) == 3
+    assert len(p.edges) == 3
     # vertices are a unit triangle up to translation
     vs = sorted((v.a, v.b) for v in p.vertices)
     base = min(vs)
@@ -27,14 +27,14 @@ def test_unit_triangle():
 
 def test_zonotope_polygon(zonotope):
     p = build_polygon(zonotope)
-    assert vertex_count(p) == 8
+    assert len(p.edges) == 8
     assert is_centrally_symmetric(p)
     assert outer_normal_holds(p)
 
 
 def test_triangle_sides_polygon(triangle_sides):
     p = build_polygon(triangle_sides)
-    assert vertex_count(p) == 6
+    assert len(p.edges) == 6
     lengths = {tuple(e.normal): e.length for e in p.edges}
     assert lengths == {(2, -1): 2, (-2, 1): 1, (-1, 3): 2, (1, -3): 1,
                        (1, 2): 1, (-1, -2): 2}
@@ -45,7 +45,7 @@ def test_seven_vertex_fixture():
         [[1, 2], [1, -2], [-1, 3], [-1, -3], [1, 0], [-1, -1], [0, 1]],
         [0, 0, 0, 0, 0, 0, 0],
     )
-    assert vertex_count(build_polygon(s)) == 7
+    assert len(build_polygon(s).edges) == 7
 
 
 def test_polygon_requires_nonconfluency():

@@ -62,6 +62,15 @@ def test_zero_row_rejected():
         HornSystem.make([[1, 0], [0, 0]], [0, 0])
 
 
+@pytest.mark.parametrize("row", ([1.5, 0], [True, 0], [0, "2"], [1, 0, 5], 7))
+def test_make_rejects_rows_that_are_not_integer_pairs(row):
+    # the library input passes the same check as the wire format: no
+    # coercion of floats, booleans or strings, and a row is a pair
+    with pytest.raises(ValueError, match="is not a pair of integers"):
+        HornSystem.make([row, [-1, 0], [0, 1], [0, -1]], [0] * 4)
+    assert HornSystem.make([(1, 0), Vec2(-1, 0), [0, 1], [0, -1]], [0] * 4).rows[1] == Vec2(-1, 0)
+
+
 def test_resonance_triple():
     rows = [[1, 2], [-1, -1], [0, -1]]
     res = detect_resonance(HornSystem.make(rows, [F(1, 3), F(1, 3), F(1, 3)]))
